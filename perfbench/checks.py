@@ -59,9 +59,11 @@ def _analyze_structure(clip: dict) -> str | None:
             return f"frames.jsonl line {i + 1} is out of order or has an unknown state"
         if frame["state"] == "hunting":
             hunting_frames.append(i)
+    # the generator scripts every eat to be detectable: next to the dragon,
+    # clear of hides and state switches, with the cricket seen on its last frame
     events_at = report["hunting_event_frames"]
-    if not set(events_at) <= set(clip["eaten_frames"]):
-        return f"hunting events {events_at} are not all scripted eaten frames {clip['eaten_frames']}"
+    if sorted(set(events_at)) != clip["eaten_frames"]:
+        return f"hunting events {events_at} are not the scripted eaten frames {clip['eaten_frames']}"
     if hunting_frames != sorted(set(events_at)):
         return "hunting frames in frames.jsonl differ from the report's hunting events"
     return None

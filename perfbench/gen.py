@@ -25,8 +25,6 @@ CLIPS_PER_RUN = 4
 # Default sizes: 0.1-0.25 s per operation on a 2-vCPU Xeon VM, small enough
 # for well over 100 timed operations in a 25 s run, large enough that each
 # workload's dominant layer is the one its "why" in BENCHMARK.json names.
-# The more operations a run has, the higher its tail percentile lies, and the
-# more surely the tail falls on the host's slow speed level in every run.
 FRAMES = {"clip-day": 3000, "clip-swarm": 300, "clip-night": 8640, "eval-batch": 100}
 
 DRAGON = (0, (0.18, 0.12), 0.90)  # class id, (w, h), confidence

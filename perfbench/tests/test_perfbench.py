@@ -15,8 +15,7 @@ import dragonwatch.model
 import gen
 import spans
 from checks import Checker, digests, structure
-from run import tail
-from worker import run_ops
+from run import cli_main, run_ops, tail
 
 # small enough to keep each test well under a second per operation
 SMALL = {"clip-day": 1400, "clip-swarm": 60, "clip-night": 2000, "eval-batch": 30}
@@ -47,14 +46,23 @@ def test_outputs_pass_structural_checks(tmp_path, workload):
         assert structure(clip) is None
 
 
+def test_unreported_scripted_eat_fails_structural_check(tmp_path):
+    clip = gen.generate("clip-swarm", 3, tmp_path, clips=1, frames=SMALL["clip-swarm"])[0]
+    assert dragonwatch.cli.main(clip["argv"]) == 0
+    assert clip["eaten_frames"] and structure(clip) is None
+    missed = dict(clip, eaten_frames=sorted(clip["eaten_frames"] + [clip["frame_count"] - 1]))
+    assert "hunting events" in structure(missed)
+
+
 def _flip_byte(path: Path) -> None:
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
     path.write_bytes(bytes(data))
 
 
+@pytest.mark.parametrize("fault", ["flipped byte", "nothing written"])
 @pytest.mark.parametrize("pinned", [True, False])
-def test_flipped_output_byte_counts_as_failed_operation(tmp_path, pinned):
+def test_bad_outputs_count_as_failed_operations(tmp_path, pinned, fault):
     clips = gen.generate("clip-day", 5, tmp_path, frames=SMALL["clip-day"])
     reference = None
     if pinned:
@@ -64,18 +72,34 @@ def test_flipped_output_byte_counts_as_failed_operation(tmp_path, pinned):
             reference.append(digests(clip))
     calls = []
 
-    def corrupting_main(argv):
-        rc = dragonwatch.cli.main(argv)
+    def faulty_main(argv):
         calls.append(argv)
-        if len(calls) > len(clips):  # the warm-up pass stays clean
-            _flip_byte(Path(argv[argv.index("--out") + 1]) / "frames.jsonl")
+        if len(calls) <= len(clips):  # the warm-up pass stays clean
+            return dragonwatch.cli.main(argv)
+        if fault == "nothing written":  # claims success, leaves no outputs
+            return 0
+        rc = dragonwatch.cli.main(argv)
+        _flip_byte(Path(argv[argv.index("--out") + 1]) / "frames.jsonl")
         return rc
 
-    loop = run_ops(corrupting_main, clips, Checker(clips, reference), seconds=0.0, trace=False)
+    loop = run_ops(faulty_main, clips, Checker(clips, reference), seconds=0.0, trace=False)
     ok = [op["ok"] for op in loop["ops"]]
     assert ok[: len(clips)] == [True] * len(clips)
-    assert not any(ok[len(clips):])
-    assert loop["failures"] and all("frames.jsonl" in f or "digest" in f for f in loop["failures"])
+    assert len(ok) > len(clips) and not any(ok[len(clips):])
+    assert all("frames.jsonl" in f or "digest" in f for f in loop["failures"])
+
+
+def test_traced_loop_roots_each_operation_at_wrapped_main(tmp_path):
+    clips = gen.generate("clip-day", 4, tmp_path, clips=1, frames=SMALL["clip-day"])
+    loop = run_ops(cli_main, clips, Checker(clips), seconds=0.0, trace=True)
+    assert all(op["ok"] for op in loop["ops"])
+    tracer = loop["tracer"]
+    roots = [i for i, span in enumerate(tracer.spans) if span[4] is None]
+    assert len(roots) == len(tracer.ops) == sum(op["traced"] for op in loop["ops"]) > 0
+    for root in roots:
+        # main's span is named after its subcommand and has cmd_analyze's span below it
+        assert tracer.spans[root][1] == "cli.analyze"
+        assert "cli.analyze" in {span[1] for span in tracer.spans if span[4] == root}
 
 
 def test_pinned_digests_match_default_seed_clip_count():
