@@ -14,7 +14,6 @@ from .behaviour import (
     BehaviourKind,
     Episode,
     FrameState,
-    aggregate_episodes,
     classify_basking,
     detect_hunting,
     resolve_frame_states,
@@ -23,13 +22,9 @@ from .evaluation import (
     BoxRecord,
     ConfusionMatrix,
     EvalReport,
-    F1Sweep,
-    MatchResult,
     average_precision,
     confusion_matrix,
     evaluate,
-    f1_sweep,
-    match,
     mean_ap,
     precision_recall_f1,
     records_from_timeline,

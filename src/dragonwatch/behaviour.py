@@ -29,7 +29,6 @@ __all__ = [
     "resolve_frame_states",
     "demote_short_basking",
     "run_length_episodes",
-    "aggregate_episodes",
 ]
 
 
@@ -217,9 +216,3 @@ def run_length_episodes(kinds: Sequence[BehaviourKind], fps: float) -> list[Epis
         for start, end, kind in _runs(kinds)
     ]
 
-
-def aggregate_episodes(
-    kinds: Sequence[BehaviourKind], min_episode: int, fps: float
-) -> list[Episode]:
-    """Demote short basking runs, then run-length encode into episodes."""
-    return run_length_episodes(demote_short_basking(kinds, min_episode), fps)

@@ -30,9 +30,9 @@ from .ingest import (
     RunConfig,
     parse_config,
     parse_detection_log,
-    parse_ground_truth_lines,
+    parse_ground_truth,
 )
-from .model import FrameGeometry, Timeline
+from .model import FrameGeometry
 from .pipeline import AnalysisResult, analyze_timeline
 from .synth import InvalidScenario, Scenario, generate
 
@@ -228,13 +228,11 @@ def _collect_eval_inputs(
             m = _FRAME_SUFFIX.match(gt_file.stem)
             start = int(m.group("frame")) if m and m.group("stem") == stem else 0
             try:
-                dets = parse_ground_truth_lines(_read_text(gt_file), start_frame=start)
+                gt_timeline = parse_ground_truth(_read_text(gt_file), geometry=geom, start_frame=start)
             except ParseError as exc:
                 return _fail(f"{gt_file}: {exc}", _EXIT_PARSE)
             except OSError as exc:
                 return _fail(str(exc), _EXIT_IO)
-            frame_count = max((d.frame for d in dets), default=-1) + 1
-            gt_timeline = Timeline.build(geom, frame_count, dets)
             gts.extend(records_from_timeline(gt_timeline, prefix=stem))
     return preds, gts
 
@@ -249,7 +247,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if isinstance(collected, int):
         return collected
     preds, gts = collected
-    report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
+    try:
+        report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
+    except ValueError as exc:
+        return _fail(str(exc), _EXIT_PARSE)
     table = report.to_table()
     out_dir = Path(args.out)
     try:

@@ -2,16 +2,19 @@
 
 Matching is class-wise and greedy in descending confidence: each prediction
 takes the unmatched ground truth with the highest IoU at or above the
-threshold. AP integrates the monotone precision envelope at 101 evenly
-spaced recall points; mAP averages over the classes that actually appear in
-the ground truth. mAP@0.5:0.95 averages over IoU thresholds 0.50 to 0.95 in
-steps of 0.05. Degenerate ratios (0/0) are defined as 0 throughout.
+threshold. ``evaluate`` ranks each class's predictions once and matches them
+once per distinct IoU threshold: the ten mAP thresholds, plus the reporting
+threshold when it is off that grid. Every figure derives from those matches.
+AP integrates the monotone precision envelope at 101 evenly spaced recall
+points; mAP averages over the classes that actually appear in the ground
+truth. mAP@0.5:0.95 averages over IoU thresholds 0.50 to 0.95 in steps of
+0.05. Degenerate ratios (0/0) are defined as 0 throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,18 +22,15 @@ from .model import ClassLabel, PixelBox, Timeline, iou, to_pixels
 
 __all__ = [
     "BoxRecord",
-    "MatchResult",
-    "F1Sweep",
     "ConfusionMatrix",
     "ClassMetrics",
     "EvalReport",
     "MAP_IOU_THRESHOLDS",
-    "match",
+    "rank_by_confidence",
+    "match_ranked",
     "precision_recall_f1",
     "average_precision",
     "mean_ap",
-    "map_range",
-    "f1_sweep",
     "confusion_matrix",
     "evaluate",
     "records_from_timeline",
@@ -63,56 +63,6 @@ def records_from_timeline(
     return records
 
 
-@dataclass
-class MatchResult:
-    """Outcome of matching one image's predictions of one class to its ground truths."""
-
-    pred_matched_gt: list[int | None]
-    gt_matched_pred: list[int | None]
-
-    @property
-    def tp(self) -> int:
-        return sum(1 for g in self.pred_matched_gt if g is not None)
-
-    @property
-    def fp(self) -> int:
-        return sum(1 for g in self.pred_matched_gt if g is None)
-
-    @property
-    def fn(self) -> int:
-        return sum(1 for p in self.gt_matched_pred if p is None)
-
-
-def match(
-    pred_boxes: Sequence[PixelBox],
-    confidences: Sequence[float],
-    gt_boxes: Sequence[PixelBox],
-    iou_threshold: float,
-) -> MatchResult:
-    """Greedy confidence-ordered matching for one image and one class.
-
-    Predictions are visited in descending confidence (stable on ties); each
-    takes the unmatched ground truth with the highest IoU >= threshold, the
-    lowest index winning IoU ties.
-    """
-    order = sorted(range(len(pred_boxes)), key=lambda i: -confidences[i])
-    pred_matched: list[int | None] = [None] * len(pred_boxes)
-    gt_matched: list[int | None] = [None] * len(gt_boxes)
-    for i in order:
-        best_j = None
-        best_iou = 0.0
-        for j, gt in enumerate(gt_boxes):
-            if gt_matched[j] is not None:
-                continue
-            overlap = iou(pred_boxes[i], gt)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_j, best_iou = j, overlap
-        if best_j is not None:
-            pred_matched[i] = best_j
-            gt_matched[best_j] = i
-    return MatchResult(pred_matched, gt_matched)
-
-
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     """Precision, recall and F1 from counts; 0/0 ratios are 0 by convention."""
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -128,18 +78,28 @@ def _group_by_image(records: Sequence[BoxRecord]) -> dict[str | int, list[BoxRec
     return groups
 
 
-def _tag_class_predictions(
-    preds: Sequence[BoxRecord],
-    gts_by_image: Mapping[str | int, list[BoxRecord]],
+def rank_by_confidence(preds: Sequence[BoxRecord]) -> list[BoxRecord]:
+    """Predictions in descending confidence, stable on ties: the matching order."""
+    return sorted(preds, key=lambda r: -r.confidence)
+
+
+def match_ranked(
+    ranked: Sequence[BoxRecord],
+    gts_by_image: Mapping[str | int, Sequence[BoxRecord]],
     iou_threshold: float,
-) -> tuple[list[BoxRecord], np.ndarray]:
-    """Sort one class's predictions by descending confidence and tag TP/FP."""
-    ordered = sorted(preds, key=lambda r: -r.confidence)
+) -> np.ndarray:
+    """Greedy matching of one class's predictions, in ``rank_by_confidence`` order.
+
+    Each prediction in turn takes the unmatched ground truth of its image
+    with the highest IoU >= threshold, the lowest index winning IoU ties.
+    Returns, per prediction, the index of the ground truth it took within
+    ``gts_by_image[image]``, or -1 for a false positive.
+    """
     taken: dict[str | int, list[bool]] = {
         image: [False] * len(gts) for image, gts in gts_by_image.items()
     }
-    tags = np.zeros(len(ordered), dtype=bool)
-    for i, pred in enumerate(ordered):
+    matched = np.full(len(ranked), -1)
+    for i, pred in enumerate(ranked):
         gts = gts_by_image.get(pred.image, [])
         flags = taken.get(pred.image, [])
         best_j = None
@@ -152,8 +112,24 @@ def _tag_class_predictions(
                 best_j, best_iou = j, overlap
         if best_j is not None:
             flags[best_j] = True
-            tags[i] = True
-    return ordered, tags
+            matched[i] = best_j
+    return matched
+
+
+def _ap_from_tags(tags: np.ndarray, ground_truths: int) -> float | None:
+    """101-point interpolated AP from TP tags in matching order."""
+    if not ground_truths:
+        return None
+    if not len(tags):
+        return 0.0
+    tp = np.cumsum(tags)
+    fp = np.cumsum(~tags)
+    precision = tp / (tp + fp)
+    recall = tp / ground_truths
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, _RECALL_SAMPLES, side="left")
+    sampled = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
+    return float(sampled.mean())
 
 
 def average_precision(
@@ -166,27 +142,18 @@ def average_precision(
     None when the class has no ground truth (undefined); 0.0 when it has
     ground truth but no predictions.
     """
-    if not gts:
-        return None
-    if not preds:
-        return 0.0
-    _, tags = _tag_class_predictions(preds, _group_by_image(gts), iou_threshold)
-    tp = np.cumsum(tags)
-    fp = np.cumsum(~tags)
-    precision = tp / (tp + fp)
-    recall = tp / len(gts)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, _RECALL_SAMPLES, side="left")
-    sampled = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
-    return float(sampled.mean())
+    matched = match_ranked(rank_by_confidence(preds), _group_by_image(gts), iou_threshold)
+    return _ap_from_tags(matched >= 0, len(gts))
+
+
+def _mean_defined(values: Iterable[float | None]) -> float | None:
+    defined = [v for v in values if v is not None]
+    return sum(defined) / len(defined) if defined else None
 
 
 def mean_ap(class_aps: Mapping[ClassLabel, float | None]) -> float | None:
     """Mean AP over classes that have a defined AP; None when none do."""
-    defined = [ap for ap in class_aps.values() if ap is not None]
-    if not defined:
-        return None
-    return sum(defined) / len(defined)
+    return _mean_defined(class_aps.values())
 
 
 def _split_by_class(
@@ -198,58 +165,17 @@ def _split_by_class(
     return split
 
 
-def map_range(
-    preds: Sequence[BoxRecord],
-    gts: Sequence[BoxRecord],
-    iou_thresholds: Sequence[float] = MAP_IOU_THRESHOLDS,
-) -> float | None:
-    """Mean AP over classes and a range of IoU thresholds (mAP@0.5:0.95)."""
-    preds_by_class = _split_by_class(preds)
-    gts_by_class = _split_by_class(gts)
-    per_threshold = []
-    for threshold in iou_thresholds:
-        aps = {
-            label: average_precision(preds_by_class[label], gts_by_class[label], threshold)
-            for label in ClassLabel
-        }
-        per_threshold.append(mean_ap(aps))
-    defined = [m for m in per_threshold if m is not None]
-    if not defined:
-        return None
-    return sum(defined) / len(defined)
+def _f1_sweep(
+    tagged: list[tuple[float, bool]], total_gts: int
+) -> tuple[float, float | None, float | None]:
+    """P/R/F1 at every distinct confidence cut over pooled (confidence, TP) pairs.
 
-
-@dataclass(frozen=True)
-class F1Sweep:
-    """Best F1 over confidence cuts plus the cheapest cut with perfect precision."""
-
-    max_f1: float
-    max_f1_confidence: float | None
-    full_precision_confidence: float | None
-
-
-def f1_sweep(
-    preds: Sequence[BoxRecord],
-    gts: Sequence[BoxRecord],
-    iou_threshold: float,
-) -> F1Sweep:
-    """Evaluate P/R/F1 at every distinct confidence cut over pooled classes.
-
-    Reports the maximum F1 (lowest threshold on ties) and the lowest
-    threshold at which precision reaches 1.0, if any.
+    Returns the maximum F1, the cut reaching it (lowest on ties) and the
+    lowest cut at which precision reaches 1.0, if any.
     """
-    preds_by_class = _split_by_class(preds)
-    gts_by_class = _split_by_class(gts)
-    tagged: list[tuple[float, bool]] = []
-    for label in ClassLabel:
-        ordered, tags = _tag_class_predictions(
-            preds_by_class[label], _group_by_image(gts_by_class[label]), iou_threshold
-        )
-        tagged.extend((rec.confidence, bool(tag)) for rec, tag in zip(ordered, tags))
-    total_gts = len(gts)
     if not tagged:
-        return F1Sweep(0.0, None, None)
-    tagged.sort(key=lambda pair: -pair[0])
+        return 0.0, None, None
+    tagged = sorted(tagged, key=lambda pair: -pair[0])
     cuts = sorted({conf for conf, _ in tagged}, reverse=True)
     best_f1 = 0.0
     best_conf: float | None = None
@@ -268,7 +194,7 @@ def f1_sweep(
             best_f1, best_conf = f1, cut
         if precision == 1.0:
             full_precision = cut
-    return F1Sweep(best_f1, best_conf, full_precision)
+    return best_f1, best_conf, full_precision
 
 
 @dataclass(frozen=True)
@@ -443,42 +369,51 @@ def evaluate(
     """Evaluate a prediction set against ground truth at one IoU threshold.
 
     Per-class precision/recall/F1 use all predictions (no confidence cut);
-    threshold-swept figures are reported separately by the F1 sweep.
+    threshold-swept figures are reported separately by the F1 sweep. Each
+    class is matched once per distinct threshold in ``MAP_IOU_THRESHOLDS``
+    and ``iou_threshold``. Raises ValueError unless ``iou_threshold`` is in
+    (0, 1] and ``confusion_confidence`` in [0, 1].
     """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
+    if not 0.0 <= confusion_confidence <= 1.0:
+        raise ValueError(f"confusion confidence must be in [0, 1], got {confusion_confidence}")
+    thresholds = dict.fromkeys((*MAP_IOU_THRESHOLDS, iou_threshold))
     preds_by_class = _split_by_class(preds)
     gts_by_class = _split_by_class(gts)
     per_class: dict[ClassLabel, ClassMetrics] = {}
-    ap50: dict[ClassLabel, float | None] = {}
+    # aps[threshold][label]; inner dicts fill in ClassLabel order
+    aps: dict[float, dict[ClassLabel, float | None]] = {t: {} for t in thresholds}
+    pooled: list[tuple[float, bool]] = []
     for label in ClassLabel:
-        cls_preds = preds_by_class[label]
+        ranked = rank_by_confidence(preds_by_class[label])
         cls_gts = gts_by_class[label]
-        _, tags = _tag_class_predictions(cls_preds, _group_by_image(cls_gts), iou_threshold)
-        tp = int(tags.sum())
-        precision, recall, f1 = precision_recall_f1(tp, len(cls_preds) - tp, len(cls_gts) - tp)
-        ap50[label] = average_precision(cls_preds, cls_gts, 0.5)
-        ap_range_values = [
-            average_precision(cls_preds, cls_gts, threshold) for threshold in MAP_IOU_THRESHOLDS
-        ]
-        defined = [v for v in ap_range_values if v is not None]
+        gts_by_image = _group_by_image(cls_gts)
+        tags = {t: match_ranked(ranked, gts_by_image, t) >= 0 for t in thresholds}
+        for t, t_tags in tags.items():
+            aps[t][label] = _ap_from_tags(t_tags, len(cls_gts))
+        tp = int(tags[iou_threshold].sum())
+        precision, recall, f1 = precision_recall_f1(tp, len(ranked) - tp, len(cls_gts) - tp)
         per_class[label] = ClassMetrics(
             label=label,
             ground_truths=len(cls_gts),
-            predictions=len(cls_preds),
+            predictions=len(ranked),
             precision=precision,
             recall=recall,
             f1=f1,
-            ap_50=ap50[label],
-            ap_range=sum(defined) / len(defined) if defined else None,
+            ap_50=aps[0.5][label],
+            ap_range=_mean_defined(aps[t][label] for t in MAP_IOU_THRESHOLDS),
         )
-    sweep = f1_sweep(preds, gts, iou_threshold)
+        pooled.extend((rec.confidence, bool(tag)) for rec, tag in zip(ranked, tags[iou_threshold]))
+    max_f1, max_f1_confidence, full_precision_confidence = _f1_sweep(pooled, len(gts))
     return EvalReport(
         iou_threshold=iou_threshold,
         confusion_confidence=confusion_confidence,
         per_class=per_class,
-        map_50=mean_ap(ap50),
-        map_range=map_range(preds, gts),
-        max_f1=sweep.max_f1,
-        max_f1_confidence=sweep.max_f1_confidence,
-        full_precision_confidence=sweep.full_precision_confidence,
+        map_50=mean_ap(aps[0.5]),
+        map_range=_mean_defined(mean_ap(aps[t]) for t in MAP_IOU_THRESHOLDS),
+        max_f1=max_f1,
+        max_f1_confidence=max_f1_confidence,
+        full_precision_confidence=full_precision_confidence,
         confusion=confusion_matrix(preds, gts, confusion_confidence, iou_threshold),
     )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dragonwatch.behaviour import (
     BaskingGeometry,
     BehaviourKind,
-    aggregate_episodes,
     classify_basking,
     demote_short_basking,
     detect_hunting,
@@ -200,7 +199,7 @@ class TestDetectHunting:
 
 class TestEpisodes:
     def test_single_full_episode(self):
-        episodes = aggregate_episodes([BASKING] * 100, min_episode=3, fps=30.0)
+        episodes = run_length_episodes(demote_short_basking([BASKING] * 100, min_episode=3), 30.0)
         assert len(episodes) == 1
         ep = episodes[0]
         assert (ep.start_frame, ep.end_frame) == (0, 99)
@@ -208,20 +207,20 @@ class TestEpisodes:
 
     def test_short_basking_demoted(self):
         kinds = [IDLE, BASKING, BASKING, IDLE]
-        episodes = aggregate_episodes(kinds, min_episode=3, fps=30.0)
+        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE]
         assert episodes[0].end_frame == 3
 
     def test_two_runs_split_by_hole(self):
         kinds = [BASKING] * 50 + [IDLE] * 2 + [BASKING] * 48
-        episodes = aggregate_episodes(kinds, min_episode=3, fps=30.0)
+        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [BASKING, IDLE, BASKING]
         assert (episodes[0].start_frame, episodes[0].end_frame) == (0, 49)
         assert (episodes[2].start_frame, episodes[2].end_frame) == (52, 99)
 
     def test_hunting_single_frame_survives(self):
         kinds = [IDLE] * 5 + [HUNTING] + [IDLE] * 5
-        episodes = aggregate_episodes(kinds, min_episode=3, fps=30.0)
+        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE, HUNTING, IDLE]
 
     def test_demotion_merges_neighbouring_idle(self):
@@ -236,7 +235,7 @@ class TestEpisodes:
     )
     @settings(max_examples=150)
     def test_episodes_partition_the_clip(self, kinds, min_episode):
-        episodes = aggregate_episodes(kinds, min_episode=min_episode, fps=30.0)
+        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=min_episode), 30.0)
         covered = []
         for ep in episodes:
             assert ep.start_frame <= ep.end_frame

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dragonwatch.cli import main
 from dragonwatch.ingest import parse_detection_log, write_ground_truth
 from dragonwatch.synth import Scenario, generate
@@ -131,6 +133,25 @@ class TestEvaluateCommand:
         assert payload["map_50"] == 1.0
         assert payload["map_50_95"] == 1.0
         assert payload["classes"]["BeardedDragon"]["recall"] == 1.0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--iou", "nan"), ("--iou", "0"), ("--iou", "5"), ("--iou", "-0.1"),
+         ("--conf", "-0.1"), ("--conf", "1.5"), ("--conf", "nan")],
+    )
+    def test_out_of_range_threshold_exits_1_and_writes_nothing(self, tmp_path, flag, value):
+        preds_dir, gts_dir = self.make_pair(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), flag, value]) == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--iou", "1.0"), ("--conf", "0")])
+    def test_threshold_bounds_accepted(self, tmp_path, flag, value):
+        preds_dir, gts_dir = self.make_pair(tmp_path)
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), flag, value]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["eval_report.json", "eval_report.txt"]
 
     def test_missing_ground_truth_exits_3(self, tmp_path):
         preds_dir, gts_dir = self.make_pair(tmp_path, perfect=False)

@@ -11,11 +11,10 @@ from dragonwatch.evaluation import (
     average_precision,
     confusion_matrix,
     evaluate,
-    f1_sweep,
-    map_range,
-    match,
+    match_ranked,
     mean_ap,
     precision_recall_f1,
+    rank_by_confidence,
     records_from_timeline,
 )
 from dragonwatch.ingest import parse_detection_log
@@ -46,62 +45,77 @@ def box_with_iou(base: PixelBox, target_iou: float) -> PixelBox:
     return corner_box(base.x_min, base.y_min, base.x_max, base.y_min + base.h * target_iou)
 
 
+def match_one_image(pred_boxes, confidences, gt_boxes, iou_threshold):
+    """Match one image's predictions of one class.
+
+    Returns ``(confidence, gt index)`` per prediction in matching order (gt
+    index -1 for a false positive) and the (tp, fp, fn) counts.
+    """
+    ranked = rank_by_confidence(
+        [pred(0, DRAGON, b, c) for b, c in zip(pred_boxes, confidences)]
+    )
+    gts_by_image = {0: [gt(0, DRAGON, b) for b in gt_boxes]} if gt_boxes else {}
+    matched = match_ranked(ranked, gts_by_image, iou_threshold)
+    taken = [int(g) for g in matched if g >= 0]
+    assert len(set(taken)) == len(taken)  # no ground truth is taken twice
+    pairs = [(p.confidence, int(g)) for p, g in zip(ranked, matched)]
+    tp = len(taken)
+    return pairs, (tp, len(ranked) - tp, len(gt_boxes) - tp)
+
+
 class TestMatch:
     def test_perfect_single(self):
         b = box_at(0, 0)
-        result = match([b], [0.9], [b], 0.5)
-        assert (result.tp, result.fp, result.fn) == (1, 0, 0)
+        _, counts = match_one_image([b], [0.9], [b], 0.5)
+        assert counts == (1, 0, 0)
 
     def test_prediction_without_ground_truth(self):
-        result = match([box_at(0, 0)], [0.9], [], 0.5)
-        assert (result.tp, result.fp, result.fn) == (0, 1, 0)
+        _, counts = match_one_image([box_at(0, 0)], [0.9], [], 0.5)
+        assert counts == (0, 1, 0)
 
     def test_ground_truth_without_prediction(self):
-        result = match([], [], [box_at(0, 0)], 0.5)
-        assert (result.tp, result.fp, result.fn) == (0, 0, 1)
+        _, counts = match_one_image([], [], [box_at(0, 0)], 0.5)
+        assert counts == (0, 0, 1)
 
     def test_confidence_order_wins_over_iou(self):
         base = box_at(0, 0)
         high_conf = box_with_iou(base, 0.6)
         better_iou = box_with_iou(base, 0.7)
-        result = match([high_conf, better_iou], [0.9, 0.8], [base], 0.5)
-        assert result.pred_matched_gt == [0, None]  # 0.9 pred takes the gt, 0.8 is FP
-        assert (result.tp, result.fp, result.fn) == (1, 1, 0)
+        pairs, counts = match_one_image([high_conf, better_iou], [0.9, 0.8], [base], 0.5)
+        assert pairs == [(0.9, 0), (0.8, -1)]  # 0.9 pred takes the gt, 0.8 is FP
+        assert counts == (1, 1, 0)
 
     def test_below_threshold_is_fp(self):
         base = box_at(0, 0)
-        result = match([box_with_iou(base, 0.4)], [0.9], [base], 0.5)
-        assert (result.tp, result.fp, result.fn) == (0, 1, 1)
+        _, counts = match_one_image([box_with_iou(base, 0.4)], [0.9], [base], 0.5)
+        assert counts == (0, 1, 1)
 
     def test_each_gt_used_once(self):
         base = box_at(0, 0)
-        result = match([base, base], [0.9, 0.8], [base], 0.5)
-        assert (result.tp, result.fp, result.fn) == (1, 1, 0)
+        pairs, counts = match_one_image([base, base], [0.9, 0.8], [base], 0.5)
+        assert pairs == [(0.9, 0), (0.8, -1)]
+        assert counts == (1, 1, 0)
+
+    def test_iou_tie_goes_to_lowest_gt_index(self):
+        base = box_at(0, 0)
+        pairs, counts = match_one_image([base], [0.9], [base, base], 0.5)
+        assert pairs == [(0.9, 0)]
+        assert counts == (1, 0, 1)
 
     def test_deterministic_under_shuffle_with_distinct_confidences(self):
         rng = random.Random(3)
         base_boxes = [box_at(20 * i, 0) for i in range(5)]
         preds = [box_with_iou(b, 0.6 + 0.05 * i) for i, b in enumerate(base_boxes)]
         confs = [0.9, 0.8, 0.7, 0.6, 0.5]
-        reference = match(preds, confs, base_boxes, 0.5)
-        matched_pairs = {
-            (confs[i], g) for i, g in enumerate(reference.pred_matched_gt) if g is not None
-        }
+        reference, reference_counts = match_one_image(preds, confs, base_boxes, 0.5)
         for _ in range(10):
             order = list(range(5))
             rng.shuffle(order)
-            shuffled = match([preds[i] for i in order], [confs[i] for i in order], base_boxes, 0.5)
-            pairs = {
-                (confs[order[i]], g)
-                for i, g in enumerate(shuffled.pred_matched_gt)
-                if g is not None
-            }
-            assert pairs == matched_pairs
-            assert (shuffled.tp, shuffled.fp, shuffled.fn) == (
-                reference.tp,
-                reference.fp,
-                reference.fn,
+            shuffled, counts = match_one_image(
+                [preds[i] for i in order], [confs[i] for i in order], base_boxes, 0.5
             )
+            assert shuffled == reference
+            assert counts == reference_counts
 
 
 class TestPrecisionRecallF1:
@@ -195,7 +209,7 @@ class TestMeanAp:
         shrunk = box_with_iou(base, 0.72)  # passes 0.50 .. 0.70, fails 0.75 and above
         gts = [gt(0, DRAGON, base)]
         preds = [pred(0, DRAGON, shrunk, 0.9)]
-        assert map_range(preds, gts) == pytest.approx(0.5)
+        assert evaluate(preds, gts).map_range == pytest.approx(0.5)
 
     def test_range_never_exceeds_single_threshold_map(self):
         rng = random.Random(5)
@@ -224,7 +238,9 @@ class TestMeanAp:
                 for label in ClassLabel
             }
             map50 = mean_ap(aps)
-            full = map_range(preds, gts)
+            report = evaluate(preds, gts)
+            assert report.map_50 == map50
+            full = report.map_range
             if map50 is None:
                 assert full is None
             else:
@@ -238,17 +254,17 @@ class TestF1Sweep:
             pred(0, DRAGON, box_at(0, 0), 0.9),
             pred(0, DRAGON, box_at(50, 0), 0.4),
         ]
-        sweep = f1_sweep(preds, gts, 0.5)
-        assert sweep.max_f1 == 1.0
-        assert sweep.max_f1_confidence == 0.4
-        assert sweep.full_precision_confidence == 0.4
+        report = evaluate(preds, gts, 0.5)
+        assert report.max_f1 == 1.0
+        assert report.max_f1_confidence == 0.4
+        assert report.full_precision_confidence == 0.4
 
     def test_all_wrong(self):
         gts = [gt(0, DRAGON, box_at(0, 0))]
         preds = [pred(0, DRAGON, box_at(500, 500), 0.9)]
-        sweep = f1_sweep(preds, gts, 0.5)
-        assert sweep.max_f1 == 0.0
-        assert sweep.full_precision_confidence is None
+        report = evaluate(preds, gts, 0.5)
+        assert report.max_f1 == 0.0
+        assert report.full_precision_confidence is None
 
     def test_hand_walked_cuts(self):
         # TP@0.9, FP@0.6, TP@0.5 with 2 gts: F1 by cut 2/3, 0.5, 0.8
@@ -258,16 +274,29 @@ class TestF1Sweep:
             pred(0, DRAGON, box_at(500, 500), 0.6),
             pred(0, DRAGON, box_at(50, 0), 0.5),
         ]
-        sweep = f1_sweep(preds, gts, 0.5)
-        assert sweep.max_f1 == pytest.approx(0.8)
-        assert sweep.max_f1_confidence == 0.5
-        assert sweep.full_precision_confidence == 0.9
+        report = evaluate(preds, gts, 0.5)
+        assert report.max_f1 == pytest.approx(0.8)
+        assert report.max_f1_confidence == 0.5
+        assert report.full_precision_confidence == 0.9
+
+    def test_tied_f1_reports_lowest_cut(self):
+        # F1 = 2/3 at cut 0.9 (1 TP of 1) and again at cut 0.6 (2 TP of 4)
+        gts = [gt(0, DRAGON, box_at(0, 0)), gt(0, DRAGON, box_at(50, 0))]
+        preds = [
+            pred(0, DRAGON, box_at(0, 0), 0.9),
+            pred(0, DRAGON, box_at(500, 500), 0.8),
+            pred(0, DRAGON, box_at(300, 300), 0.7),
+            pred(0, DRAGON, box_at(50, 0), 0.6),
+        ]
+        report = evaluate(preds, gts, 0.5)
+        assert report.max_f1 == pytest.approx(2 / 3)
+        assert report.max_f1_confidence == 0.6
 
     def test_no_predictions(self):
-        sweep = f1_sweep([], [gt(0, DRAGON, box_at(0, 0))], 0.5)
-        assert sweep.max_f1 == 0.0
-        assert sweep.max_f1_confidence is None
-        assert sweep.full_precision_confidence is None
+        report = evaluate([], [gt(0, DRAGON, box_at(0, 0))], 0.5)
+        assert report.max_f1 == 0.0
+        assert report.max_f1_confidence is None
+        assert report.full_precision_confidence is None
 
 
 class TestConfusionMatrix:
@@ -374,6 +403,20 @@ class TestEvaluate:
         assert "BeardedDragon" in table
         assert "mAP@0.5" in table
         assert "Max F1" in table
+
+    @pytest.mark.parametrize(
+        "iou_threshold, confusion_confidence",
+        [(float("nan"), 0.25), (0.0, 0.25), (5.0, 0.25), (-0.1, 0.25),
+         (0.5, -0.1), (0.5, 1.5), (0.5, float("nan"))],
+    )
+    def test_thresholds_out_of_range_rejected(self, iou_threshold, confusion_confidence):
+        preds, gts = self.perfect_inputs()
+        with pytest.raises(ValueError):
+            evaluate(preds, gts, iou_threshold, confusion_confidence)
+
+    def test_threshold_bounds_accepted(self):
+        preds, gts = self.perfect_inputs()
+        assert evaluate(preds, gts, 1.0, 0.0).map_50 == 1.0
 
     def test_json_dict_is_serialisable(self):
         import json
