@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Generate the three synthetic scenarios, analyze each, and print a summary table.
+"""Simulate the three scenario kinds, analyze each, and print their activity tables.
 
-Each scenario is written to <out>/<kind>/ together with the standard analyze
-outputs, so the artifacts can be inspected or re-rendered with the CLI:
+Each scenario is written to <out>/<kind>/ by ``dragonwatch simulate``, then
+analyzed there by ``dragonwatch analyze`` and summarised by ``dragonwatch
+report``, so the artifacts can be inspected or re-rendered with the CLI:
 
     python scripts/run_scenarios.py --out scenario_runs --noise 0.004 --dropout 0.1
+
+Values are passed to the CLI as given; it validates them. The exit code is
+the first non-zero CLI exit code, or 0.
 """
 
 from __future__ import annotations
@@ -12,62 +16,38 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dragonwatch.behaviour import BehaviourKind
-from dragonwatch.ingest import parse_detection_log
-from dragonwatch.pipeline import analyze_timeline
-from dragonwatch.synth import Scenario, generate
+from dragonwatch.cli import main as dragonwatch
 
 
-def fmt(value: float | None, digits: int = 2) -> str:
-    return "–" if value is None else f"{value:.{digits}f}"
-
-
-def main() -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="scenario_runs", help="output directory")
-    parser.add_argument("--frames", type=int, default=600)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--noise", type=float, default=0.0, help="centre noise stddev")
-    parser.add_argument("--dropout", type=float, default=0.0, help="detection dropout rate")
-    args = parser.parse_args()
+    parser.add_argument("--frames", default="600")
+    parser.add_argument("--seed", default="7")
+    parser.add_argument("--noise", default="0.0", help="centre noise stddev")
+    parser.add_argument("--dropout", default="0.0", help="detection dropout rate")
+    args = parser.parse_args(argv)
 
-    out_root = Path(args.out)
-    rows = [
-        f"{'Scenario':<10} {'Behaviour':<10} {'Coverage (%)':>13} {'Mean Diff (px)':>15} "
-        f"{'Jitter (px)':>12} {'Drift (px/s)':>13}"
-    ]
-    for kind in BehaviourKind:
-        scenario = Scenario(
-            kind=kind,
-            frames=args.frames,
-            dropout_rate=args.dropout,
-            position_noise=args.noise,
-            seed=args.seed,
-        )
-        generated = generate(scenario)
-        out_dir = out_root / kind.value
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{kind.value}.log").write_text(generated.log_text, encoding="utf-8")
-        (out_dir / f"{kind.value}.expected.json").write_text(
-            generated.expected_json(), encoding="utf-8"
-        )
-        result = analyze_timeline(parse_detection_log(generated.log_text))
-        for behaviour, report in result.activity.items():
-            rows.append(
-                f"{kind.value:<10} {behaviour.value:<10} {fmt(report.coverage):>13} "
-                f"{fmt(report.mean_vertical_diff):>15} {fmt(report.jitter):>12} "
-                f"{fmt(report.drift_slope):>13}"
-            )
-        events = result.hunting_event_frames
-        rows.append(
-            f"{'':<10} -> episodes: {len(result.episodes)}, hunting events: {len(events)}"
-            + (f" at {events}" if events else "")
-        )
-    print("\n".join(rows))
-    print(f"\nartifacts written under {out_root}/")
+    for kind in (k.value for k in BehaviourKind):
+        out_dir = Path(args.out) / kind
+        print(f"== {kind} ==")
+        steps = [
+            ["simulate", "--kind", kind, "--frames", args.frames, "--seed", args.seed,
+             "--noise", args.noise, "--dropout", args.dropout, "--out", str(out_dir)],
+            ["analyze", "--log", str(out_dir / f"{kind}.log"), "--out", str(out_dir)],
+            ["report", str(out_dir / "report.json")],
+        ]
+        for step in steps:
+            code = dragonwatch(step)
+            if code:
+                return code
+        print()
+    print(f"artifacts written under {args.out}/")
     return 0
 
 

@@ -32,6 +32,16 @@ class ActivityReport:
     drift_slope: float | None
     frames_used: int
 
+    def to_json_dict(self) -> dict:
+        """The metrics only; the behaviour is the key this dict is stored under."""
+        return {
+            "coverage": self.coverage,
+            "mean_vertical_diff": self.mean_vertical_diff,
+            "jitter": self.jitter,
+            "drift_slope": self.drift_slope,
+            "frames_used": self.frames_used,
+        }
+
 
 def coverage(kinds: Sequence[BehaviourKind], kind: BehaviourKind, frame_count: int) -> float:
     """Percentage of clip frames carrying the given behaviour."""

@@ -72,6 +72,14 @@ class Episode:
     end_frame: int
     duration_s: float
 
+    def to_json_dict(self) -> dict:
+        return {
+            "behaviour": self.kind.value,
+            "start_frame": self.start_frame,
+            "end_frame": self.end_frame,
+            "duration_s": self.duration_s,
+        }
+
 
 def classify_basking(
     dragon: Detection | None,

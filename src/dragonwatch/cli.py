@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .behaviour import BehaviourKind
-from .evaluation import BoxRecord, evaluate, records_from_timeline
+from .evaluation import BoxRecord, check_thresholds, evaluate, records_from_timeline
 from .ingest import (
     ParseError,
     RunConfig,
@@ -56,10 +57,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write a set of output files: all of them, or none on a write failure.
+
+    Each file goes to a uniquely named temp file in ``out_dir``; the renames
+    start only after every write has succeeded. On failure the temp files
+    are removed and the previous outputs stay as they were.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
+            staged.append((tmp, out_dir / name))
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, path in staged:
+            tmp.replace(path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_text(path: Path) -> str:
@@ -143,15 +160,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ParseError as exc:
         return _fail(f"{log_path}: {exc}", _EXIT_PARSE)
     result = analyze_timeline(timeline, cfg)
-    out_dir = Path(args.out)
+    outputs = {
+        "events.txt": _events_text(result),
+        "report.json": json.dumps(result.to_json_dict(), indent=2) + "\n",
+        "frames.jsonl": _frames_jsonl(result),
+        "run_meta.json": _run_meta({"log": str(log_path)}),
+    }
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_dir / "events.txt", _events_text(result))
-        _write_atomic(
-            out_dir / "report.json", json.dumps(result.to_json_dict(), indent=2) + "\n"
-        )
-        _write_atomic(out_dir / "frames.jsonl", _frames_jsonl(result))
-        _write_atomic(out_dir / "run_meta.json", _run_meta({"log": str(log_path)}))
+        _write_outputs(Path(args.out), outputs)
     except OSError as exc:
         return _fail(str(exc), _EXIT_IO)
     return _EXIT_OK
@@ -238,6 +254,10 @@ def _collect_eval_inputs(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    try:
+        check_thresholds(args.iou, args.conf)
+    except ValueError as exc:
+        return _fail(str(exc), _EXIT_PARSE)
     preds_path = Path(args.predictions)
     gts_path = Path(args.ground_truth)
     for path in (preds_path, gts_path):
@@ -247,18 +267,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if isinstance(collected, int):
         return collected
     preds, gts = collected
-    try:
-        report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
-    except ValueError as exc:
-        return _fail(str(exc), _EXIT_PARSE)
+    report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
     table = report.to_table()
-    out_dir = Path(args.out)
+    outputs = {
+        "eval_report.json": json.dumps(report.to_json_dict(), indent=2) + "\n",
+        "eval_report.txt": table,
+    }
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(
-            out_dir / "eval_report.json", json.dumps(report.to_json_dict(), indent=2) + "\n"
-        )
-        _write_atomic(out_dir / "eval_report.txt", table)
+        _write_outputs(Path(args.out), outputs)
     except OSError as exc:
         return _fail(str(exc), _EXIT_IO)
     sys.stdout.write(table)
@@ -285,11 +301,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except InvalidScenario as exc:
         return _fail(str(exc), _EXIT_PARSE)
     generated = generate(scenario, replace(cfg, geometry=geometry))
-    out_dir = Path(args.out)
+    outputs = {
+        f"{args.kind}.log": generated.log_text,
+        f"{args.kind}.expected.json": generated.expected_json(),
+    }
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_dir / f"{args.kind}.log", generated.log_text)
-        _write_atomic(out_dir / f"{args.kind}.expected.json", generated.expected_json())
+        _write_outputs(Path(args.out), outputs)
     except OSError as exc:
         return _fail(str(exc), _EXIT_IO)
     return _EXIT_OK

@@ -32,6 +32,7 @@ __all__ = [
     "average_precision",
     "mean_ap",
     "confusion_matrix",
+    "check_thresholds",
     "evaluate",
     "records_from_timeline",
 ]
@@ -360,6 +361,14 @@ class EvalReport:
         return "\n".join(rows) + "\n"
 
 
+def check_thresholds(iou_threshold: float, confusion_confidence: float) -> None:
+    """Raise ValueError for an IoU threshold outside (0, 1] or a confidence outside [0, 1]."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
+    if not 0.0 <= confusion_confidence <= 1.0:
+        raise ValueError(f"confusion confidence must be in [0, 1], got {confusion_confidence}")
+
+
 def evaluate(
     preds: Sequence[BoxRecord],
     gts: Sequence[BoxRecord],
@@ -371,13 +380,10 @@ def evaluate(
     Per-class precision/recall/F1 use all predictions (no confidence cut);
     threshold-swept figures are reported separately by the F1 sweep. Each
     class is matched once per distinct threshold in ``MAP_IOU_THRESHOLDS``
-    and ``iou_threshold``. Raises ValueError unless ``iou_threshold`` is in
-    (0, 1] and ``confusion_confidence`` in [0, 1].
+    and ``iou_threshold``. Out-of-range thresholds raise ValueError, see
+    :func:`check_thresholds`.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
-    if not 0.0 <= confusion_confidence <= 1.0:
-        raise ValueError(f"confusion confidence must be in [0, 1], got {confusion_confidence}")
+    check_thresholds(iou_threshold, confusion_confidence)
     thresholds = dict.fromkeys((*MAP_IOU_THRESHOLDS, iou_threshold))
     preds_by_class = _split_by_class(preds)
     gts_by_class = _split_by_class(gts)

@@ -23,14 +23,16 @@ Config::
     key = value
 
 Parsing is strict: anything that does not match is rejected with a typed
-error carrying the 1-based line number, never coerced.
+error carrying the 1-based line number, never coerced. Value ranges belong to
+the types the values build (:class:`BBox`, :class:`FrameGeometry`,
+:class:`Detection`, :class:`RunConfig`); the parsers turn their ``ValueError``
+into the typed error for the offending line.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .model import BBox, ClassLabel, Detection, FrameGeometry, Provenance, Timeline
 
@@ -143,11 +145,10 @@ def _box_fields(parts: list[str], line_no: int) -> BBox:
     cy = _float_field(parts[1], line_no, "cy")
     w = _float_field(parts[2], line_no, "w")
     h = _float_field(parts[3], line_no, "h")
-    if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
-        raise OutOfRange(line_no, f"box centre outside [0, 1]: ({cx}, {cy})")
-    if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
-        raise OutOfRange(line_no, f"box extent outside (0, 1]: ({w}, {h})")
-    return BBox(cx, cy, w, h)
+    try:
+        return BBox(cx, cy, w, h)
+    except ValueError as exc:
+        raise OutOfRange(line_no, str(exc)) from None
 
 
 def _class_field(token: str, line_no: int) -> ClassLabel:
@@ -183,13 +184,12 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
             height = _int_field(parts[2], line_no, "height")
             fps = _float_field(parts[3], line_no, "fps")
             frame_count = _int_field(parts[4], line_no, "frame count")
-            if width < 1 or height < 1:
-                raise OutOfRange(line_no, f"frame size must be at least 1x1, got {width}x{height}")
-            if not (math.isfinite(fps) and fps > 0):
-                raise OutOfRange(line_no, f"fps must be finite and positive, got {fps}")
+            try:
+                geometry = FrameGeometry(width, height, fps)
+            except ValueError as exc:
+                raise OutOfRange(line_no, str(exc)) from None
             if frame_count < 0:
                 raise OutOfRange(line_no, f"frame count must be >= 0, got {frame_count}")
-            geometry = FrameGeometry(width, height, fps)
             continue
         if geometry is None:
             raise MissingGeometry(line_no, "data line before !geometry header")
@@ -201,9 +201,10 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
         label = _class_field(parts[1], line_no)
         box = _box_fields(parts[2:6], line_no)
         confidence = _float_field(parts[6], line_no, "confidence")
-        if not 0.0 <= confidence <= 1.0:
-            raise OutOfRange(line_no, f"confidence outside [0, 1]: {confidence}")
-        detections.append(Detection(frame, label, box, confidence, Provenance.OBSERVED))
+        try:
+            detections.append(Detection(frame, label, box, confidence, Provenance.OBSERVED))
+        except ValueError as exc:
+            raise OutOfRange(line_no, str(exc)) from None
     if geometry is None:
         raise MissingGeometry(0, "no !geometry directive found")
     return Timeline.build(geometry, frame_count, detections)
@@ -254,20 +255,21 @@ def parse_ground_truth(
     return Timeline.build(geometry, frame_count, detections)
 
 
-# key -> (caster, range predicate, range description)
-_CONFIG_KEYS: dict[str, tuple[Callable[[str], float], Callable[[float], bool], str]] = {
-    "beta": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "theta_max": (float, lambda v: 0 < v <= 90, "in (0, 90]"),
-    "gamma": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "max_gap": (int, lambda v: v >= 0, ">= 0"),
-    "disappearance_window": (int, lambda v: v >= 1, ">= 1"),
-    "min_episode": (int, lambda v: v >= 1, ">= 1"),
-    "cricket_gate": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "width": (int, lambda v: v >= 1, ">= 1"),
-    "height": (int, lambda v: v >= 1, ">= 1"),
-    "fps": (float, lambda v: 0 < v < float("inf"), "finite and positive"),
+# key -> caster; ranges are checked by building the value's owner (RunConfig or FrameGeometry)
+_CONFIG_KEYS: dict[str, type] = {
+    "beta": float,
+    "theta_max": float,
+    "gamma": float,
+    "max_gap": int,
+    "disappearance_window": int,
+    "min_episode": int,
+    "cricket_gate": float,
+    "width": int,
+    "height": int,
+    "fps": float,
 }
 _GEOMETRY_KEYS = ("width", "height", "fps")
+_ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
 def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> RunConfig:
@@ -291,13 +293,15 @@ def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> 
             raise UnknownKey(line_no, f"unknown config key {key!r}")
         if key in seen:
             raise MalformedLine(line_no, f"duplicate config key {key!r}")
-        caster, in_range, bounds = _CONFIG_KEYS[key]
+        caster = _CONFIG_KEYS[key]
         try:
             parsed = caster(value)
         except ValueError:
             raise InvalidValue(line_no, f"{key} is not a valid {caster.__name__}: {value!r}") from None
-        if not in_range(parsed):
-            raise InvalidValue(line_no, f"{key} must be {bounds}, got {parsed}")
+        try:
+            replace(_ANY_GEOMETRY if key in _GEOMETRY_KEYS else base, **{key: parsed})
+        except ValueError as exc:
+            raise InvalidValue(line_no, str(exc)) from None
         seen[key] = (parsed, line_no)
 
     geometry = base.geometry
@@ -309,9 +313,7 @@ def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> 
                 seen[geom_present[0]][1],
                 f"width, height and fps must be given together; missing {', '.join(missing)}",
             )
-        geometry = FrameGeometry(
-            int(seen["width"][0]), int(seen["height"][0]), float(seen["fps"][0])
-        )
+        geometry = FrameGeometry(*(seen[k][0] for k in _GEOMETRY_KEYS))
 
     overrides = {k: v for k, (v, _) in seen.items() if k not in _GEOMETRY_KEYS}
     return replace(base, geometry=geometry, **overrides)

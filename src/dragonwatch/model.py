@@ -73,8 +73,10 @@ class FrameGeometry:
     fps: float
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame size must be at least 1x1, got {self.width}x{self.height}")
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.height < 1:
+            raise ValueError(f"height must be >= 1, got {self.height}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
 

@@ -68,24 +68,9 @@ class AnalysisResult:
             },
             "frame_count": self.frame_count,
             "hunting_event_frames": list(self.hunting_event_frames),
-            "episodes": [
-                {
-                    "behaviour": ep.kind.value,
-                    "start_frame": ep.start_frame,
-                    "end_frame": ep.end_frame,
-                    "duration_s": ep.duration_s,
-                }
-                for ep in self.episodes
-            ],
+            "episodes": [ep.to_json_dict() for ep in self.episodes],
             "activity": {
-                kind.value: {
-                    "coverage": report.coverage,
-                    "mean_vertical_diff": report.mean_vertical_diff,
-                    "jitter": report.jitter,
-                    "drift_slope": report.drift_slope,
-                    "frames_used": report.frames_used,
-                }
-                for kind, report in self.activity.items()
+                kind.value: report.to_json_dict() for kind, report in self.activity.items()
             },
             "continuity": {
                 "note": CONTINUITY_NOTE,

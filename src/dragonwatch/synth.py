@@ -106,8 +106,10 @@ class Scenario:
             raise InvalidScenario(f"frames must be >= 1, got {self.frames}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidScenario(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.position_noise < 0.0:
-            raise InvalidScenario(f"position_noise must be >= 0, got {self.position_noise}")
+        if not (math.isfinite(self.position_noise) and self.position_noise >= 0.0):
+            raise InvalidScenario(
+                f"position_noise must be finite and >= 0, got {self.position_noise}"
+            )
         if self.vanish_frame is not None and not 0 <= self.vanish_frame < self.frames:
             raise InvalidScenario(
                 f"vanish_frame must be in [0, {self.frames}), got {self.vanish_frame}"
@@ -212,24 +214,9 @@ class GeneratedScenario:
             },
             "note": "expected values computed from the noiseless script",
             "hunting_event_frames": self.expected_hunting_frames,
-            "episodes": [
-                {
-                    "behaviour": ep.kind.value,
-                    "start_frame": ep.start_frame,
-                    "end_frame": ep.end_frame,
-                    "duration_s": ep.duration_s,
-                }
-                for ep in self.expected_episodes
-            ],
+            "episodes": [ep.to_json_dict() for ep in self.expected_episodes],
             "activity": {
-                kind.value: {
-                    "coverage": report.coverage,
-                    "mean_vertical_diff": report.mean_vertical_diff,
-                    "jitter": report.jitter,
-                    "drift_slope": report.drift_slope,
-                    "frames_used": report.frames_used,
-                }
-                for kind, report in self.expected_activity.items()
+                kind.value: report.to_json_dict() for kind, report in self.expected_activity.items()
             },
         }
         return json.dumps(payload, indent=2) + "\n"

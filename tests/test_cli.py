@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,17 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), flag, value]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["eval_report.json", "eval_report.txt"]
 
+    def test_bad_threshold_reported_before_inputs_are_read(self, tmp_path, capsys):
+        preds_dir, gts_dir = self.make_pair(tmp_path)
+        (preds_dir / "clip.txt").write_text("garbage\n")
+        out = tmp_path / "eval"
+        argv = ["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), "--iou", "nan"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "IoU threshold" in err
+        assert "clip.txt" not in err
+        assert not out.exists()
+
     def test_missing_ground_truth_exits_3(self, tmp_path):
         preds_dir, gts_dir = self.make_pair(tmp_path, perfect=False)
         assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(tmp_path)]) == 3
@@ -226,6 +238,12 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_1_and_writes_nothing(self, tmp_path, noise):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--kind", "idle", "--noise", noise, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_unknown_kind_exits_1(self, tmp_path):
         assert main(["simulate", "--kind", "sleeping", "--out", str(tmp_path)]) == 1
 
@@ -237,6 +255,49 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         expected = json.loads((sim / "hunting.expected.json").read_text())
         assert report["hunting_event_frames"] == expected["hunting_event_frames"]
+
+
+class TestOutputSets:
+    """A failed write leaves the previous output set as it was, with no temp file behind."""
+
+    def runs(self, tmp_path, command):
+        out = str(tmp_path / "out")
+        if command == "analyze":
+            log = tmp_path / "clip.log"
+            write_basking_log(log)
+            first = ["analyze", "--log", str(log), "--out", out]
+            return first, [*first, "--beta", "0.1"]
+        if command == "evaluate":
+            preds_dir, gts_dir = TestEvaluateCommand().make_pair(tmp_path)
+            first = ["evaluate", str(preds_dir), str(gts_dir), "--out", out]
+            return first, [*first, "--iou", "0.3"]
+        first = ["simulate", "--kind", "hunting", "--frames", "60", "--out", out]
+        return first, [*first, "--frames", "80"]
+
+    @pytest.mark.parametrize("command, fail_at", [("analyze", 3), ("evaluate", 2), ("simulate", 2)])
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch, command, fail_at):
+        first, second = self.runs(tmp_path, command)
+        out = tmp_path / "out"
+        assert main(first) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        writes = []
+        write_text = Path.write_text
+
+        def failing_write(path, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == fail_at:
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        assert main(second) == 2
+        monkeypatch.undo()
+        assert all(path.parent == out for path in writes)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the same run without the fault does replace the set
+        assert main(second) == 0
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after.keys() == before.keys() and after != before
 
 
 class TestReportCommand:

@@ -97,6 +97,20 @@ class TestParseDetectionLog:
         with pytest.raises((MalformedLine, OutOfRange)):
             parse_detection_log(f"{header}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("!geometry 0 480 30 100", "line 1: width must be >= 1, got 0"),
+            ("!geometry 640 480 inf 5", "line 1: fps must be finite and positive, got inf"),
+            (f"{HEADER}\n0 0 1.5 0.5 0.1 0.1 x", "line 2: box centre outside unit square: (1.5, 0.5)"),
+            (f"{HEADER}\n0 0 0.5 0.5 0.1 0.1 1.2", "line 2: confidence outside [0, 1]: 1.2"),
+        ],
+    )
+    def test_range_errors_carry_the_owning_type_message(self, text, message):
+        with pytest.raises(OutOfRange) as err:
+            parse_detection_log(text)
+        assert str(err.value) == message
+
     def test_duplicate_header_rejected(self):
         with pytest.raises(MalformedLine) as err:
             parse_detection_log(f"{HEADER}\n{HEADER}\n")
@@ -182,6 +196,21 @@ class TestParseConfig:
     def test_duplicate_key(self):
         with pytest.raises(MalformedLine):
             parse_config("beta = 0.5\nbeta = 0.4\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("height = 0", "line 2: height must be >= 1, got 0"),
+            ("width = -3", "line 2: width must be >= 1, got -3"),
+            ("fps = inf", "line 2: fps must be finite and positive, got inf"),
+            ("theta_max = 95", "line 2: theta_max must be in (0, 90] degrees, got 95.0"),
+            ("max_gap = -1", "line 2: max_gap must be >= 0, got -1"),
+        ],
+    )
+    def test_range_error_names_only_the_given_value(self, line, message):
+        with pytest.raises(InvalidValue) as err:
+            parse_config(f"# c\n{line}\n")
+        assert str(err.value) == message
 
     def test_geometry_requires_all_three(self):
         with pytest.raises(InvalidValue):

@@ -46,6 +46,15 @@ class TestFrameGeometry:
         with pytest.raises(ValueError):
             FrameGeometry(640, 480, float("inf"))
 
+    @pytest.mark.parametrize(
+        "width, height, message",
+        [(0, 480, "width must be >= 1, got 0"), (640, -2, "height must be >= 1, got -2")],
+    )
+    def test_size_message_names_one_field(self, width, height, message):
+        with pytest.raises(ValueError) as err:
+            FrameGeometry(width, height, 30.0)
+        assert str(err.value) == message
+
 
 class TestToPixels:
     def test_midpoint_scaling(self):

@@ -48,6 +48,11 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             Scenario(kind=IDLE, frames=10, position_noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise(self, noise):
+        with pytest.raises(InvalidScenario):
+            Scenario(kind=IDLE, frames=10, position_noise=noise)
+
     def test_rejects_vanish_outside_clip(self):
         with pytest.raises(InvalidScenario):
             Scenario(kind=HUNTING, frames=10, vanish_frame=10)
