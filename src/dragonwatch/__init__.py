@@ -53,7 +53,6 @@ from .model import (
     Provenance,
     Timeline,
     iou,
-    to_normalized,
     to_pixels,
 )
 from .pipeline import AnalysisResult, analyze_timeline

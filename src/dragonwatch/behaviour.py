@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import Detection, FrameGeometry, Provenance, to_pixels
+from .model import Detection, FrameGeometry, Provenance, center_distance_px
 from .tracks import Track
 
 __all__ = [
@@ -96,30 +97,29 @@ def classify_basking(
     """
     if dragon is None or lamp is None:
         return False, None
-    dragon_px = to_pixels(dragon.box, geom)
-    lamp_px = to_pixels(lamp.box, geom)
-    delta_y = abs(dragon_px.cy - lamp_px.cy)
+    # scale each centre, then subtract: the pinned outputs depend on this order
+    dragon_y = dragon.box.cy * geom.height
+    lamp_y = lamp.box.cy * geom.height
+    delta_y = abs(dragon_y - lamp_y)
     if delta_y == 0:
         theta = 90.0
     else:
-        theta = math.degrees(math.atan(abs(dragon_px.cx - lamp_px.cx) / delta_y))
+        dx = abs(dragon.box.cx * geom.width - lamp.box.cx * geom.width)
+        theta = math.degrees(math.atan(dx / delta_y))
     separation = BaskingGeometry(delta_y=delta_y, theta=theta)
-    lamp_above = lamp_px.cy < dragon_px.cy
+    lamp_above = lamp_y < dragon_y
     is_basking = lamp_above and delta_y <= cfg.beta * geom.height and theta < cfg.theta_max
     return is_basking, separation
 
 
 def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> Detection | None:
-    # prefer the exact frame, then the closest frame within max_gap, earlier first
-    for offset in range(max_gap + 1):
-        det = dragon.get(frame - offset)
-        if det is not None:
-            return det
-        if offset:
-            det = dragon.get(frame + offset)
-            if det is not None:
-                return det
-    return None
+    # the exact frame, else the closest frame within max_gap; min keeps the earlier on a tie
+    dets = dragon.detections
+    i = bisect_left(dets, frame, key=lambda d: d.frame)
+    nearest = min(dets[max(i - 1, 0) : i + 1], key=lambda d: abs(d.frame - frame), default=None)
+    if nearest is None or abs(nearest.frame - frame) > max_gap:
+        return None
+    return nearest
 
 
 def detect_hunting(
@@ -149,9 +149,7 @@ def detect_hunting(
             continue
         cricket_det = track.get(t_last)
         assert cricket_det is not None
-        dx = (dragon_det.box.cx - cricket_det.box.cx) * geom.width
-        dy = (dragon_det.box.cy - cricket_det.box.cy) * geom.height
-        if math.hypot(dx, dy) < cfg.gamma * geom.width:
+        if center_distance_px(dragon_det, cricket_det, geom) < cfg.gamma * geom.width:
             events.append(t_last)
     events.sort()
     return events

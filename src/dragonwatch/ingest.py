@@ -23,10 +23,11 @@ Config::
     key = value
 
 Parsing is strict: anything that does not match is rejected with a typed
-error carrying the 1-based line number, never coerced. Value ranges belong to
-the types the values build (:class:`BBox`, :class:`FrameGeometry`,
-:class:`Detection`, :class:`RunConfig`); the parsers turn their ``ValueError``
-into the typed error for the offending line.
+error carrying the 1-based line number, never coerced. Numbers are ASCII,
+without ``_`` digit separators. Value ranges belong to the types the values
+build (:class:`BBox`, :class:`FrameGeometry`, :class:`Detection`,
+:class:`RunConfig`); the parsers turn their ``ValueError`` into the typed
+error for the offending line.
 """
 
 from __future__ import annotations
@@ -126,16 +127,26 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
     return source.splitlines() if isinstance(source, str) else source
 
 
+def _number(cast: type, token: str) -> int | float:
+    """``cast(token)`` for an ASCII token without ``_``; ValueError otherwise.
+
+    ``int`` and ``float`` alone would also take ``1_0`` and ``６４０``.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain ASCII number: {token!r}")
+    return cast(token)
+
+
 def _int_field(token: str, line_no: int, name: str) -> int:
     try:
-        return int(token)
+        return _number(int, token)
     except ValueError:
         raise MalformedLine(line_no, f"{name} is not an integer: {token!r}") from None
 
 
 def _float_field(token: str, line_no: int, name: str) -> float:
     try:
-        return float(token)
+        return _number(float, token)
     except ValueError:
         raise MalformedLine(line_no, f"{name} is not a number: {token!r}") from None
 
@@ -239,17 +250,16 @@ def parse_ground_truth_lines(source: str | Iterable[str], start_frame: int = 0) 
 def parse_ground_truth(
     source: str | Iterable[str],
     geometry: FrameGeometry | None = None,
-    frame_count: int | None = None,
     start_frame: int = 0,
 ) -> Timeline:
     """Parse ground truth into a Timeline usable for evaluation.
 
-    Ground-truth files carry no geometry of their own; evaluation overlap is
-    scale free, so a 1x1 placeholder is used unless ``geometry`` is given.
+    The frame count is one past the last labelled frame. Ground-truth files
+    carry no geometry of their own; evaluation overlap is scale free, so a
+    1x1 placeholder is used unless ``geometry`` is given.
     """
     detections = parse_ground_truth_lines(source, start_frame)
-    if frame_count is None:
-        frame_count = max((d.frame for d in detections), default=-1) + 1
+    frame_count = max((d.frame for d in detections), default=-1) + 1
     if geometry is None:
         geometry = FrameGeometry(1, 1, 1.0)
     return Timeline.build(geometry, frame_count, detections)
@@ -295,7 +305,7 @@ def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> 
             raise MalformedLine(line_no, f"duplicate config key {key!r}")
         caster = _CONFIG_KEYS[key]
         try:
-            parsed = caster(value)
+            parsed = _number(caster, value)
         except ValueError:
             raise InvalidValue(line_no, f"{key} is not a valid {caster.__name__}: {value!r}") from None
         try:

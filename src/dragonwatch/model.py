@@ -1,8 +1,9 @@
 """Shared domain types and bounding-box geometry.
 
 Detection files carry YOLO-style normalised boxes (centre and extent as
-fractions of the frame). All behaviour rules threshold pixel distances, so
-boxes are converted with :func:`to_pixels` before any geometric test.
+fractions of the frame). Geometric tests work in pixels: :func:`to_pixels`
+gives the corners :func:`iou` reads, and :func:`center_distance_px` the
+centre distance the tracking and hunting rules threshold.
 Image rows grow downward: a smaller ``cy`` means higher up in the frame.
 """
 
@@ -83,52 +84,24 @@ class FrameGeometry:
 
 @dataclass(frozen=True)
 class PixelBox:
-    """Centre/extent box in pixel units."""
+    """Corner box in pixel units: ``x_min <= x_max``, ``y_min <= y_max``."""
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    @property
-    def x_min(self) -> float:
-        return self.cx - self.w / 2
-
-    @property
-    def x_max(self) -> float:
-        return self.cx + self.w / 2
-
-    @property
-    def y_min(self) -> float:
-        return self.cy - self.h / 2
-
-    @property
-    def y_max(self) -> float:
-        return self.cy + self.h / 2
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
 
 
 def to_pixels(box: BBox, geom: FrameGeometry) -> PixelBox:
-    """Scale a normalised box into pixel space. Exact arithmetic, no rounding."""
-    return PixelBox(
-        cx=box.cx * geom.width,
-        cy=box.cy * geom.height,
-        w=box.w * geom.width,
-        h=box.h * geom.height,
-    )
+    """Scale a normalised box into pixel corners. Exact arithmetic, no rounding.
 
-
-def to_normalized(box: PixelBox, geom: FrameGeometry) -> BBox:
-    """Inverse of :func:`to_pixels`."""
-    return BBox(
-        cx=box.cx / geom.width,
-        cy=box.cy / geom.height,
-        w=box.w / geom.width,
-        h=box.h / geom.height,
-    )
+    Centre and extent are scaled first, then halved about the centre.
+    """
+    cx = box.cx * geom.width
+    cy = box.cy * geom.height
+    w = box.w * geom.width
+    h = box.h * geom.height
+    return PixelBox(x_min=cx - w / 2, y_min=cy - h / 2, x_max=cx + w / 2, y_max=cy + h / 2)
 
 
 def iou(a: PixelBox, b: PixelBox) -> float:
@@ -164,6 +137,13 @@ class Detection:
             raise ValueError(f"frame index must be >= 0, got {self.frame}")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
+
+
+def center_distance_px(a: Detection, b: Detection, geom: FrameGeometry) -> float:
+    """Pixel distance between the box centres of two detections."""
+    dx = (a.box.cx - b.box.cx) * geom.width
+    dy = (a.box.cy - b.box.cy) * geom.height
+    return math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)

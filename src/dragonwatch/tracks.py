@@ -8,12 +8,11 @@ filled by blending the nearest observed detection on each side linearly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .model import BBox, ClassLabel, Detection, FrameGeometry, Provenance, Timeline
+from .model import BBox, ClassLabel, Detection, Provenance, Timeline, center_distance_px
 
 __all__ = [
     "Track",
@@ -81,12 +80,6 @@ def reduce_per_frame(timeline: Timeline) -> tuple[Track, Track]:
     return tracks[0], tracks[1]
 
 
-def _center_distance_px(a: Detection, b: Detection, geom: FrameGeometry) -> float:
-    dx = (a.box.cx - b.box.cx) * geom.width
-    dy = (a.box.cy - b.box.cy) * geom.height
-    return math.hypot(dx, dy)
-
-
 def associate_crickets(
     timeline: Timeline,
     gate_fraction: float = 0.05,
@@ -120,7 +113,7 @@ def associate_crickets(
             last = track[-1]
             elapsed = frame - last.frame
             for di, det in enumerate(dets):
-                dist = _center_distance_px(det, last, geom)
+                dist = center_distance_px(det, last, geom)
                 if dist <= gate_px * elapsed:
                     candidates.append((dist, ti, di))
         candidates.sort()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 from hypothesis import strategies as st
 
 from dragonwatch.model import (
@@ -29,7 +32,67 @@ def det(
 
 
 def corner_box(x1: float, y1: float, x2: float, y2: float) -> PixelBox:
-    return PixelBox(cx=(x1 + x2) / 2, cy=(y1 + y2) / 2, w=x2 - x1, h=y2 - y1)
+    return PixelBox(x_min=x1, y_min=y1, x_max=x2, y_max=y2)
+
+
+@dataclass(frozen=True)
+class CentreBox:
+    """Reference: the former centre/extent pixel box, corners derived on read."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+    @property
+    def x_min(self) -> float:
+        return self.cx - self.w / 2
+
+    @property
+    def x_max(self) -> float:
+        return self.cx + self.w / 2
+
+    @property
+    def y_min(self) -> float:
+        return self.cy - self.h / 2
+
+    @property
+    def y_max(self) -> float:
+        return self.cy + self.h / 2
+
+
+def reference_to_pixels(box: BBox, geom: FrameGeometry) -> CentreBox:
+    """Reference: the former ``to_pixels``, scaling centre and extent."""
+    return CentreBox(
+        cx=box.cx * geom.width,
+        cy=box.cy * geom.height,
+        w=box.w * geom.width,
+        h=box.h * geom.height,
+    )
+
+
+def reference_iou(a: CentreBox, b: CentreBox) -> float:
+    """Reference: the ``iou`` formula read through :class:`CentreBox` corners."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    if ix <= 0:
+        return 0.0
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return min(1.0, inter / (area_a + area_b - inter))
+
+
+def reference_separation(dragon: BBox, lamp: BBox, geom: FrameGeometry) -> tuple[float, float]:
+    """Reference: the former basking ``(delta_y, theta)``, read through :class:`CentreBox`."""
+    dragon_px = reference_to_pixels(dragon, geom)
+    lamp_px = reference_to_pixels(lamp, geom)
+    delta_y = abs(dragon_px.cy - lamp_px.cy)
+    if delta_y == 0:
+        return delta_y, 90.0
+    return delta_y, math.degrees(math.atan(abs(dragon_px.cx - lamp_px.cx) / delta_y))
 
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -45,9 +108,9 @@ geometries = st.builds(
 )
 
 pixel_boxes = st.builds(
-    PixelBox,
-    cx=st.floats(min_value=-500, max_value=500, allow_nan=False),
-    cy=st.floats(min_value=-500, max_value=500, allow_nan=False),
+    lambda x, y, w, h: corner_box(x, y, x + w, y + h),
+    x=st.floats(min_value=-700, max_value=500, allow_nan=False),
+    y=st.floats(min_value=-700, max_value=500, allow_nan=False),
     w=st.floats(min_value=0.01, max_value=400, allow_nan=False),
     h=st.floats(min_value=0.01, max_value=400, allow_nan=False),
 )

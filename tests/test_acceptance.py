@@ -123,7 +123,7 @@ def oracle_exact_ap(preds, gts, threshold):
 
 def corners_to_pixelbox(corners):
     x1, y1, x2, y2 = corners
-    return PixelBox(cx=(x1 + x2) / 2, cy=(y1 + y2) / 2, w=x2 - x1, h=y2 - y1)
+    return PixelBox(x_min=x1, y_min=y1, x_max=x2, y_max=y2)
 
 
 def random_micro_dataset(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dragonwatch.behaviour import (
     BaskingGeometry,
     BehaviourKind,
+    _nearest_dragon,
     classify_basking,
     demote_short_basking,
     detect_hunting,
@@ -14,10 +15,10 @@ from dragonwatch.behaviour import (
     run_length_episodes,
 )
 from dragonwatch.ingest import RunConfig
-from dragonwatch.model import ClassLabel, FrameGeometry
+from dragonwatch.model import ClassLabel, Detection, FrameGeometry
 from dragonwatch.tracks import Track
 
-from helpers import det
+from helpers import bboxes, det, geometries, reference_separation
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -129,6 +130,18 @@ class TestClassifyBasking:
             assert high
 
 
+    @given(dragon_box=bboxes, lamp_box=bboxes, geom=geometries)
+    def test_separation_equals_centre_extent_reference(self, dragon_box, lamp_box, geom):
+        cfg = RunConfig()
+        dragon = Detection(0, ClassLabel.BEARDED_DRAGON, dragon_box, 0.9)
+        lamp = Detection(0, ClassLabel.HEATING_LAMP, lamp_box, 0.9)
+        basking, sep = classify_basking(dragon, lamp, geom, cfg)
+        delta_y, theta = reference_separation(dragon_box, lamp_box, geom)
+        assert (sep.delta_y.hex(), sep.theta.hex()) == (delta_y.hex(), theta.hex())
+        lamp_above = lamp_box.cy * geom.height < dragon_box.cy * geom.height
+        assert basking == (lamp_above and delta_y <= cfg.beta * geom.height and theta < cfg.theta_max)
+
+
 class TestBaskingGeometry:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -146,6 +159,32 @@ def cricket_track(frames, cx=0.6, cy=0.5):
 
 def dragon_track(frames, cx=0.7, cy=0.5):
     return Track(ClassLabel.BEARDED_DRAGON, tuple(det(t, cx=cx, cy=cy) for t in frames))
+
+
+def nearest_dragon_by_scan(dragon: Track, frame: int, max_gap: int) -> Detection | None:
+    """Reference: the former lookup, one offset at a time, earlier frame first."""
+    for offset in range(max_gap + 1):
+        found = dragon.get(frame - offset)
+        if found is not None:
+            return found
+        if offset:
+            found = dragon.get(frame + offset)
+            if found is not None:
+                return found
+    return None
+
+
+class TestNearestDragon:
+    @given(
+        frames=st.sets(st.integers(min_value=0, max_value=60), max_size=12),
+        frame=st.integers(min_value=0, max_value=60),
+        max_gap=st.integers(min_value=0, max_value=40),
+    )
+    def test_matches_offset_scan(self, frames, frame, max_gap):
+        dragon = dragon_track(sorted(frames))
+        assert _nearest_dragon(dragon, frame, max_gap) is nearest_dragon_by_scan(
+            dragon, frame, max_gap
+        )
 
 
 class TestDetectHunting:
@@ -176,6 +215,26 @@ class TestDetectHunting:
         crickets = [cricket_track(range(41), cx=0.6)]
         dragon = dragon_track([30])  # 10 frames before the vanish, within max_gap 15
         assert detect_hunting(crickets, dragon, geom, 200, config) == [40]
+
+    @pytest.mark.parametrize("dragon_frames, expected", [([], []), ([99], [40])])
+    def test_huge_max_gap_does_not_scan_frame_by_frame(
+        self, geom, monkeypatch, dragon_frames, expected
+    ):
+        calls = 0
+        real_get = Track.get
+
+        def counted_get(track, frame):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:
+                raise AssertionError("Track.get called more than 1000 times")
+            return real_get(track, frame)
+
+        monkeypatch.setattr(Track, "get", counted_get)
+        crickets = [cricket_track(range(41), cx=0.6)]
+        dragon = dragon_track(dragon_frames)
+        cfg = RunConfig(max_gap=10**9)
+        assert detect_hunting(crickets, dragon, geom, 100, cfg) == expected
 
     def test_no_dragon_anywhere_near(self, config, geom):
         crickets = [cricket_track(range(41), cx=0.6)]

@@ -42,7 +42,9 @@ def box_at(x, y, size=10.0):
 def box_with_iou(base: PixelBox, target_iou: float) -> PixelBox:
     """A box nested inside ``base`` sharing its top-left corner with the given IoU."""
     # shrinking only the height keeps intersection == pred area, union == base area
-    return corner_box(base.x_min, base.y_min, base.x_max, base.y_min + base.h * target_iou)
+    return corner_box(
+        base.x_min, base.y_min, base.x_max, base.y_min + (base.y_max - base.y_min) * target_iou
+    )
 
 
 def match_one_image(pred_boxes, confidences, gt_boxes, iou_threshold):
@@ -435,8 +437,7 @@ class TestRecordsFromTimeline:
         rec = records[0]
         assert rec.image == "clip:2"
         assert rec.label is LAMP
-        assert (rec.box.cx, rec.box.cy) == (50.0, 100.0)
-        assert (rec.box.w, rec.box.h) == (20.0, 20.0)
+        assert rec.box == PixelBox(x_min=40.0, y_min=90.0, x_max=60.0, y_max=110.0)
         assert rec.confidence == 0.7
 
     def test_map_iou_thresholds_are_exact(self):

@@ -225,6 +225,32 @@ class TestParseConfig:
         assert cfg.beta == 0.2
 
 
+class TestNumberSyntax:
+    """Numbers are plain ASCII; ``int``/``float`` alone would take these tokens."""
+
+    @pytest.mark.parametrize(
+        "parse, text, exc, line_no",
+        [
+            (parse_detection_log, "!geometry 6_40 480 3_0 1_00\n", MalformedLine, 1),
+            (parse_detection_log, "!geometry ６４０ 480 30 100\n", MalformedLine, 1),
+            (parse_detection_log, "!geometry 640 480 ٣٠ 100\n", MalformedLine, 1),
+            (parse_detection_log, f"{HEADER}\n1_0 0 0.5 0.5 0.1 0.1 0.9\n", MalformedLine, 2),
+            (parse_detection_log, f"{HEADER}\n# c\n0 0 0.5_0 0.5 0.1 0.1 0.9\n", MalformedLine, 3),
+            (parse_detection_log, f"{HEADER}\n0 ２ 0.5 0.5 0.1 0.1 0.9\n", MalformedLine, 2),
+            (parse_ground_truth, "!frame 1_0\n0 0.5 0.5 0.2 0.2\n", MalformedLine, 1),
+            (parse_ground_truth, "0 0.5 0.5 0.2 0.2\n0 0.5_0 0.5 0.2 0.2\n", MalformedLine, 2),
+            (parse_ground_truth, "!frame ٣\n", MalformedLine, 1),
+            (parse_config, "max_gap = 1_5\n", InvalidValue, 1),
+            (parse_config, "# c\nbeta = 0.3_3\n", InvalidValue, 2),
+            (parse_config, "width = ６４０\nheight = 480\nfps = 30\n", InvalidValue, 1),
+        ],
+    )
+    def test_separators_and_non_ascii_digits_rejected(self, parse, text, exc, line_no):
+        with pytest.raises(exc) as err:
+            parse(text)
+        assert err.value.line_no == line_no
+
+
 class TestRunConfig:
     @pytest.mark.parametrize(
         "kwargs",

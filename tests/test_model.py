@@ -10,12 +10,20 @@ from dragonwatch.model import (
     FrameGeometry,
     PixelBox,
     Timeline,
+    center_distance_px,
     iou,
-    to_normalized,
     to_pixels,
 )
 
-from helpers import bboxes, corner_box, det, geometries, pixel_boxes
+from helpers import (
+    bboxes,
+    corner_box,
+    det,
+    geometries,
+    pixel_boxes,
+    reference_iou,
+    reference_to_pixels,
+)
 
 
 class TestBBox:
@@ -56,35 +64,36 @@ class TestFrameGeometry:
         assert str(err.value) == message
 
 
+def bits(box) -> list[str]:
+    return [v.hex() for v in (box.x_min, box.y_min, box.x_max, box.y_max)]
+
+
 class TestToPixels:
     def test_midpoint_scaling(self):
         px = to_pixels(BBox(0.5, 0.5, 0.1, 0.1), FrameGeometry(640, 480, 30.0))
-        assert (px.cx, px.cy) == (320.0, 240.0)
-        assert (px.w, px.h) == (64.0, 48.0)
+        assert px == PixelBox(x_min=288.0, y_min=216.0, x_max=352.0, y_max=264.0)
 
     def test_origin(self):
         px = to_pixels(BBox(0.0, 0.0, 0.2, 0.2), FrameGeometry(100, 100, 30.0))
-        assert (px.cx, px.cy) == (0.0, 0.0)
+        assert px == PixelBox(x_min=-10.0, y_min=-10.0, x_max=10.0, y_max=10.0)
 
     def test_hand_multiplied(self):
         px = to_pixels(BBox(0.25, 0.75, 0.5, 0.5), FrameGeometry(100, 200, 30.0))
-        assert (px.cx, px.cy) == (25.0, 150.0)
-        assert (px.w, px.h) == (50.0, 100.0)
+        assert px == PixelBox(x_min=0.0, y_min=100.0, x_max=50.0, y_max=200.0)
 
     @given(box=bboxes, geom=geometries)
-    def test_round_trip(self, box, geom):
-        back = to_normalized(to_pixels(box, geom), geom)
-        for a, b in [(back.cx, box.cx), (back.cy, box.cy), (back.w, box.w), (back.h, box.h)]:
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+    def test_corners_match_centre_extent_reference_bit_for_bit(self, box, geom):
+        # each corner is c * size -/+ e * size / 2, as the centre/extent layout derived it
+        assert bits(to_pixels(box, geom)) == bits(reference_to_pixels(box, geom))
 
 
 class TestIou:
     def test_identical(self):
-        box = PixelBox(10, 10, 4, 4)
+        box = corner_box(8, 8, 12, 12)
         assert iou(box, box) == 1.0
 
     def test_disjoint(self):
-        assert iou(PixelBox(0, 0, 2, 2), PixelBox(10, 10, 2, 2)) == 0.0
+        assert iou(corner_box(-1, -1, 1, 1), corner_box(9, 9, 11, 11)) == 0.0
 
     def test_hand_computed_overlap(self):
         a = corner_box(0, 0, 2, 2)
@@ -102,6 +111,26 @@ class TestIou:
     @given(a=pixel_boxes, b=pixel_boxes)
     def test_bounded(self, a, b):
         assert 0.0 <= iou(a, b) <= 1.0
+
+    @given(a=bboxes, b=bboxes, geom=geometries)
+    def test_equals_centre_extent_reference(self, a, b, geom):
+        expected = reference_iou(reference_to_pixels(a, geom), reference_to_pixels(b, geom))
+        assert iou(to_pixels(a, geom), to_pixels(b, geom)) == expected
+
+
+class TestCenterDistance:
+    def test_hand_computed(self):
+        geom = FrameGeometry(80, 80, 30.0)
+        a = det(0, cx=0.25, cy=0.25)
+        b = det(0, cx=0.625, cy=0.75)
+        assert center_distance_px(a, b, geom) == 50.0
+        assert center_distance_px(b, a, geom) == 50.0
+
+    def test_scales_each_axis_by_its_own_size(self):
+        geom = FrameGeometry(200, 10, 30.0)
+        a = det(0, cx=0.5, cy=0.5)
+        assert center_distance_px(a, det(0, cx=0.75, cy=0.5), geom) == 50.0
+        assert center_distance_px(a, det(0, cx=0.5, cy=0.75), geom) == 2.5
 
 
 class TestDetection:
