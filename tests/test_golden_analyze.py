@@ -5,10 +5,16 @@ Two sets live in ``tests/golden/analyze/``:
 - ``<kind>/``: the three synthetic scenario kinds (300 frames, seed 0, centre
   noise 0.004, dropout 0.1) written by ``simulate`` and then analyzed. Both
   simulate outputs and the three deterministic analyze outputs are pinned.
+- ``grid/<case>/``: the analyze outputs for each scenario kind over a small
+  grid of centre noise, detection dropout and seed (120 frames each). The
+  high dropout leaves gaps longer than ``max_gap``, so frames with no box at
+  all sit between boxed ones.
 - ``edge/<case>/``: the analyze outputs for small hand-written logs that hit
   the rule boundaries: an empty clip, no lamp, a lamp level with the dragon,
-  a gap of exactly ``max_gap`` frames, a hunt cut off by the clip end, and
-  duplicate boxes with equal confidence.
+  a gap of exactly ``max_gap`` frames, a hunt cut off by the clip end,
+  duplicate boxes with equal confidence, a hunt on a frame where neither the
+  dragon nor the lamp has a box, and a header frame count far past the last
+  detection.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_analyze.py`` only
 when the output is meant to change, and record why in CHANGES.md.
@@ -76,16 +82,49 @@ def _edge_logs() -> dict[str, str]:
         rows.append(_box(t, LAMP, 0.9, 0.10, 0.85))
         rows.append(_box(t, LAMP, 0.5, 0.20, 0.85))
     logs["duplicate_boxes"] = _log(12, rows)
+    # the dragon is last seen at frame 9 and never filled past it; the cricket
+    # vanishes at frame 12, within max_gap of that sighting, with no lamp at all
+    rows = [_box(t, DRAGON, 0.70, 0.70, 0.9) for t in range(10)]
+    rows += [_box(t, CRICKET, round(0.55 + 0.01 * t, 6), 0.70, 0.6) for t in range(13)]
+    logs["hunt_without_box"] = _log(40, rows)
+    # 20 basking frames, then 980 frames with no detection up to the header's count
+    rows = []
+    for t in range(20):
+        rows.append(_box(t, DRAGON, 0.55, 0.40, 0.9))
+        rows.append(_box(t, LAMP, 0.5, 0.20, 0.85))
+    logs["long_empty_tail"] = _log(1000, rows)
     return logs
 
 
 EDGE_LOGS = _edge_logs()
 
+# case name -> (kind, noise, dropout, seed), as simulate flags
+GRID = {
+    f"{kind}-noise{noise}-dropout{dropout}-seed{seed}": (kind, noise, dropout, seed)
+    for kind in KINDS
+    for noise in ("0", "0.08")
+    for dropout in ("0.3", "0.85")
+    for seed in ("1", "2")
+}
+GRID_FRAMES = "120"
 
-def simulate_and_analyze(kind: str, out: Path) -> None:
-    sim = ["simulate", "--kind", kind, "--frames", "300", "--seed", "0"]
-    assert main([*sim, "--noise", "0.004", "--dropout", "0.1", "--out", str(out)]) == 0
+
+def simulate_and_analyze(
+    kind: str,
+    out: Path,
+    frames: str = "300",
+    noise: str = "0.004",
+    dropout: str = "0.1",
+    seed: str = "0",
+) -> None:
+    sim = ["simulate", "--kind", kind, "--frames", frames, "--seed", seed]
+    assert main([*sim, "--noise", noise, "--dropout", dropout, "--out", str(out)]) == 0
     assert main(["analyze", "--log", str(out / f"{kind}.log"), "--out", str(out)]) == 0
+
+
+def simulate_grid_case(case: str, out: Path) -> None:
+    kind, noise, dropout, seed = GRID[case]
+    simulate_and_analyze(kind, out, GRID_FRAMES, noise, dropout, seed)
 
 
 def analyze_text(text: str, root: Path) -> Path:
@@ -108,6 +147,13 @@ def test_scenario_outputs_match_goldens(kind, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / kind / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("case", sorted(GRID))
+def test_grid_outputs_match_goldens(case, tmp_path):
+    simulate_grid_case(case, tmp_path)
+    for name in ANALYZE_OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / "grid" / case / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("case", sorted(EDGE_LOGS))
 def test_edge_case_outputs_match_goldens(case, tmp_path):
     out = analyze_text(EDGE_LOGS[case], tmp_path)
@@ -126,6 +172,12 @@ if __name__ == "__main__":
             (GOLDEN_DIR / kind).mkdir(parents=True, exist_ok=True)
             for name in scenario_files(kind):
                 shutil.copyfile(work / name, GOLDEN_DIR / kind / name)
+        for case in GRID:
+            work = Path(scratch) / "grid" / case
+            simulate_grid_case(case, work)
+            (GOLDEN_DIR / "grid" / case).mkdir(parents=True, exist_ok=True)
+            for name in ANALYZE_OUTPUTS:
+                shutil.copyfile(work / name, GOLDEN_DIR / "grid" / case / name)
         for case, text in EDGE_LOGS.items():
             out = analyze_text(text, Path(scratch) / case)
             (GOLDEN_DIR / "edge" / case).mkdir(parents=True, exist_ok=True)
