@@ -1,8 +1,10 @@
 """Per-behaviour activity metrics: coverage, mean separation, jitter, drift.
 
-Metrics other than coverage are computed over the frames in the behaviour
-where the dragon-lamp separation was measurable. When too few such frames
-exist the metric is absent (None), never zero; reports render it as "-".
+Coverage comes from the behaviour runs that tile the clip. The other
+metrics are computed over the frames in the behaviour where the dragon-lamp
+separation was measurable; only frames with a state can have one. When too
+few such frames exist the metric is absent (None), never zero; reports
+render it as "-".
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .behaviour import BehaviourKind, FrameState
+from .behaviour import BehaviourKind, FrameState, Run
 
 __all__ = [
     "ActivityReport",
@@ -43,11 +45,11 @@ class ActivityReport:
         }
 
 
-def coverage(kinds: Sequence[BehaviourKind], kind: BehaviourKind, frame_count: int) -> float:
-    """Percentage of clip frames carrying the given behaviour."""
+def coverage(runs: Sequence[Run], kind: BehaviourKind, frame_count: int) -> float:
+    """Percentage of clip frames carrying the given behaviour, from the runs tiling the clip."""
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
-    return 100.0 * sum(1 for k in kinds if k is kind) / frame_count
+    return 100.0 * sum(end - start + 1 for start, end, k in runs if k is kind) / frame_count
 
 
 def mean_vertical_diff(values: Sequence[float]) -> float | None:
@@ -95,12 +97,12 @@ def drift_slope(times_s: Sequence[float], values: Sequence[float]) -> float | No
 
 def activity_report(
     states: Sequence[FrameState],
+    runs: Sequence[Run],
     kind: BehaviourKind,
     frame_count: int,
     fps: float,
 ) -> ActivityReport:
-    """Build the four metrics for one behaviour from resolved frame states."""
-    kinds = [s.kind for s in states]
+    """Build the four metrics for one behaviour from the runs and the frame states in them."""
     measured = [
         (s.frame, s.separation.delta_y)
         for s in states
@@ -108,7 +110,7 @@ def activity_report(
     ]
     return ActivityReport(
         behaviour=kind,
-        coverage=coverage(kinds, kind, frame_count),
+        coverage=coverage(runs, kind, frame_count),
         mean_vertical_diff=mean_vertical_diff([v for _, v in measured]),
         jitter=jitter(measured),
         drift_slope=drift_slope([f / fps for f, _ in measured], [v for _, v in measured]),
@@ -117,7 +119,7 @@ def activity_report(
 
 
 def activity_reports(
-    states: Sequence[FrameState], frame_count: int, fps: float
+    states: Sequence[FrameState], runs: Sequence[Run], frame_count: int, fps: float
 ) -> dict[BehaviourKind, ActivityReport]:
     """One report per behaviour kind."""
-    return {kind: activity_report(states, kind, frame_count, fps) for kind in BehaviourKind}
+    return {kind: activity_report(states, runs, kind, frame_count, fps) for kind in BehaviourKind}

@@ -6,6 +6,12 @@ the dragon-lamp line stays under ``theta_max`` degrees. Hunting fires on
 the last frame a cricket track is seen, provided the track then stays gone
 for ``disappearance_window`` frames and the dragon was within
 ``gamma * width`` pixels at that moment. Everything else is idle.
+
+The frame axis is sparse: only frames where the dragon or the lamp has a
+box, or where a hunt fires, get a :class:`FrameState`. Every other frame is
+idle, with no separation and no provenance. Episodes come from runs
+``(start, end, kind)`` over the whole clip, so their cost follows the
+number of states, not the header's frame count.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
@@ -24,10 +30,13 @@ __all__ = [
     "BehaviourKind",
     "BaskingGeometry",
     "FrameState",
+    "Run",
     "Episode",
     "classify_basking",
     "detect_hunting",
     "resolve_frame_states",
+    "kind_runs",
+    "relabel",
     "demote_short_basking",
     "run_length_episodes",
 ]
@@ -55,13 +64,17 @@ class BaskingGeometry:
 
 @dataclass(frozen=True)
 class FrameState:
-    """Per-frame classification plus the measured separation when available."""
+    """Classification of one frame with a box or a hunt, plus the separation when measured."""
 
     frame: int
     kind: BehaviourKind
     separation: BaskingGeometry | None
     dragon_provenance: Provenance | None
     lamp_provenance: Provenance | None
+
+
+# first frame, last frame (inclusive), behaviour
+Run = tuple[int, int, BehaviourKind]
 
 
 @dataclass(frozen=True)
@@ -163,14 +176,17 @@ def resolve_frame_states(
     frame_count: int,
     cfg: RunConfig,
 ) -> list[FrameState]:
-    """Assign exactly one state to every frame of the clip.
+    """The states of the frames with a dragon or lamp box or a hunt, in frame order.
 
+    Every other frame of ``[0, frame_count)`` is idle with no separation.
     Hunting frames take precedence over basking so each frame keeps a
     single state.
     """
     hunting = set(hunting_frames)
     states: list[FrameState] = []
-    for t in range(frame_count):
+    for t in sorted(dragon.frames | lamp.frames | hunting):
+        if not 0 <= t < frame_count:
+            continue
         dragon_det = dragon.get(t)
         lamp_det = lamp.get(t)
         is_basking, separation = classify_basking(dragon_det, lamp_det, geom, cfg)
@@ -192,33 +208,63 @@ def resolve_frame_states(
     return states
 
 
-def _runs(kinds: Sequence[BehaviourKind]) -> Iterator[tuple[int, int, BehaviourKind]]:
-    start = 0
-    for i in range(1, len(kinds) + 1):
-        if i == len(kinds) or kinds[i] != kinds[start]:
-            yield start, i - 1, kinds[start]
-            start = i
-
-
-def demote_short_basking(
-    kinds: Sequence[BehaviourKind], min_episode: int
-) -> list[BehaviourKind]:
-    """Turn basking runs shorter than ``min_episode`` frames into idle.
-
-    Hunting frames are never demoted; the rule exists to drop flickery
-    single-frame basking classifications.
-    """
-    out = list(kinds)
-    for start, end, kind in _runs(out):
-        if kind is BehaviourKind.BASKING and end - start + 1 < min_episode:
-            out[start : end + 1] = [BehaviourKind.IDLE] * (end - start + 1)
+def _merged(runs: Iterable[Run]) -> list[Run]:
+    """The runs with neighbours of one kind joined."""
+    out: list[Run] = []
+    for start, end, kind in runs:
+        if out and out[-1][2] is kind:
+            start = out.pop()[0]
+        out.append((start, end, kind))
     return out
 
 
-def run_length_episodes(kinds: Sequence[BehaviourKind], fps: float) -> list[Episode]:
-    """Run-length encode per-frame states into episodes covering [0, len)."""
-    return [
-        Episode(kind, start, end, (end - start + 1) / fps)
-        for start, end, kind in _runs(kinds)
-    ]
+def kind_runs(states: Sequence[FrameState], frame_count: int) -> list[Run]:
+    """Maximal runs of one behaviour tiling ``[0, frame_count)``; frames without a state are idle.
 
+    ``states`` are sparse and in frame order, as :func:`resolve_frame_states`
+    returns them.
+    """
+
+    def pieces() -> Iterator[Run]:
+        after = 0
+        for state in states:
+            if state.frame > after:
+                yield after, state.frame - 1, BehaviourKind.IDLE
+            yield state.frame, state.frame, state.kind
+            after = state.frame + 1
+        if after < frame_count:
+            yield after, frame_count - 1, BehaviourKind.IDLE
+
+    return _merged(pieces())
+
+
+def relabel(states: Sequence[FrameState], runs: Sequence[Run]) -> list[FrameState]:
+    """The states with each kind replaced by the kind of the run holding its frame."""
+    out: list[FrameState] = []
+    covering = iter(runs)
+    end, kind = -1, BehaviourKind.IDLE
+    for state in states:
+        while state.frame > end:
+            _, end, kind = next(covering)
+        out.append(state if state.kind is kind else replace(state, kind=kind))
+    return out
+
+
+def demote_short_basking(runs: Sequence[Run], min_episode: int) -> list[Run]:
+    """Turn basking runs shorter than ``min_episode`` frames into idle.
+
+    ``runs`` are maximal (neighbours differ in kind); so is the result, as
+    a demoted run merges with the idle runs beside it. Hunting frames are
+    never demoted; the rule exists to drop flickery basking classifications.
+    """
+    return _merged(
+        (start, end, BehaviourKind.IDLE)
+        if kind is BehaviourKind.BASKING and end - start + 1 < min_episode
+        else (start, end, kind)
+        for start, end, kind in runs
+    )
+
+
+def run_length_episodes(runs: Sequence[Run], fps: float) -> list[Episode]:
+    """One episode per run; the runs tile ``[0, frame_count)``."""
+    return [Episode(kind, start, end, (end - start + 1) / fps) for start, end, kind in runs]

@@ -22,18 +22,19 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .behaviour import BehaviourKind
 from .evaluation import BoxRecord, check_thresholds, evaluate, records_from_timeline
 from .ingest import (
     ParseError,
     RunConfig,
+    _number,
     parse_config,
     parse_detection_log,
     parse_ground_truth,
 )
-from .model import FrameGeometry
+from .model import FrameGeometry, Provenance
 from .pipeline import AnalysisResult, analyze_timeline
 from .synth import InvalidScenario, Scenario, generate
 
@@ -57,20 +58,22 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
     """Write a set of output files: all of them, or none on a write failure.
 
-    Each file goes to a uniquely named temp file in ``out_dir``; the renames
-    start only after every write has succeeded. On failure the temp files
-    are removed and the previous outputs stay as they were.
+    A file's content is a string or an iterable of string chunks, streamed
+    in order. Each file goes to a uniquely named temp file in ``out_dir``;
+    the renames start only after every write has succeeded. On failure the
+    temp files are removed and the previous outputs stay as they were.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
-        for name, text in files.items():
+        for name, content in files.items():
             tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
             staged.append((tmp, out_dir / name))
-            tmp.write_text(text, encoding="utf-8")
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.writelines((content,) if isinstance(content, str) else content)
         for tmp, path in staged:
             tmp.replace(path)
     except BaseException:
@@ -113,28 +116,42 @@ def _events_text(result: AnalysisResult) -> str:
     return "\n".join(rows) + ("\n" if rows else "")
 
 
-def _frames_jsonl(result: AnalysisResult) -> str:
-    rows = []
-    for state in result.frames:
-        sep = state.separation
-        rows.append(
-            json.dumps(
-                {
-                    "frame": state.frame,
-                    "state": state.kind.value,
-                    "delta_y": None if sep is None else sep.delta_y,
-                    "theta": None if sep is None else sep.theta,
-                    "dragon_provenance": state.dragon_provenance.value
-                    if state.dragon_provenance
-                    else None,
-                    "lamp_provenance": state.lamp_provenance.value
-                    if state.lamp_provenance
-                    else None,
-                },
-                separators=(",", ":"),
+# One frames.jsonl record, byte for byte as json.dumps(..., separators=(",", ":"))
+# writes it: a finite float's repr is what json.dumps prints for it.
+_FRAME = (
+    '{"frame":%s,"state":"%s","delta_y":%s,"theta":%s,'
+    '"dragon_provenance":%s,"lamp_provenance":%s}\n'
+)
+# the record of a frame with no state: idle, nothing measured, no box
+_EMPTY_FRAME = _FRAME % ("%d", "idle", "null", "null", "null", "null")
+_JSON_PROVENANCE = {None: "null", **{p: f'"{p.value}"' for p in Provenance}}
+_CHUNK_LINES = 4096
+
+
+def _frames_jsonl(result: AnalysisResult) -> Iterator[str]:
+    """frames.jsonl as chunks of up to ``_CHUNK_LINES`` records, one record per frame."""
+    lines: list[str] = []
+    for frame, state in result.dense_frames():
+        if state is None:
+            lines.append(_EMPTY_FRAME % frame)
+        else:
+            sep = state.separation
+            lines.append(
+                _FRAME
+                % (
+                    frame,
+                    state.kind.value,
+                    "null" if sep is None else repr(sep.delta_y),
+                    "null" if sep is None else repr(sep.theta),
+                    _JSON_PROVENANCE[state.dragon_provenance],
+                    _JSON_PROVENANCE[state.lamp_provenance],
+                )
             )
-        )
-    return "\n".join(rows) + ("\n" if rows else "")
+        if len(lines) == _CHUNK_LINES:
+            yield "".join(lines)
+            lines = []
+    if lines:
+        yield "".join(lines)
 
 
 def _run_meta(argv_echo: dict) -> str:
@@ -356,19 +373,30 @@ def cmd_report(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _number_flag(cast: type) -> Callable[[str], int | float]:
+    """An argparse type that reads numbers as the file parsers do: ASCII, no ``_``."""
+
+    def parse(token: str) -> int | float:
+        return _number(cast, token)
+
+    parse.__name__ = cast.__name__  # argparse names the type in its error message
+    return parse
+
+
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, help="basking vertical threshold fraction")
-    parser.add_argument("--theta-max", dest="theta_max", type=float, help="basking angle limit, degrees")
-    parser.add_argument("--gamma", type=float, help="hunting distance fraction of frame width")
-    parser.add_argument("--max-gap", dest="max_gap", type=int, help="largest interpolatable gap, frames")
+    real, integer = _number_flag(float), _number_flag(int)
+    parser.add_argument("--beta", type=real, help="basking vertical threshold fraction")
+    parser.add_argument("--theta-max", dest="theta_max", type=real, help="basking angle limit, degrees")
+    parser.add_argument("--gamma", type=real, help="hunting distance fraction of frame width")
+    parser.add_argument("--max-gap", dest="max_gap", type=integer, help="largest interpolatable gap, frames")
     parser.add_argument(
         "--disappearance-window",
         dest="disappearance_window",
-        type=int,
+        type=integer,
         help="frames a cricket must stay gone to confirm a hunt",
     )
     parser.add_argument(
-        "--min-episode", dest="min_episode", type=int, help="shortest basking episode kept, frames"
+        "--min-episode", dest="min_episode", type=integer, help="shortest basking episode kept, frames"
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .activity import ActivityReport, activity_reports
 from .behaviour import (
@@ -11,6 +12,8 @@ from .behaviour import (
     FrameState,
     demote_short_basking,
     detect_hunting,
+    kind_runs,
+    relabel,
     resolve_frame_states,
     run_length_episodes,
 )
@@ -36,17 +39,32 @@ class TrackContinuity:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Everything one clip analysis produces, ready for serialisation."""
+    """Everything one clip analysis produces, ready for serialisation.
+
+    ``states`` holds only the frames with a dragon or lamp box or a hunt, in
+    frame order; :meth:`dense_frames` expands them to every frame.
+    """
 
     config: RunConfig  # effective config, geometry resolved
     frame_count: int
-    frames: list[FrameState]
+    states: list[FrameState]
     episodes: list[Episode]
     hunting_event_frames: list[int]
     activity: dict[BehaviourKind, ActivityReport]
     dragon_continuity: TrackContinuity
     lamp_continuity: TrackContinuity
     cricket_continuity: list[TrackContinuity]
+
+    def dense_frames(self) -> Iterator[tuple[int, FrameState | None]]:
+        """Every frame of the clip in order, with its state or None for an implicit idle frame."""
+        after = 0
+        for state in self.states:
+            for t in range(after, state.frame):
+                yield t, None
+            yield state.frame, state
+            after = state.frame + 1
+        for t in range(after, self.frame_count):
+            yield t, None
 
     def to_json_dict(self) -> dict:
         geom = self.config.geometry
@@ -107,20 +125,19 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
     raw_states = resolve_frame_states(
         dragon, lamp, hunts, geom, timeline.frame_count, effective
     )
-    final_kinds = demote_short_basking([s.kind for s in raw_states], effective.min_episode)
-    frames = [
-        state if state.kind is kind else replace(state, kind=kind)
-        for state, kind in zip(raw_states, final_kinds)
-    ]
-    episodes = run_length_episodes(final_kinds, geom.fps)
+    runs = demote_short_basking(
+        kind_runs(raw_states, timeline.frame_count), effective.min_episode
+    )
+    states = relabel(raw_states, runs)
+    episodes = run_length_episodes(runs, geom.fps)
     if timeline.frame_count > 0:
-        activity = activity_reports(frames, timeline.frame_count, geom.fps)
+        activity = activity_reports(states, runs, timeline.frame_count, geom.fps)
     else:
         activity = {}
     return AnalysisResult(
         config=effective,
         frame_count=timeline.frame_count,
-        frames=frames,
+        states=states,
         episodes=episodes,
         hunting_event_frames=hunts,
         activity=activity,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from .model import BBox, ClassLabel, Detection, Provenance, Timeline, center_distance_px
 
@@ -54,6 +54,11 @@ class Track:
     @property
     def last_frame(self) -> int | None:
         return self.detections[-1].frame if self.detections else None
+
+    @property
+    def frames(self) -> KeysView[int]:
+        """The frames this track has a detection in, as a set-like view."""
+        return self._by_frame.keys()  # type: ignore[attr-defined]
 
     def get(self, frame: int) -> Detection | None:
         return self._by_frame.get(frame)  # type: ignore[attr-defined]

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
+from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
+from dragonwatch.behaviour import BehaviourKind, Episode, FrameState, classify_basking
+from dragonwatch.ingest import RunConfig
 from dragonwatch.model import (
     BBox,
     ClassLabel,
@@ -16,6 +21,8 @@ from dragonwatch.model import (
     Provenance,
     Timeline,
 )
+from dragonwatch.pipeline import AnalysisResult, analyze_timeline
+from dragonwatch.tracks import Track, fill_gaps, reduce_per_frame
 
 
 def det(
@@ -131,3 +138,156 @@ def timelines(draw) -> Timeline:
         for _ in range(n)
     ]
     return Timeline.build(geometry, frame_count, detections)
+
+
+# Reference: the dense frame-state path, one FrameState per header frame.
+# The pipeline keeps states only for frames with a box or a hunt; these
+# functions are what it replaced, kept to check its outputs byte for byte.
+
+
+def reference_resolve_frame_states(
+    dragon: Track,
+    lamp: Track,
+    hunting_frames: Iterable[int],
+    geom: FrameGeometry,
+    frame_count: int,
+    cfg: RunConfig,
+) -> list[FrameState]:
+    """Reference: exactly one state for every frame of the clip, hunting over basking."""
+    hunting = set(hunting_frames)
+    states: list[FrameState] = []
+    for t in range(frame_count):
+        dragon_det = dragon.get(t)
+        lamp_det = lamp.get(t)
+        is_basking, separation = classify_basking(dragon_det, lamp_det, geom, cfg)
+        if t in hunting:
+            kind = BehaviourKind.HUNTING
+        elif is_basking:
+            kind = BehaviourKind.BASKING
+        else:
+            kind = BehaviourKind.IDLE
+        states.append(
+            FrameState(
+                frame=t,
+                kind=kind,
+                separation=separation,
+                dragon_provenance=dragon_det.provenance if dragon_det else None,
+                lamp_provenance=lamp_det.provenance if lamp_det else None,
+            )
+        )
+    return states
+
+
+def reference_runs(kinds: Sequence[BehaviourKind]) -> Iterator[tuple[int, int, BehaviourKind]]:
+    """Reference: maximal (start, end, kind) runs of a per-frame kind list."""
+    start = 0
+    for i in range(1, len(kinds) + 1):
+        if i == len(kinds) or kinds[i] != kinds[start]:
+            yield start, i - 1, kinds[start]
+            start = i
+
+
+def reference_demote_short_basking(
+    kinds: Sequence[BehaviourKind], min_episode: int
+) -> list[BehaviourKind]:
+    """Reference: per-frame kinds with basking runs under ``min_episode`` made idle."""
+    out = list(kinds)
+    for start, end, kind in reference_runs(out):
+        if kind is BehaviourKind.BASKING and end - start + 1 < min_episode:
+            out[start : end + 1] = [BehaviourKind.IDLE] * (end - start + 1)
+    return out
+
+
+def reference_run_length_episodes(kinds: Sequence[BehaviourKind], fps: float) -> list[Episode]:
+    """Reference: episodes run-length encoded from per-frame kinds."""
+    return [
+        Episode(kind, start, end, (end - start + 1) / fps)
+        for start, end, kind in reference_runs(kinds)
+    ]
+
+
+def reference_activity_reports(
+    states: Sequence[FrameState], frame_count: int, fps: float
+) -> dict[BehaviourKind, ActivityReport]:
+    """Reference: activity metrics from one state per frame, coverage counted frame by frame."""
+    reports = {}
+    for kind in BehaviourKind:
+        measured = [
+            (s.frame, s.separation.delta_y)
+            for s in states
+            if s.kind is kind and s.separation is not None
+        ]
+        reports[kind] = ActivityReport(
+            behaviour=kind,
+            coverage=100.0 * sum(1 for s in states if s.kind is kind) / frame_count,
+            mean_vertical_diff=mean_vertical_diff([v for _, v in measured]),
+            jitter=jitter(measured),
+            drift_slope=drift_slope([f / fps for f, _ in measured], [v for _, v in measured]),
+            frames_used=len(measured),
+        )
+    return reports
+
+
+def reference_frames_jsonl(states: Sequence[FrameState]) -> str:
+    """Reference: one ``json.dumps`` record per dense frame state."""
+    rows = []
+    for state in states:
+        sep = state.separation
+        rows.append(
+            json.dumps(
+                {
+                    "frame": state.frame,
+                    "state": state.kind.value,
+                    "delta_y": None if sep is None else sep.delta_y,
+                    "theta": None if sep is None else sep.theta,
+                    "dragon_provenance": state.dragon_provenance.value
+                    if state.dragon_provenance
+                    else None,
+                    "lamp_provenance": state.lamp_provenance.value
+                    if state.lamp_provenance
+                    else None,
+                },
+                separators=(",", ":"),
+            )
+        )
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
+def reference_dense_states(timeline: Timeline, result: AnalysisResult) -> list[FrameState]:
+    """Reference: the final (demoted) state of every frame of the analysed clip."""
+    cfg = result.config
+    geom = cfg.geometry
+    assert geom is not None
+    dragon, lamp = (fill_gaps(track, cfg.max_gap) for track in reduce_per_frame(timeline))
+    raw = reference_resolve_frame_states(
+        dragon, lamp, result.hunting_event_frames, geom, timeline.frame_count, cfg
+    )
+    kinds = reference_demote_short_basking([s.kind for s in raw], cfg.min_episode)
+    return [s if s.kind is k else replace(s, kind=k) for s, k in zip(raw, kinds)]
+
+
+def reference_outputs(timeline: Timeline, cfg: RunConfig) -> dict[str, bytes]:
+    """Reference: ``events.txt``, ``report.json`` and ``frames.jsonl`` from the dense path.
+
+    Tracks, hunts and continuity come from the pipeline; the frame states,
+    episodes, activity metrics and frame records are rebuilt densely.
+    """
+    result = analyze_timeline(timeline, cfg)
+    geom = result.config.geometry
+    assert geom is not None
+    states = reference_dense_states(timeline, result)
+    episodes = reference_run_length_episodes([s.kind for s in states], geom.fps)
+    activity = (
+        reference_activity_reports(states, timeline.frame_count, geom.fps)
+        if timeline.frame_count > 0
+        else {}
+    )
+    dense = replace(result, episodes=episodes, activity=activity)
+    events = "".join(
+        f"{ep.kind.value} {ep.start_frame} {ep.end_frame} {ep.duration_s:.3f}\n" for ep in episodes
+    )
+    return {
+        "events.txt": events.encode(),
+        "report.json": (json.dumps(dense.to_json_dict(), indent=2) + "\n").encode(),
+        "frames.jsonl": reference_frames_jsonl(states).encode(),
+    }

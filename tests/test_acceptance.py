@@ -251,7 +251,8 @@ def test_criterion_3_basking_rule():
         geom = generated.scenario.geometry
         delta_expected = abs(0.40 - 0.20) * geom.height
         theta_expected = math.degrees(math.atan(abs(0.55 - 0.50) * geom.width / delta_expected))
-        for state in result.frames:
+        assert [state.frame for state in result.states] == list(range(200))
+        for state in result.states:
             assert state.separation is not None
             assert abs(state.separation.delta_y - delta_expected) <= 1e-9
             assert abs(state.separation.theta - theta_expected) <= 1e-9

@@ -15,9 +15,20 @@ from dragonwatch.activity import (
 )
 from dragonwatch.behaviour import BaskingGeometry, BehaviourKind, FrameState
 
+from helpers import reference_runs
+
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
 HUNTING = BehaviourKind.HUNTING
+
+
+def runs_of(kinds):
+    return list(reference_runs(kinds))
+
+
+def report_for(states, kind, frame_count):
+    """activity_report over states that give every frame of the clip a state."""
+    return activity_report(states, runs_of([s.kind for s in states]), kind, frame_count, 30.0)
 
 
 def state(frame, kind, delta_y=None):
@@ -27,14 +38,14 @@ def state(frame, kind, delta_y=None):
 
 class TestCoverage:
     def test_all_frames(self):
-        assert coverage([BASKING] * 200, BASKING, 200) == 100.0
+        assert coverage(runs_of([BASKING] * 200), BASKING, 200) == 100.0
 
     def test_none(self):
-        assert coverage([IDLE] * 200, HUNTING, 200) == 0.0
+        assert coverage(runs_of([IDLE] * 200), HUNTING, 200) == 0.0
 
     def test_fraction_matches_hand_value(self):
         kinds = [BASKING] * 33 + [IDLE] * 167
-        assert coverage(kinds, BASKING, 200) == pytest.approx(16.5)
+        assert coverage(runs_of(kinds), BASKING, 200) == pytest.approx(16.5)
 
     def test_requires_frames(self):
         with pytest.raises(ValueError):
@@ -45,8 +56,17 @@ class TestCoverage:
     )
     @settings(max_examples=100)
     def test_three_states_sum_to_hundred(self, kinds):
-        total = sum(coverage(kinds, kind, len(kinds)) for kind in BehaviourKind)
+        total = sum(coverage(runs_of(kinds), kind, len(kinds)) for kind in BehaviourKind)
         assert total == pytest.approx(100.0, abs=1e-9)
+
+    @given(
+        kinds=st.lists(st.sampled_from([IDLE, BASKING, HUNTING]), min_size=1, max_size=80)
+    )
+    @settings(max_examples=100)
+    def test_run_lengths_equal_frame_count(self, kinds):
+        for kind in BehaviourKind:
+            per_frame = 100.0 * sum(1 for k in kinds if k is kind) / len(kinds)
+            assert coverage(runs_of(kinds), kind, len(kinds)) == per_frame
 
 
 class TestMeanVerticalDiff:
@@ -161,14 +181,14 @@ class TestActivityReport:
             state(2, IDLE, 400.0),
             state(3, HUNTING, 150.0),
         ]
-        report = activity_report(states, BASKING, 4, 30.0)
+        report = report_for(states, BASKING, 4)
         assert report.coverage == 50.0
         assert report.mean_vertical_diff == pytest.approx(101.0)
         assert report.frames_used == 2
 
     def test_hunting_single_frame_has_absent_jitter_and_drift(self):
         states = [state(0, IDLE, 200.0), state(1, HUNTING, 145.8), state(2, IDLE, 200.0)]
-        report = activity_report(states, HUNTING, 3, 30.0)
+        report = report_for(states, HUNTING, 3)
         assert report.mean_vertical_diff == pytest.approx(145.8)
         assert report.jitter is None
         assert report.drift_slope is None
@@ -176,15 +196,25 @@ class TestActivityReport:
 
     def test_states_without_separation_are_skipped(self):
         states = [state(0, IDLE), state(1, IDLE, 300.0), state(2, IDLE)]
-        report = activity_report(states, IDLE, 3, 30.0)
+        report = report_for(states, IDLE, 3)
         assert report.coverage == 100.0
         assert report.frames_used == 1
         assert report.mean_vertical_diff == 300.0
         assert report.jitter is None
 
+    def test_frames_without_state_count_toward_idle_coverage(self):
+        states = [state(5, BASKING, 100.0), state(6, BASKING, 101.0)]
+        runs = [(0, 4, IDLE), (5, 6, BASKING), (7, 9, IDLE)]
+        reports = activity_reports(states, runs, 10, 30.0)
+        assert reports[BASKING].coverage == 20.0
+        assert reports[BASKING].jitter == 1.0
+        assert reports[IDLE].coverage == 80.0
+        assert reports[IDLE].frames_used == 0
+        assert reports[IDLE].mean_vertical_diff is None
+
     def test_reports_cover_all_kinds(self):
         states = [state(0, IDLE, 100.0)]
-        reports = activity_reports(states, 1, 30.0)
+        reports = activity_reports(states, runs_of([IDLE]), 1, 30.0)
         assert set(reports) == {IDLE, BASKING, HUNTING}
         assert reports[BASKING].coverage == 0.0
         assert reports[BASKING].mean_vertical_diff is None

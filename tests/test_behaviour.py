@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from dragonwatch.behaviour import (
     BaskingGeometry,
     BehaviourKind,
+    FrameState,
     _nearest_dragon,
     classify_basking,
     demote_short_basking,
     detect_hunting,
+    kind_runs,
+    relabel,
     resolve_frame_states,
     run_length_episodes,
 )
@@ -18,7 +21,15 @@ from dragonwatch.ingest import RunConfig
 from dragonwatch.model import ClassLabel, Detection, FrameGeometry
 from dragonwatch.tracks import Track
 
-from helpers import bboxes, det, geometries, reference_separation
+from helpers import (
+    bboxes,
+    det,
+    geometries,
+    reference_demote_short_basking,
+    reference_run_length_episodes,
+    reference_runs,
+    reference_separation,
+)
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -256,9 +267,20 @@ class TestDetectHunting:
         assert detect_hunting(crickets, dragon, geom, 200, cfg) == []
 
 
+def runs_of(kinds):
+    return list(reference_runs(kinds))
+
+
+def kinds_of(runs):
+    return [kind for start, end, kind in runs for _ in range(start, end + 1)]
+
+
+kind_lists = st.lists(st.sampled_from([IDLE, BASKING, HUNTING]), min_size=0, max_size=60)
+
+
 class TestEpisodes:
     def test_single_full_episode(self):
-        episodes = run_length_episodes(demote_short_basking([BASKING] * 100, min_episode=3), 30.0)
+        episodes = run_length_episodes(demote_short_basking(runs_of([BASKING] * 100), min_episode=3), 30.0)
         assert len(episodes) == 1
         ep = episodes[0]
         assert (ep.start_frame, ep.end_frame) == (0, 99)
@@ -266,35 +288,32 @@ class TestEpisodes:
 
     def test_short_basking_demoted(self):
         kinds = [IDLE, BASKING, BASKING, IDLE]
-        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
+        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE]
         assert episodes[0].end_frame == 3
 
     def test_two_runs_split_by_hole(self):
         kinds = [BASKING] * 50 + [IDLE] * 2 + [BASKING] * 48
-        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
+        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [BASKING, IDLE, BASKING]
         assert (episodes[0].start_frame, episodes[0].end_frame) == (0, 49)
         assert (episodes[2].start_frame, episodes[2].end_frame) == (52, 99)
 
     def test_hunting_single_frame_survives(self):
         kinds = [IDLE] * 5 + [HUNTING] + [IDLE] * 5
-        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=3), 30.0)
+        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE, HUNTING, IDLE]
 
     def test_demotion_merges_neighbouring_idle(self):
         kinds = [IDLE] * 3 + [BASKING] * 2 + [IDLE] * 3
-        final = demote_short_basking(kinds, min_episode=3)
-        assert final == [IDLE] * 8
+        final = demote_short_basking(runs_of(kinds), min_episode=3)
+        assert final == [(0, 7, IDLE)]
         assert len(run_length_episodes(final, 30.0)) == 1
 
-    @given(
-        kinds=st.lists(st.sampled_from([IDLE, BASKING, HUNTING]), min_size=0, max_size=60),
-        min_episode=st.integers(1, 6),
-    )
+    @given(kinds=kind_lists, min_episode=st.integers(1, 6))
     @settings(max_examples=150)
     def test_episodes_partition_the_clip(self, kinds, min_episode):
-        episodes = run_length_episodes(demote_short_basking(kinds, min_episode=min_episode), 30.0)
+        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=min_episode), 30.0)
         covered = []
         for ep in episodes:
             assert ep.start_frame <= ep.end_frame
@@ -304,18 +323,55 @@ class TestEpisodes:
         for left, right in zip(episodes, episodes[1:]):
             assert left.kind != right.kind
 
-    @given(
-        kinds=st.lists(st.sampled_from([IDLE, BASKING, HUNTING]), min_size=0, max_size=60),
-        min_episode=st.integers(1, 6),
-    )
+    @given(kinds=kind_lists, min_episode=st.integers(1, 6))
     @settings(max_examples=100)
     def test_demotion_never_touches_hunting(self, kinds, min_episode):
-        final = demote_short_basking(kinds, min_episode)
+        final = kinds_of(demote_short_basking(runs_of(kinds), min_episode))
         for before, after in zip(kinds, final):
             if before is HUNTING:
                 assert after is HUNTING
             if before is IDLE:
                 assert after is IDLE
+
+    @given(kinds=kind_lists, min_episode=st.integers(1, 6))
+    @settings(max_examples=150)
+    def test_demotion_on_runs_equals_per_frame_reference(self, kinds, min_episode):
+        dense = reference_demote_short_basking(kinds, min_episode)
+        assert demote_short_basking(runs_of(kinds), min_episode) == runs_of(dense)
+        assert run_length_episodes(runs_of(dense), 30.0) == reference_run_length_episodes(dense, 30.0)
+
+
+def sparse_states(frame_kinds):
+    return [FrameState(frame, kind, None, None, None) for frame, kind in sorted(frame_kinds.items())]
+
+
+class TestKindRuns:
+    def test_frames_without_state_are_idle(self):
+        states = sparse_states({3: BASKING, 4: BASKING, 9: HUNTING})
+        assert kind_runs(states, 12) == [
+            (0, 2, IDLE), (3, 4, BASKING), (5, 8, IDLE), (9, 9, HUNTING), (10, 11, IDLE)
+        ]
+
+    def test_idle_states_merge_with_the_gaps_around_them(self):
+        assert kind_runs(sparse_states({2: IDLE, 5: IDLE}), 8) == [(0, 7, IDLE)]
+
+    def test_no_frames(self):
+        assert kind_runs([], 0) == []
+
+    @given(
+        frame_count=st.integers(0, 80),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_equals_runs_of_the_dense_kinds(self, frame_count, data):
+        frames = data.draw(st.sets(st.integers(0, max(frame_count - 1, 0)), max_size=frame_count))
+        frame_kinds = {f: data.draw(st.sampled_from([IDLE, BASKING, HUNTING])) for f in sorted(frames)}
+        dense = [frame_kinds.get(t, IDLE) for t in range(frame_count)]
+        runs = kind_runs(sparse_states(frame_kinds), frame_count)
+        assert runs == runs_of(dense)
+        relabelled = relabel(sparse_states(frame_kinds), demote_short_basking(runs, 3))
+        demoted = reference_demote_short_basking(dense, 3)
+        assert [(s.frame, s.kind) for s in relabelled] == [(f, demoted[f]) for f in sorted(frames)]
 
 
 class TestResolveFrameStates:
@@ -330,8 +386,20 @@ class TestResolveFrameStates:
         assert states[4].kind is HUNTING  # hunting wins over basking
         assert all(s.kind is BASKING for s in states if s.frame != 4)
 
-    def test_missing_objects_give_idle(self, config, geom):
+    def test_missing_objects_give_no_state(self, config, geom):
         empty_dragon = Track(ClassLabel.BEARDED_DRAGON, ())
         empty_lamp = Track(ClassLabel.HEATING_LAMP, ())
-        states = resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config)
-        assert all(s.kind is IDLE and s.separation is None for s in states)
+        assert resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config) == []
+
+    def test_states_only_where_a_box_or_a_hunt_is(self, config, geom):
+        dragon = dragon_track([0, 1, 2])
+        lamp = Track(
+            ClassLabel.HEATING_LAMP,
+            tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in (2, 5, 6)),
+        )
+        states = resolve_frame_states(dragon, lamp, [9], geom, 12, config)
+        assert [s.frame for s in states] == [0, 1, 2, 5, 6, 9]
+        assert [s.separation is None for s in states] == [True, True, False, True, True, True]
+        hunt = states[-1]
+        assert hunt.kind is HUNTING
+        assert (hunt.dragon_provenance, hunt.lamp_provenance) == (None, None)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dragonwatch
 from dragonwatch.cli import main
 from dragonwatch.ingest import parse_detection_log, write_ground_truth
 from dragonwatch.synth import Scenario, generate
@@ -99,6 +103,25 @@ class TestAnalyze:
         log = tmp_path / "clip.log"
         write_basking_log(log)
         assert main(["analyze", "--log", str(log), "--out", str(tmp_path), "--beta", "7"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-gap", "１５"),
+            ("--max-gap", "1_5"),
+            ("--beta", "0.3_3"),
+            ("--theta-max", "4_5"),
+            ("--gamma", "０.25"),
+            ("--disappearance-window", "1_5"),
+            ("--min-episode", "３"),
+        ],
+    )
+    def test_threshold_flags_take_only_plain_ascii_numbers(self, tmp_path, flag, value):
+        log = tmp_path / "clip.log"
+        write_basking_log(log, frames=20)
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--out", str(out), flag, value]) == 1
+        assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):
         log = tmp_path / "clip.log"
@@ -281,15 +304,16 @@ class TestOutputSets:
         assert main(first) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         writes = []
-        write_text = Path.write_text
+        path_open = Path.open
 
-        def failing_write(path, *args, **kwargs):
-            writes.append(path)
-            if len(writes) == fail_at:
-                raise OSError(28, "No space left on device")
-            return write_text(path, *args, **kwargs)
+        def failing_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(path)
+                if len(writes) == fail_at:
+                    raise OSError(28, "No space left on device")
+            return path_open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", failing_write)
+        monkeypatch.setattr(Path, "open", failing_open)
         assert main(second) == 2
         monkeypatch.undo()
         assert all(path.parent == out for path in writes)
@@ -298,6 +322,90 @@ class TestOutputSets:
         assert main(second) == 0
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after.keys() == before.keys() and after != before
+
+    def test_fault_after_part_of_frames_jsonl_is_written(self, tmp_path, monkeypatch):
+        log = tmp_path / "clip.log"
+        write_basking_log(log, frames=5_000)  # frames.jsonl streams in two chunks
+        out = tmp_path / "out"
+        argv = ["analyze", "--log", str(log), "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        streamed = []  # (temp path, bytes on disk when the fault struck)
+        path_open = Path.open
+
+        class FailsOnSecondChunk:
+            def __init__(self, path, fh):
+                self.path, self.fh, self.chunks = path, fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    if self.chunks == 1:
+                        self.fh.flush()
+                        streamed.append((self.path, self.path.stat().st_size))
+                        raise OSError(28, "No space left on device")
+                    self.fh.write(chunk)
+                    self.chunks += 1
+
+        def open_frames_failing(path, mode="r", *args, **kwargs):
+            fh = path_open(path, mode, *args, **kwargs)
+            if "w" in mode and path.name.startswith(".frames.jsonl."):
+                return FailsOnSecondChunk(path, fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", open_frames_failing)
+        assert main([*argv, "--beta", "0.1"]) == 2
+        monkeypatch.undo()
+        [(tmp, size_at_fault)] = streamed
+        assert 0 < size_at_fault < len(before["frames.jsonl"])
+        assert not tmp.exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Runs the command given in argv in a child process and prints the child's peak RSS (KiB).
+PEAK_RSS_OF_CHILD = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def analyze_peak_rss_kib(log: Path, out: Path) -> int:
+    """Peak RSS of one ``dragonwatch analyze`` run in a fresh interpreter."""
+    src = Path(dragonwatch.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    analyze = [sys.executable, "-m", "dragonwatch.cli", "analyze", "--log", str(log), "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF_CHILD, *analyze],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout)
+
+
+class TestLongClips:
+    def test_empty_log_memory_does_not_grow_with_frame_count(self, tmp_path):
+        frame_count = 500_000
+        peaks = {}
+        for n in (100, frame_count):
+            log = tmp_path / f"empty_{n}.log"
+            log.write_text(f"!geometry 640 480 1 {n}\n", encoding="utf-8")
+            peaks[n] = analyze_peak_rss_kib(log, tmp_path / f"out_{n}")
+        assert peaks[frame_count] - peaks[100] <= 10 * 1024, peaks
+        empty = {"frame": -1, "state": "idle", "delta_y": None, "theta": None,
+                 "dragon_provenance": None, "lamp_provenance": None}
+        head, tail = json.dumps(empty, separators=(",", ":")).split("-1")
+        lines = 0
+        with (tmp_path / f"out_{frame_count}" / "frames.jsonl").open(encoding="utf-8") as fh:
+            for t, line in enumerate(fh):
+                if line != f"{head}{t}{tail}\n":
+                    pytest.fail(f"frames.jsonl line {t + 1} is {line!r}")
+                lines += 1
+        assert lines == frame_count
 
 
 class TestReportCommand:

@@ -1,12 +1,19 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dragonwatch.behaviour import BehaviourKind
+from dragonwatch.behaviour import BehaviourKind, FrameState
+from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.model import FrameGeometry
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
+
+from helpers import reference_dense_states, reference_outputs
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -32,13 +39,14 @@ class TestAnalyzeTimeline:
     def test_zero_frame_clip(self):
         timeline = parse_detection_log("!geometry 640 480 30 0\n")
         result = analyze_timeline(timeline)
-        assert result.frames == []
+        assert result.states == []
+        assert list(result.dense_frames()) == []
         assert result.episodes == []
         assert result.activity == {}
 
     def test_states_partition_every_frame(self):
         result = analyze_timeline(basking_timeline(frames=80, dropout=0.2, seed=5))
-        assert [s.frame for s in result.frames] == list(range(80))
+        assert [t for t, _ in result.dense_frames()] == list(range(80))
         spans = [(ep.start_frame, ep.end_frame) for ep in result.episodes]
         flat = [t for start, end in spans for t in range(start, end + 1)]
         assert flat == list(range(80))
@@ -51,7 +59,7 @@ class TestAnalyzeTimeline:
         result = analyze_timeline(timeline, taller)
         assert result.config.geometry == taller.geometry
         # 0.2 normalised separation = 400 px on the 2000 px frame
-        assert result.frames[0].separation.delta_y == pytest.approx(400.0)
+        assert result.states[0].separation.delta_y == pytest.approx(400.0)
 
     def test_interpolated_frames_marked(self):
         text = (
@@ -60,9 +68,10 @@ class TestAnalyzeTimeline:
             "4 0 0.5 0.5 0.2 0.2 0.9\n"
         )
         result = analyze_timeline(parse_detection_log(text))
-        provenances = [s.dragon_provenance.value for s in result.frames[:5]]
+        provenances = [s.dragon_provenance.value for s in result.states]
         assert provenances == ["observed", "interpolated", "interpolated", "interpolated", "observed"]
-        assert all(s.dragon_provenance is None for s in result.frames[5:])
+        # frames 5-9 have no box, so no state
+        assert [s.frame for s in result.states] == list(range(5))
 
     def test_continuity_improves_with_gap_filling(self):
         text = (
@@ -89,6 +98,13 @@ class TestAnalyzeTimeline:
         total = sum(report.coverage for report in result.activity.values())
         assert total == pytest.approx(100.0, abs=1e-9)
 
+    def test_empty_log_has_no_states(self):
+        result = analyze_timeline(parse_detection_log("!geometry 640 480 30 1000000\n"))
+        assert result.states == []
+        assert [(ep.kind, ep.start_frame, ep.end_frame) for ep in result.episodes] == [
+            (IDLE, 0, 999_999)
+        ]
+
     def test_min_episode_demotes_flicker(self):
         # dragon under the lamp for 2 frames only, min_episode 3 demotes the run
         rows = ["!geometry 640 480 30 10"]
@@ -100,3 +116,106 @@ class TestAnalyzeTimeline:
         assert [ep.kind for ep in result.episodes] == [IDLE]
         relaxed = analyze_timeline(parse_detection_log("\n".join(rows)), RunConfig(min_episode=2))
         assert [ep.kind for ep in relaxed.episodes] == [IDLE, BASKING, IDLE]
+
+
+DRAGON_ROW = "{} 0 {} {} 0.18 0.12 0.9"
+LAMP_ROW = "{} 1 {} {} 0.1 0.08 0.85"
+CRICKET_ROW = "{} 2 {} 0.7 0.03 0.02 0.6"
+
+
+@st.composite
+def block_logs(draw) -> str:
+    """Logs made of blocks: long empty stretches, short basking runs and hunts with no box.
+
+    A hunt block shows the dragon for a few frames and the cricket for one to
+    three frames more, so an event on the cricket's last frame finds no dragon
+    box there unless gap filling reaches it.
+    """
+    rows: list[str] = []
+    t = 0
+    target = draw(st.integers(0, 300))
+    while t < target:
+        block = draw(st.sampled_from(["empty", "basking", "flicker", "dragon", "lamp", "hunt"]))
+        if block == "empty":
+            length = draw(st.integers(1, 120))
+        elif block == "hunt":
+            seen = draw(st.integers(1, 4))
+            length = seen + draw(st.integers(1, 3))
+            cx = draw(st.sampled_from([0.6, 0.66, 0.69]))
+            rows += [DRAGON_ROW.format(f, 0.7, 0.7) for f in range(t, t + seen)]
+            rows += [CRICKET_ROW.format(f, cx) for f in range(t, t + length)]
+        else:
+            length = draw(st.integers(1, 6))
+            for f in range(t, t + length):
+                # flicker moves the dragon across the basking limits frame by frame
+                cy = draw(st.sampled_from([0.1, 0.2, 0.4, 0.53, 0.6])) if block == "flicker" else 0.4
+                if block != "lamp":
+                    rows.append(DRAGON_ROW.format(f, 0.55, cy))
+                if block != "dragon":
+                    rows.append(LAMP_ROW.format(f, 0.5, 0.2))
+        t += length
+    frame_count = t + draw(st.integers(0, 80))
+    return "\n".join([f"!geometry 640 480 30 {frame_count}", *rows]) + "\n"
+
+
+synth_logs = st.builds(
+    lambda kind, frames, dropout, noise, seed: generate(
+        Scenario(kind=kind, frames=frames, dropout_rate=dropout, position_noise=noise, seed=seed)
+    ).log_text,
+    kind=st.sampled_from(list(BehaviourKind)),
+    frames=st.integers(1, 200),
+    dropout=st.floats(0.0, 0.95),
+    noise=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32),
+)
+
+run_configs = st.builds(
+    RunConfig,
+    max_gap=st.integers(0, 20),
+    disappearance_window=st.integers(1, 20),
+    min_episode=st.integers(1, 6),
+)
+
+
+class TestDenseReference:
+    """The sparse frame axis writes the same bytes as one state per frame did."""
+
+    @given(log=st.one_of(block_logs(), synth_logs), cfg=run_configs)
+    @example(log="!geometry 640 480 30 0\n", cfg=RunConfig())
+    @settings(max_examples=150, deadline=None)
+    def test_outputs_match_dense_reference(self, log, cfg):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "clip.log"
+            path.write_text(log, encoding="utf-8")
+            out = Path(scratch) / "out"
+            flags = {
+                "--max-gap": cfg.max_gap,
+                "--disappearance-window": cfg.disappearance_window,
+                "--min-episode": cfg.min_episode,
+            }
+            argv = ["analyze", "--log", str(path), "--out", str(out)]
+            assert main([*argv, *(str(x) for kv in flags.items() for x in kv)]) == 0
+            expected = reference_outputs(parse_detection_log(log), cfg)
+            for name, data in expected.items():
+                assert (out / name).read_bytes() == data, name
+
+    @given(log=st.one_of(block_logs(), synth_logs), cfg=run_configs)
+    @settings(max_examples=100, deadline=None)
+    def test_dense_frames_expand_to_reference_states(self, log, cfg):
+        timeline = parse_detection_log(log)
+        result = analyze_timeline(timeline, cfg)
+        expected = reference_dense_states(timeline, result)
+        dense = list(result.dense_frames())
+        assert [t for t, _ in dense] == [s.frame for s in expected]
+        for (frame, state), ref in zip(dense, expected):
+            if state is None:
+                assert ref == FrameState(frame, IDLE, None, None, None)
+            else:
+                assert state == ref
+        # a state exists exactly where there is a box or a hunt
+        assert result.states == [s for _, s in dense if s is not None]
+        assert [s.frame for s in result.states] == [
+            s.frame
+            for s in expected
+            if s.dragon_provenance or s.lamp_provenance or s.frame in result.hunting_event_frames
+        ]
