@@ -20,6 +20,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
@@ -184,9 +185,12 @@ def resolve_frame_states(
     """
     hunting = set(hunting_frames)
     states: list[FrameState] = []
-    for t in sorted(dragon.frames | lamp.frames | hunting):
-        if not 0 <= t < frame_count:
+    previous = -1
+    # sort the concatenation, not a set union: no hash table of every frame
+    for t in sorted(chain(dragon.frames, lamp.frames, hunting)):
+        if t == previous or not 0 <= t < frame_count:
             continue
+        previous = t
         dragon_det = dragon.get(t)
         lamp_det = lamp.get(t)
         is_basking, separation = classify_basking(dragon_det, lamp_det, geom, cfg)
