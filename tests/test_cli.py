@@ -440,6 +440,125 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nope.json")]) == 2
 
 
+# Inputs of the error-path table; "<tmp>" in an argv or a message is the test's tmp_path.
+ERROR_PATH_FILES = {
+    "range.cfg": "beta = 1.5\n",
+    "key.cfg": "zeta = 1\n",
+    "bad.log": "!geometry 640 480 30 100\n0 9 0.5 0.5 0.1 0.1 0.9\n",
+    "file": "not a directory\n",
+    "gts/clip.txt": "0 0.5 0.5 0.1 0.1\n",
+    "bad_preds/clip.txt": "garbage\n",
+    "bad_gts/clip.txt": "0 0.5 0.5 0.1\n",
+    "report.json": "{not json",
+}
+ANALYZE = ["analyze", "--log", "<tmp>/clip.log"]
+EVALUATE = ["evaluate", "<tmp>/preds", "<tmp>/gts"]
+SIMULATE = ["simulate", "--kind", "idle"]
+NO_FILE = "[Errno 2] No such file or directory: '<tmp>/{}'"
+OUT_IS_FILE = ("<tmp>/file", 2, "[Errno 17] File exists: '<tmp>/file'")
+OUT_UNDER_FILE = ("<tmp>/file/out", 2, "[Errno 20] Not a directory: '<tmp>/file/out'")
+# (argv, exit code, the whole of stderr without its newline), as the CLI wrote them before
+# its error handling was gathered into main
+ERROR_PATHS = [
+    pytest.param(
+        [*ANALYZE, "--config", "<tmp>/range.cfg", "--out", "<tmp>/out"], 1,
+        "<tmp>/range.cfg: line 1: beta must be in (0, 1], got 1.5", id="analyze-config-out-of-range",
+    ),
+    pytest.param(
+        [*ANALYZE, "--config", "<tmp>/key.cfg", "--out", "<tmp>/out"], 1,
+        "<tmp>/key.cfg: line 1: unknown config key 'zeta'", id="analyze-config-unknown-key",
+    ),
+    pytest.param(
+        [*ANALYZE, "--config", "<tmp>/nope.cfg", "--out", "<tmp>/out"], 2,
+        NO_FILE.format("nope.cfg"), id="analyze-config-missing",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/nope.log", "--out", "<tmp>/out"], 2,
+        NO_FILE.format("nope.log"), id="analyze-log-missing",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/bad.log", "--out", "<tmp>/out"], 1,
+        "<tmp>/bad.log: line 2: unknown class id 9", id="analyze-log-bad-class",
+    ),
+    pytest.param(
+        [*ANALYZE, "--out", "<tmp>/out", "--beta", "2"], 1,
+        "beta must be in (0, 1], got 2.0", id="analyze-beta-out-of-range",
+    ),
+    pytest.param([*ANALYZE, "--out", OUT_IS_FILE[0]], *OUT_IS_FILE[1:], id="analyze-out-is-file"),
+    pytest.param([*ANALYZE, "--out", OUT_UNDER_FILE[0]], *OUT_UNDER_FILE[1:], id="analyze-out-under-file"),
+    pytest.param([*EVALUATE, "--out", OUT_IS_FILE[0]], *OUT_IS_FILE[1:], id="evaluate-out-is-file"),
+    pytest.param([*EVALUATE, "--out", OUT_UNDER_FILE[0]], *OUT_UNDER_FILE[1:], id="evaluate-out-under-file"),
+    pytest.param(
+        [*EVALUATE, "--out", "<tmp>/out", "--iou", "2"], 1,
+        "IoU threshold must be in (0, 1], got 2.0", id="evaluate-iou-out-of-range",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/bad_preds", "<tmp>/gts", "--out", "<tmp>/out"], 1,
+        "<tmp>/bad_preds/clip.txt: line 1: data line before !geometry header",
+        id="evaluate-bad-predictions",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/preds", "<tmp>/bad_gts", "--out", "<tmp>/out"], 1,
+        "<tmp>/bad_gts/clip.txt: line 1: expected 5 fields, got 4", id="evaluate-bad-ground-truth",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/empty", "<tmp>/gts", "--out", "<tmp>/out"], 3,
+        "no prediction logs (*.txt) in <tmp>/empty", id="evaluate-empty-prediction-dir",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/clip.log", "<tmp>/gts", "--out", "<tmp>/out"], 3,
+        "predictions and ground truth must both be files or both be directories",
+        id="evaluate-file-and-dir",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/nope", "<tmp>/gts", "--out", "<tmp>/out"], 2,
+        "<tmp>/nope: no such file or directory", id="evaluate-missing-path",
+    ),
+    pytest.param(
+        [*SIMULATE, "--frames", "0", "--out", "<tmp>/out"], 1,
+        "frames must be >= 1, got 0", id="simulate-frames-0",
+    ),
+    pytest.param([*SIMULATE, "--out", OUT_IS_FILE[0]], *OUT_IS_FILE[1:], id="simulate-out-is-file"),
+    pytest.param([*SIMULATE, "--out", OUT_UNDER_FILE[0]], *OUT_UNDER_FILE[1:], id="simulate-out-under-file"),
+    pytest.param(
+        [*SIMULATE, "--config", "<tmp>/range.cfg", "--out", "<tmp>/out"], 1,
+        "<tmp>/range.cfg: line 1: beta must be in (0, 1], got 1.5", id="simulate-config-out-of-range",
+    ),
+    pytest.param(
+        [*SIMULATE, "--config", "<tmp>/nope.cfg", "--out", "<tmp>/out"], 2,
+        NO_FILE.format("nope.cfg"), id="simulate-config-missing",
+    ),
+    pytest.param(["report", "<tmp>/nope.json"], 2, NO_FILE.format("nope.json"), id="report-missing"),
+    pytest.param(
+        ["report", "<tmp>/report.json"], 1,
+        "<tmp>/report.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        id="report-not-json",
+    ),
+]
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, code, stderr", ERROR_PATHS)
+def test_error_path_exit_code_and_message(tmp_path, capsys, argv, code, stderr):
+    """Every failing input ends in its exit code and one stderr line, with nothing written."""
+    for name, text in ERROR_PATH_FILES.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    write_basking_log(tmp_path / "clip.log", frames=5)
+    (tmp_path / "preds").mkdir()
+    write_basking_log(tmp_path / "preds" / "clip.txt", frames=5)
+    before = tree(tmp_path)
+    tmp = str(tmp_path)
+    assert main([arg.replace("<tmp>", tmp) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr.replace("<tmp>", tmp) + "\n")
+    assert tree(tmp_path) == before
+
+
 class TestFlagErrors:
     def test_unknown_subcommand_exits_1(self):
         assert main(["transcode"]) == 1
