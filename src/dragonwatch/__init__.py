@@ -42,7 +42,6 @@ from .ingest import (
     parse_detection_log,
     parse_ground_truth,
     write_detection_log,
-    write_ground_truth,
 )
 from .model import (
     BBox,

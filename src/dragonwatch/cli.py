@@ -22,11 +22,12 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .behaviour import BehaviourKind
 from .evaluation import BoxRecord, check_thresholds, evaluate, records_from_timeline
 from .ingest import (
+    THRESHOLDS,
     ParseError,
     RunConfig,
     _number,
@@ -36,7 +37,7 @@ from .ingest import (
 )
 from .model import FrameGeometry, Provenance
 from .pipeline import AnalysisResult, analyze_timeline
-from .synth import InvalidScenario, Scenario, generate
+from .synth import Scenario, generate
 
 _EXIT_OK = 0
 _EXIT_PARSE = 1
@@ -53,22 +54,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_PARSE)
 
 
-def _fail(message: str, code: int) -> int:
-    sys.stderr.write(message.rstrip() + "\n")
-    return code
+class _Exit(Exception):
+    """An input failure: :func:`main` writes the message to stderr and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _checked(build: Callable[..., Any], *args: Any, **kw: Any) -> Any:
+    """``build(*args, **kw)``; the ValueError of a value out of range exits 1."""
+    try:
+        return build(*args, **kw)
+    except ValueError as exc:
+        raise _Exit(_EXIT_PARSE, str(exc)) from None
+
+
+def _load(name: str | Path, parse: Callable[..., Any], **kw: Any) -> Any:
+    """``parse`` the text of file ``name``: exit 2 if it cannot be read, 1 if it does not parse."""
+    try:
+        # arbitrary bytes must surface as parse errors, not decode crashes
+        text = Path(name).read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise _Exit(_EXIT_IO, str(exc)) from None
+    try:
+        return parse(text, **kw)
+    except (ParseError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise _Exit(_EXIT_PARSE, f"{name}: {exc}") from None
 
 
 def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
-    """Write a set of output files: all of them, or none on a write failure.
+    """Write a set of output files: all of them, or none on a failure, which exits 2.
 
     A file's content is a string or an iterable of string chunks, streamed
     in order. Each file goes to a uniquely named temp file in ``out_dir``;
     the renames start only after every write has succeeded. On failure the
     temp files are removed and the previous outputs stay as they were.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
             staged.append((tmp, out_dir / name))
@@ -76,36 +101,18 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
                 fh.writelines((content,) if isinstance(content, str) else content)
         for tmp, path in staged:
             tmp.replace(path)
-    except BaseException:
-        for tmp, _ in staged:
+    except OSError as exc:
+        raise _Exit(_EXIT_IO, str(exc)) from None
+    finally:
+        for tmp, _ in staged:  # none is left once the renames have run
             tmp.unlink(missing_ok=True)
-        raise
-
-
-def _read_text(path: Path) -> str:
-    # arbitrary bytes must surface as parse errors, not decode crashes
-    return path.read_text(encoding="utf-8", errors="replace")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = parse_config(_read_text(Path(args.config)))
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "beta",
-            "theta_max",
-            "gamma",
-            "max_gap",
-            "disappearance_window",
-            "min_episode",
-        )
-        if getattr(args, name, None) is not None
-    }
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    cfg = _load(args.config, parse_config) if args.config else RunConfig()
+    flags = vars(args)
+    overrides = {f.name: flags[f.name] for f in THRESHOLDS if flags.get(f.name) is not None}
+    return _checked(replace, cfg, **overrides) if overrides else cfg
 
 
 def _events_text(result: AnalysisResult) -> str:
@@ -159,34 +166,16 @@ def _run_meta(argv_echo: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args)
-    except ParseError as exc:
-        return _fail(f"{args.config}: {exc}", _EXIT_PARSE)
-    except ValueError as exc:
-        return _fail(str(exc), _EXIT_PARSE)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
+    cfg = _load_config(args)
     log_path = Path(args.log)
-    try:
-        text = _read_text(log_path)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
-    try:
-        timeline = parse_detection_log(text)
-    except ParseError as exc:
-        return _fail(f"{log_path}: {exc}", _EXIT_PARSE)
-    result = analyze_timeline(timeline, cfg)
+    result = analyze_timeline(_load(log_path, parse_detection_log), cfg)
     outputs = {
         "events.txt": _events_text(result),
         "report.json": json.dumps(result.to_json_dict(), indent=2) + "\n",
         "frames.jsonl": _frames_jsonl(result),
         "run_meta.json": _run_meta({"log": str(log_path)}),
     }
-    try:
-        _write_outputs(Path(args.out), outputs)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
+    _write_outputs(Path(args.out), outputs)
     return _EXIT_OK
 
 
@@ -216,10 +205,8 @@ def _ground_truth_sources(gts_path: Path, stems: list[str]) -> tuple[dict[str, l
     return by_stem, set(available) - claimed
 
 
-def _collect_eval_inputs(
-    preds_path: Path, gts_path: Path
-) -> tuple[list[BoxRecord], list[BoxRecord]] | int:
-    """Build flat prediction / ground-truth records, or an exit code on error."""
+def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[list[BoxRecord], list[BoxRecord]]:
+    """Build flat prediction / ground-truth records; inputs that do not pair up exit 3."""
     preds: list[BoxRecord] = []
     gts: list[BoxRecord] = []
     if preds_path.is_file() and gts_path.is_file():
@@ -227,7 +214,7 @@ def _collect_eval_inputs(
     elif preds_path.is_dir() and gts_path.is_dir():
         pred_files = sorted(p for p in preds_path.iterdir() if p.suffix == ".txt")
         if not pred_files:
-            return _fail(f"no prediction logs (*.txt) in {preds_path}", _EXIT_MISMATCH)
+            raise _Exit(_EXIT_MISMATCH, f"no prediction logs (*.txt) in {preds_path}")
         stems = [p.stem for p in pred_files]
         by_stem, unclaimed = _ground_truth_sources(gts_path, stems)
         missing = [s for s in stems if s not in by_stem]
@@ -240,92 +227,62 @@ def _collect_eval_inputs(
                     "ground-truth files without predictions: "
                     + ", ".join(sorted(p.name for p in unclaimed))
                 )
-            return _fail("; ".join(parts), _EXIT_MISMATCH)
+            raise _Exit(_EXIT_MISMATCH, "; ".join(parts))
         pairs = {stem: (preds_path / f"{stem}.txt", by_stem[stem]) for stem in stems}
     else:
-        return _fail(
-            "predictions and ground truth must both be files or both be directories",
-            _EXIT_MISMATCH,
+        raise _Exit(
+            _EXIT_MISMATCH, "predictions and ground truth must both be files or both be directories"
         )
 
     for stem, (pred_file, gt_files) in sorted(pairs.items()):
-        try:
-            timeline = parse_detection_log(_read_text(pred_file))
-        except ParseError as exc:
-            return _fail(f"{pred_file}: {exc}", _EXIT_PARSE)
-        except OSError as exc:
-            return _fail(str(exc), _EXIT_IO)
+        timeline = _load(pred_file, parse_detection_log)
         preds.extend(records_from_timeline(timeline, prefix=stem))
         geom = timeline.geometry
         for gt_file in gt_files:
             m = _FRAME_SUFFIX.match(gt_file.stem)
             start = int(m.group("frame")) if m and m.group("stem") == stem else 0
-            try:
-                gt_timeline = parse_ground_truth(_read_text(gt_file), geometry=geom, start_frame=start)
-            except ParseError as exc:
-                return _fail(f"{gt_file}: {exc}", _EXIT_PARSE)
-            except OSError as exc:
-                return _fail(str(exc), _EXIT_IO)
+            gt_timeline = _load(gt_file, parse_ground_truth, geometry=geom, start_frame=start)
             gts.extend(records_from_timeline(gt_timeline, prefix=stem))
     return preds, gts
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        check_thresholds(args.iou, args.conf)
-    except ValueError as exc:
-        return _fail(str(exc), _EXIT_PARSE)
+    _checked(check_thresholds, args.iou, args.conf)
     preds_path = Path(args.predictions)
     gts_path = Path(args.ground_truth)
     for path in (preds_path, gts_path):
         if not path.exists():
-            return _fail(f"{path}: no such file or directory", _EXIT_IO)
-    collected = _collect_eval_inputs(preds_path, gts_path)
-    if isinstance(collected, int):
-        return collected
-    preds, gts = collected
+            raise _Exit(_EXIT_IO, f"{path}: no such file or directory")
+    preds, gts = _collect_eval_inputs(preds_path, gts_path)
     report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
     table = report.to_table()
     outputs = {
         "eval_report.json": json.dumps(report.to_json_dict(), indent=2) + "\n",
         "eval_report.txt": table,
     }
-    try:
-        _write_outputs(Path(args.out), outputs)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
+    _write_outputs(Path(args.out), outputs)
     sys.stdout.write(table)
     return _EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args)
-    except ParseError as exc:
-        return _fail(f"{args.config}: {exc}", _EXIT_PARSE)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
+    cfg = _load_config(args)
     geometry = cfg.geometry if cfg.geometry is not None else FrameGeometry(640, 480, 30.0)
-    try:
-        scenario = Scenario(
-            kind=BehaviourKind(args.kind),
-            frames=args.frames,
-            geometry=geometry,
-            dropout_rate=args.dropout,
-            position_noise=args.noise,
-            seed=args.seed,
-        )
-    except InvalidScenario as exc:
-        return _fail(str(exc), _EXIT_PARSE)
+    scenario = _checked(
+        Scenario,
+        kind=BehaviourKind(args.kind),
+        frames=args.frames,
+        geometry=geometry,
+        dropout_rate=args.dropout,
+        position_noise=args.noise,
+        seed=args.seed,
+    )
     generated = generate(scenario, replace(cfg, geometry=geometry))
     outputs = {
         f"{args.kind}.log": generated.log_text,
         f"{args.kind}.expected.json": generated.expected_json(),
     }
-    try:
-        _write_outputs(Path(args.out), outputs)
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
+    _write_outputs(Path(args.out), outputs)
     return _EXIT_OK
 
 
@@ -363,13 +320,12 @@ def render_activity_table(report: dict) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report)
+    payload = _load(path, json.loads)
     try:
-        payload = json.loads(_read_text(path))
-    except OSError as exc:
-        return _fail(str(exc), _EXIT_IO)
-    except json.JSONDecodeError as exc:
-        return _fail(f"{path}: {exc}", _EXIT_PARSE)
-    sys.stdout.write(render_activity_table(payload))
+        table = render_activity_table(payload)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise _Exit(_EXIT_PARSE, f"{path}: not a report.json: {exc!r}") from None
+    sys.stdout.write(table)
     return _EXIT_OK
 
 
@@ -384,23 +340,14 @@ def _number_flag(cast: type) -> Callable[[str], int | float]:
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    real, integer = _number_flag(float), _number_flag(int)
-    parser.add_argument("--beta", type=real, help="basking vertical threshold fraction")
-    parser.add_argument("--theta-max", dest="theta_max", type=real, help="basking angle limit, degrees")
-    parser.add_argument("--gamma", type=real, help="hunting distance fraction of frame width")
-    parser.add_argument("--max-gap", dest="max_gap", type=integer, help="largest interpolatable gap, frames")
-    parser.add_argument(
-        "--disappearance-window",
-        dest="disappearance_window",
-        type=integer,
-        help="frames a cricket must stay gone to confirm a hunt",
-    )
-    parser.add_argument(
-        "--min-episode", dest="min_episode", type=integer, help="shortest basking episode kept, frames"
-    )
+    for f in THRESHOLDS:
+        if "help" in f.metadata:
+            flag = "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f.name, type=_number_flag(type(f.default)), help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    real, integer = _number_flag(float), _number_flag(int)
     parser = _Parser(prog="dragonwatch", description="Enclosure behaviour analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -415,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("predictions", help="detection log file or directory of logs")
     p_eval.add_argument("ground_truth", help="ground-truth file or directory")
     p_eval.add_argument("--out", default=".", help="output directory (default: .)")
-    p_eval.add_argument("--iou", type=float, default=0.5, help="IoU threshold (default 0.5)")
+    p_eval.add_argument("--iou", type=real, default=0.5, help="IoU threshold (default 0.5)")
     p_eval.add_argument(
-        "--conf", type=float, default=0.25, help="confusion-matrix confidence cut (default 0.25)"
+        "--conf", type=real, default=0.25, help="confusion-matrix confidence cut (default 0.25)"
     )
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -425,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--kind", required=True, choices=[k.value for k in BehaviourKind], help="scenario kind"
     )
-    p_sim.add_argument("--frames", type=int, default=200, help="clip length in frames")
-    p_sim.add_argument("--seed", type=int, default=0, help="generator seed")
-    p_sim.add_argument("--dropout", type=float, default=0.0, help="detection dropout rate [0,1)")
-    p_sim.add_argument("--noise", type=float, default=0.0, help="centre noise stddev, normalised")
+    p_sim.add_argument("--frames", type=integer, default=200, help="clip length in frames")
+    p_sim.add_argument("--seed", type=integer, default=0, help="generator seed")
+    p_sim.add_argument("--dropout", type=real, default=0.0, help="detection dropout rate [0,1)")
+    p_sim.add_argument("--noise", type=real, default=0.0, help="centre noise stddev, normalised")
     p_sim.add_argument("--config", help="config file supplying thresholds and geometry")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
@@ -440,12 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the only place an input failure becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a flag error _Parser.error has reported
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        sys.stderr.write(str(exc).rstrip() + "\n")
+        return exc.code
 
 
 if __name__ == "__main__":

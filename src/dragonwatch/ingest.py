@@ -32,7 +32,7 @@ error for the offending line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable
 
 from .model import BBox, ClassLabel, Detection, FrameGeometry, Provenance, Timeline
@@ -46,12 +46,11 @@ __all__ = [
     "InvalidValue",
     "UnknownKey",
     "RunConfig",
+    "THRESHOLDS",
     "parse_detection_log",
     "parse_ground_truth",
-    "parse_ground_truth_lines",
     "parse_config",
     "write_detection_log",
-    "write_ground_truth",
 ]
 
 
@@ -95,14 +94,20 @@ class RunConfig:
     frame height, ``theta_max`` the off-vertical angle in degrees, and
     ``gamma`` the dragon-cricket distance as a fraction of the frame width.
     ``geometry`` is optional; when None the clip's own log header is used.
+
+    The numeric fields are the thresholds (:data:`THRESHOLDS`). A ``help``
+    in a field's metadata gives it an ``analyze`` flag; the others are set
+    in the config file only.
     """
 
-    beta: float = 0.33
-    theta_max: float = 45.0
-    gamma: float = 0.25
-    max_gap: int = 15
-    disappearance_window: int = 15
-    min_episode: int = 3
+    beta: float = field(default=0.33, metadata={"help": "basking vertical threshold fraction"})
+    theta_max: float = field(default=45.0, metadata={"help": "basking angle limit, degrees"})
+    gamma: float = field(default=0.25, metadata={"help": "hunting distance fraction of frame width"})
+    max_gap: int = field(default=15, metadata={"help": "largest interpolatable gap, frames"})
+    disappearance_window: int = field(
+        default=15, metadata={"help": "frames a cricket must stay gone to confirm a hunt"}
+    )
+    min_episode: int = field(default=3, metadata={"help": "shortest basking episode kept, frames"})
     cricket_gate: float = 0.05
     geometry: FrameGeometry | None = None
 
@@ -121,6 +126,13 @@ class RunConfig:
             raise ValueError(f"min_episode must be >= 1, got {self.min_episode}")
         if not 0 < self.cricket_gate <= 1:
             raise ValueError(f"cricket_gate must be in (0, 1], got {self.cricket_gate}")
+
+
+# The config keys, flags and report.json echo of the thresholds, in echo order. A
+# threshold's text is cast by its default's type.
+THRESHOLDS = tuple(f for f in fields(RunConfig) if type(f.default) in (int, float))
+# any valid geometry: ground truth's placeholder, and the base parse_config checks a width, height or fps on
+_ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
@@ -221,8 +233,18 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     return Timeline.build(geometry, frame_count, detections)
 
 
-def parse_ground_truth_lines(source: str | Iterable[str], start_frame: int = 0) -> list[Detection]:
-    """Parse ground-truth label lines; ``!frame <n>`` switches the current frame."""
+def parse_ground_truth(
+    source: str | Iterable[str],
+    geometry: FrameGeometry | None = None,
+    start_frame: int = 0,
+) -> Timeline:
+    """Parse ground truth into a Timeline usable for evaluation.
+
+    The frame count is one past the last labelled frame. Ground-truth files
+    carry no geometry of their own; evaluation overlap is scale free, so a
+    1x1 placeholder is used unless ``geometry`` is given. ``!frame <n>``
+    switches the current frame, which starts at ``start_frame``.
+    """
     current = start_frame
     detections: list[Detection] = []
     for line_no, raw in enumerate(_lines(source), start=1):
@@ -244,42 +266,17 @@ def parse_ground_truth_lines(source: str | Iterable[str], start_frame: int = 0) 
         label = _class_field(parts[0], line_no)
         box = _box_fields(parts[1:5], line_no)
         detections.append(Detection(current, label, box, 1.0, Provenance.OBSERVED))
-    return detections
-
-
-def parse_ground_truth(
-    source: str | Iterable[str],
-    geometry: FrameGeometry | None = None,
-    start_frame: int = 0,
-) -> Timeline:
-    """Parse ground truth into a Timeline usable for evaluation.
-
-    The frame count is one past the last labelled frame. Ground-truth files
-    carry no geometry of their own; evaluation overlap is scale free, so a
-    1x1 placeholder is used unless ``geometry`` is given.
-    """
-    detections = parse_ground_truth_lines(source, start_frame)
     frame_count = max((d.frame for d in detections), default=-1) + 1
-    if geometry is None:
-        geometry = FrameGeometry(1, 1, 1.0)
-    return Timeline.build(geometry, frame_count, detections)
+    return Timeline.build(geometry if geometry is not None else _ANY_GEOMETRY, frame_count, detections)
 
 
-# key -> caster; ranges are checked by building the value's owner (RunConfig or FrameGeometry)
+_GEOMETRY_KEYS = tuple(asdict(_ANY_GEOMETRY))
+# key -> caster, the type of the key's value in RunConfig() or _ANY_GEOMETRY; ranges are
+# checked by building the value's owner (RunConfig or FrameGeometry)
 _CONFIG_KEYS: dict[str, type] = {
-    "beta": float,
-    "theta_max": float,
-    "gamma": float,
-    "max_gap": int,
-    "disappearance_window": int,
-    "min_episode": int,
-    "cricket_gate": float,
-    "width": int,
-    "height": int,
-    "fps": float,
+    **{f.name: type(f.default) for f in THRESHOLDS},
+    **{k: type(v) for k, v in asdict(_ANY_GEOMETRY).items()},
 }
-_GEOMETRY_KEYS = ("width", "height", "fps")
-_ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
 def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> RunConfig:
@@ -346,15 +343,3 @@ def write_detection_log(timeline: Timeline) -> str:
         )
     return "\n".join(rows) + "\n"
 
-
-def write_ground_truth(timeline: Timeline) -> str:
-    """Serialise a Timeline as a combined ground-truth stream with !frame separators."""
-    rows: list[str] = []
-    current = None
-    for det in timeline.all_detections():
-        if det.frame != current:
-            current = det.frame
-            rows.append(f"!frame {current}")
-        box = det.box
-        rows.append(f"{int(det.label)} {box.cx!r} {box.cy!r} {box.w!r} {box.h!r}")
-    return "\n".join(rows) + ("\n" if rows else "")

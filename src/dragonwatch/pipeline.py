@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 from .activity import ActivityReport, activity_reports
@@ -17,7 +17,7 @@ from .behaviour import (
     resolve_frame_states,
     run_length_episodes,
 )
-from .ingest import RunConfig
+from .ingest import THRESHOLDS, RunConfig
 from .model import Timeline
 from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
 
@@ -75,14 +75,8 @@ class AnalysisResult:
 
         return {
             "config": {
-                "beta": self.config.beta,
-                "theta_max": self.config.theta_max,
-                "gamma": self.config.gamma,
-                "max_gap": self.config.max_gap,
-                "disappearance_window": self.config.disappearance_window,
-                "min_episode": self.config.min_episode,
-                "cricket_gate": self.config.cricket_gate,
-                "geometry": {"width": geom.width, "height": geom.height, "fps": geom.fps},
+                **{f.name: getattr(self.config, f.name) for f in THRESHOLDS},
+                "geometry": asdict(geom),
             },
             "frame_count": self.frame_count,
             "hunting_event_frames": list(self.hunting_event_frames),

@@ -140,6 +140,19 @@ def timelines(draw) -> Timeline:
     return Timeline.build(geometry, frame_count, detections)
 
 
+def write_ground_truth(timeline: Timeline) -> str:
+    """Serialise a Timeline as a combined ground-truth stream with !frame separators."""
+    rows: list[str] = []
+    current = None
+    for d in timeline.all_detections():
+        if d.frame != current:
+            current = d.frame
+            rows.append(f"!frame {current}")
+        box = d.box
+        rows.append(f"{int(d.label)} {box.cx!r} {box.cy!r} {box.w!r} {box.h!r}")
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
 # Reference: the dense frame-state path, one FrameState per header frame.
 # The pipeline keeps states only for frames with a box or a hunt; these
 # functions are what it replaced, kept to check its outputs byte for byte.

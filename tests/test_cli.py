@@ -2,15 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dragonwatch
 from dragonwatch.cli import main
-from dragonwatch.ingest import parse_detection_log, write_ground_truth
+from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.behaviour import BehaviourKind
+
+from helpers import write_ground_truth
 
 
 def write_basking_log(path, frames=200):
@@ -133,6 +138,54 @@ class TestAnalyze:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+THRESHOLD_FIELDS = [f for f in fields(RunConfig) if f.name != "geometry"]
+
+
+def changed(value: int | float) -> int | float:
+    """A valid threshold other than its default: every float range is (0, x], every int one >= 0 or 1."""
+    return value / 2 if isinstance(value, float) else value + 1
+
+
+def echo_with(name: str, value: int | float) -> dict:
+    """The report.json config echo of a 640x480 30 fps clip with one threshold changed."""
+    echo = {f.name: f.default for f in THRESHOLD_FIELDS}
+    return {**echo, name: value, "geometry": {"width": 640, "height": 480, "fps": 30.0}}
+
+
+class TestThresholdTable:
+    """Every threshold reaches the report.json echo from the config file, and from its flag if it has one."""
+
+    def analyze_echo(self, tmp_path, *extra):
+        log = tmp_path / "clip.log"
+        write_basking_log(log, frames=20)
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--out", str(out), *extra]) == 0
+        return json.loads((out / "report.json").read_text())["config"]
+
+    def test_flags_are_every_threshold_but_cricket_gate(self):
+        with_help = [f.name for f in THRESHOLD_FIELDS if "help" in f.metadata]
+        assert with_help == ["beta", "theta_max", "gamma", "max_gap", "disappearance_window", "min_episode"]
+
+    @pytest.mark.parametrize("field", THRESHOLD_FIELDS, ids=lambda f: f.name)
+    def test_config_value_is_echoed_in_field_order(self, tmp_path, field):
+        value = changed(field.default)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field.name} = {value}\n")
+        echo = self.analyze_echo(tmp_path, "--config", str(cfg))
+        assert list(echo) == [f.name for f in THRESHOLD_FIELDS] + ["geometry"]
+        assert echo == echo_with(field.name, value)
+        assert type(echo[field.name]) is type(field.default)
+
+    @pytest.mark.parametrize(
+        "field", [f for f in THRESHOLD_FIELDS if "help" in f.metadata], ids=lambda f: f.name
+    )
+    def test_flag_sets_its_threshold(self, tmp_path, field):
+        value = changed(field.default)
+        echo = self.analyze_echo(tmp_path, "--" + field.name.replace("_", "-"), str(value))
+        assert echo == echo_with(field.name, value)
+        assert type(echo[field.name]) is type(field.default)
+
+
 class TestEvaluateCommand:
     def make_pair(self, tmp_path, perfect=True):
         preds_dir = tmp_path / "preds"
@@ -169,6 +222,13 @@ class TestEvaluateCommand:
         out.mkdir()
         assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), flag, value]) == 1
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--iou", "0.5_0"), ("--conf", "０.２")])
+    def test_threshold_flags_take_only_plain_ascii_numbers(self, tmp_path, flag, value):
+        preds_dir, gts_dir = self.make_pair(tmp_path)
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out), flag, value]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--iou", "1.0"), ("--conf", "0")])
     def test_threshold_bounds_accepted(self, tmp_path, flag, value):
@@ -265,6 +325,14 @@ class TestSimulateCommand:
     def test_non_finite_noise_exits_1_and_writes_nothing(self, tmp_path, noise):
         out = tmp_path / "sim"
         assert main(["simulate", "--kind", "idle", "--noise", noise, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--frames", "2_0"), ("--seed", "７"), ("--dropout", "0.1_0"), ("--noise", "０.01")]
+    )
+    def test_number_flags_take_only_plain_ascii_numbers(self, tmp_path, flag, value):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--kind", "idle", flag, value, "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_unknown_kind_exits_1(self, tmp_path):
@@ -438,6 +506,42 @@ class TestReportCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ("[]", "AttributeError(\"'list' object has no attribute 'get'\")"),
+            ('{"activity": {"idle": {}}}', "KeyError('coverage')"),
+            ('{"episodes": [{"behaviour": "idle"}]}', "KeyError('start_frame')"),
+        ],
+        ids=["list", "activity-entry-empty", "episode-without-frames"],
+    )
+    def test_json_that_is_not_a_report_exits_1(self, tmp_path, capsys, payload, error):
+        path = tmp_path / "report.json"
+        path.write_text(payload)
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"{path}: not a report.json: {error}\n")
+
+    def test_json_nested_too_deep_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[" * 100_000)
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}: maximum recursion depth exceeded")
+
+    @given(payload=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["activity", "idle", "basking", "hunting", "coverage", "frames_used",
+                             "episodes", "behaviour", "duration_s", "hunting_event_frames"]),
+            inner, max_size=4,
+        ),
+        max_leaves=12,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_renders_or_exits_1(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) in (0, 1)
 
 
 # Inputs of the error-path table; "<tmp>" in an argv or a message is the test's tmp_path.

@@ -17,8 +17,10 @@ import pytest
 from dragonwatch import evaluation
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
-from dragonwatch.ingest import parse_detection_log, write_ground_truth
+from dragonwatch.ingest import parse_detection_log
 from dragonwatch.synth import Scenario, generate
+
+from helpers import write_ground_truth
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "eval"
 REPORTS = ("eval_report.json", "eval_report.txt")

@@ -15,11 +15,10 @@ from dragonwatch.ingest import (
     parse_detection_log,
     parse_ground_truth,
     write_detection_log,
-    write_ground_truth,
 )
 from dragonwatch.model import ClassLabel, FrameGeometry, Provenance
 
-from helpers import timelines
+from helpers import timelines, write_ground_truth
 
 HEADER = "!geometry 640 480 30 100"
 
