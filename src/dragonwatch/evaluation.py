@@ -13,10 +13,12 @@ truth. mAP@0.5:0.95 averages over IoU thresholds 0.50 to 0.95 in steps of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .model import ClassLabel, PixelBox, Timeline, iou, to_pixels
 
@@ -38,7 +40,8 @@ __all__ = [
 ]
 
 MAP_IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-_RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
+# 0, 0.01, ..., 1 as numpy's linspace makes them: i * 0.01, then an exact 1.0
+_RECALL_SAMPLES = (*(i * 0.01 for i in range(100)), 1.0)
 _BACKGROUND = len(ClassLabel)
 
 
@@ -88,7 +91,7 @@ def match_ranked(
     ranked: Sequence[BoxRecord],
     gts_by_image: Mapping[str | int, Sequence[BoxRecord]],
     iou_threshold: float,
-) -> np.ndarray:
+) -> list[int]:
     """Greedy matching of one class's predictions, in ``rank_by_confidence`` order.
 
     Each prediction in turn takes the unmatched ground truth of its image
@@ -99,7 +102,7 @@ def match_ranked(
     taken: dict[str | int, list[bool]] = {
         image: [False] * len(gts) for image, gts in gts_by_image.items()
     }
-    matched = np.full(len(ranked), -1)
+    matched = [-1] * len(ranked)
     for i, pred in enumerate(ranked):
         gts = gts_by_image.get(pred.image, [])
         flags = taken.get(pred.image, [])
@@ -117,20 +120,26 @@ def match_ranked(
     return matched
 
 
-def _ap_from_tags(tags: np.ndarray, ground_truths: int) -> float | None:
+def _mean_of_101(values: Sequence[float]) -> float:
+    """Mean of 101 floats, summed in the pairwise order of numpy's ``mean``."""
+    # The pinned AP outputs depend on this order (a sequential sum rounds
+    # differently): eight strided lanes over the first 96 values, folded
+    # pairwise, then the last 5 one by one.
+    r = [reduce(add, values[lane:96:8]) for lane in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[96:], total) / 101
+
+
+def _ap_from_tags(tags: Sequence[bool], ground_truths: int) -> float | None:
     """101-point interpolated AP from TP tags in matching order."""
     if not ground_truths:
         return None
-    if not len(tags):
-        return 0.0
-    tp = np.cumsum(tags)
-    fp = np.cumsum(~tags)
-    precision = tp / (tp + fp)
-    recall = tp / ground_truths
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, _RECALL_SAMPLES, side="left")
-    sampled = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
-    return float(sampled.mean())
+    tp = list(accumulate(map(int, tags)))
+    recall = [hits / ground_truths for hits in tp]
+    precision = [hits / ranked for ranked, hits in enumerate(tp, 1)]
+    # the precision envelope, then 0.0 for recall levels never reached
+    envelope = [*accumulate(reversed(precision), max)][::-1] + [0.0]
+    return _mean_of_101([envelope[bisect_left(recall, r)] for r in _RECALL_SAMPLES])
 
 
 def average_precision(
@@ -144,7 +153,7 @@ def average_precision(
     ground truth but no predictions.
     """
     matched = match_ranked(rank_by_confidence(preds), _group_by_image(gts), iou_threshold)
-    return _ap_from_tags(matched >= 0, len(gts))
+    return _ap_from_tags([m >= 0 for m in matched], len(gts))
 
 
 def _mean_defined(values: Iterable[float | None]) -> float | None:
@@ -208,17 +217,8 @@ class ConfusionMatrix:
     """
 
     order: tuple[str, ...]
-    counts: np.ndarray
-    normalized: np.ndarray
-
-    def __eq__(self, other: object) -> bool:  # ndarray fields need explicit eq
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.normalized, other.normalized)
-        )
+    counts: tuple[tuple[float, ...], ...]
+    normalized: tuple[tuple[float, ...], ...]
 
 
 def confusion_matrix(
@@ -235,8 +235,7 @@ def confusion_matrix(
     background column, unmatched ground truths in the background row.
     """
     kept = [p for p in preds if p.confidence >= confidence_threshold]
-    n = len(ClassLabel)
-    counts = np.zeros((n + 1, n + 1), dtype=float)
+    counts = [[0.0] * (_BACKGROUND + 1) for _ in range(_BACKGROUND + 1)]
     preds_by_image = _group_by_image(kept)
     gts_by_image = _group_by_image(gts)
     for image in sorted(set(preds_by_image) | set(gts_by_image), key=str):
@@ -248,27 +247,22 @@ def confusion_matrix(
                 overlap = iou(pred.box, gt.box)
                 if overlap >= iou_threshold:
                     pairs.append((-overlap, pi, gi))
-        pairs.sort()
-        matched_p: set[int] = set()
-        matched_g: set[int] = set()
-        for _, pi, gi in pairs:
-            if pi in matched_p or gi in matched_g:
-                continue
-            matched_p.add(pi)
-            matched_g.add(gi)
-            counts[int(ipreds[pi].label), int(igts[gi].label)] += 1
-        for pi, pred in enumerate(ipreds):
-            if pi not in matched_p:
-                counts[int(pred.label), _BACKGROUND] += 1
-        for gi, gt in enumerate(igts):
-            if gi not in matched_g:
-                counts[_BACKGROUND, int(gt.label)] += 1
-    col_sums = counts.sum(axis=0)
-    normalized = np.divide(
-        counts, col_sums, out=np.zeros_like(counts), where=col_sums > 0
+        free_p, free_g = set(range(len(ipreds))), set(range(len(igts)))
+        for _, pi, gi in sorted(pairs):
+            if pi in free_p and gi in free_g:
+                free_p.remove(pi)
+                free_g.remove(gi)
+                counts[ipreds[pi].label][igts[gi].label] += 1
+        for pi in free_p:
+            counts[ipreds[pi].label][_BACKGROUND] += 1
+        for gi in free_g:
+            counts[_BACKGROUND][igts[gi].label] += 1
+    col_sums = [sum(column) for column in zip(*counts)]
+    normalized = tuple(
+        tuple(c / total if total else 0.0 for c, total in zip(row, col_sums)) for row in counts
     )
     order = tuple(label.display_name for label in ClassLabel) + ("background",)
-    return ConfusionMatrix(order=order, counts=counts, normalized=normalized)
+    return ConfusionMatrix(order=order, counts=tuple(map(tuple, counts)), normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -324,8 +318,8 @@ class EvalReport:
             "confusion_matrix": {
                 "order": list(self.confusion.order),
                 "columns_are_ground_truth": True,
-                "normalized": [[float(v) for v in row] for row in self.confusion.normalized],
-                "counts": [[float(v) for v in row] for row in self.confusion.counts],
+                "normalized": [list(row) for row in self.confusion.normalized],
+                "counts": [list(row) for row in self.confusion.counts],
             },
         }
 
@@ -395,10 +389,10 @@ def evaluate(
         ranked = rank_by_confidence(preds_by_class[label])
         cls_gts = gts_by_class[label]
         gts_by_image = _group_by_image(cls_gts)
-        tags = {t: match_ranked(ranked, gts_by_image, t) >= 0 for t in thresholds}
+        tags = {t: [m >= 0 for m in match_ranked(ranked, gts_by_image, t)] for t in thresholds}
         for t, t_tags in tags.items():
             aps[t][label] = _ap_from_tags(t_tags, len(cls_gts))
-        tp = int(tags[iou_threshold].sum())
+        tp = sum(tags[iou_threshold])
         precision, recall, f1 = precision_recall_f1(tp, len(ranked) - tp, len(cls_gts) - tp)
         per_class[label] = ClassMetrics(
             label=label,
@@ -410,7 +404,7 @@ def evaluate(
             ap_50=aps[0.5][label],
             ap_range=_mean_defined(aps[t][label] for t in MAP_IOU_THRESHOLDS),
         )
-        pooled.extend((rec.confidence, bool(tag)) for rec, tag in zip(ranked, tags[iou_threshold]))
+        pooled.extend((rec.confidence, tag) for rec, tag in zip(ranked, tags[iou_threshold]))
     max_f1, max_f1_confidence, full_precision_confidence = _f1_sweep(pooled, len(gts))
     return EvalReport(
         iou_threshold=iou_threshold,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
@@ -138,6 +139,16 @@ def timelines(draw) -> Timeline:
         for _ in range(n)
     ]
     return Timeline.build(geometry, frame_count, detections)
+
+
+def normal_equations_slope(times: Sequence[float], values: Sequence[float]) -> float:
+    """Oracle: the least-squares slope, the normal equations solved exactly in rationals."""
+    t = [Fraction(x) for x in times]
+    y = [Fraction(v) for v in values]
+    st, sy = sum(t), sum(y)
+    stt = sum(x * x for x in t)
+    sty = sum(x * v for x, v in zip(t, y))
+    return float((len(t) * sty - st * sy) / (len(t) * stt - st * st))
 
 
 def write_ground_truth(timeline: Timeline) -> str:

@@ -11,7 +11,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from dragonwatch.activity import drift_slope, jitter
@@ -28,6 +27,8 @@ from dragonwatch.model import BBox, ClassLabel, Detection, FrameGeometry, PixelB
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.tracks import Track, fill_gaps
+
+from helpers import normal_equations_slope
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -355,10 +356,8 @@ def test_criterion_6_activity_closed_forms():
                 continue
             values = [rng.uniform(-400, 400) for _ in range(n)]
             slope = drift_slope(times, values)
-            design = np.array([[1.0, t] for t in times])
-            target = np.array(values)
-            coef = np.linalg.solve(design.T @ design, design.T @ target)
-            assert slope == pytest.approx(coef[1], rel=1e-9, abs=1e-9)
+            oracle = normal_equations_slope(times, values)
+            assert slope == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 def test_criterion_7_determinism_and_round_trip(tmp_path):

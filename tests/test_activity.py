@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,7 @@ from dragonwatch.activity import (
 )
 from dragonwatch.behaviour import BaskingGeometry, BehaviourKind, FrameState
 
-from helpers import reference_runs
+from helpers import normal_equations_slope, reference_runs
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -168,9 +167,8 @@ class TestDriftSlope:
                 continue
             values = [rng.uniform(-500, 500) for _ in range(n)]
             slope = drift_slope(times, values)
-            design = np.array([[1.0, t] for t in times])
-            coef = np.linalg.solve(design.T @ design, design.T @ np.array(values))
-            assert slope == pytest.approx(coef[1], rel=1e-9, abs=1e-9)
+            oracle = normal_equations_slope(times, values)
+            assert slope == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 class TestActivityReport:

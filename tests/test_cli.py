@@ -553,6 +553,10 @@ ERROR_PATH_FILES = {
     "gts/clip.txt": "0 0.5 0.5 0.1 0.1\n",
     "bad_preds/clip.txt": "garbage\n",
     "bad_gts/clip.txt": "0 0.5 0.5 0.1\n",
+    # a_1.txt is the combined ground truth of a_1, not frame 1 of a
+    "stem_preds/a.txt": "!geometry 640 480 30 5\n1 0 0.5 0.5 0.1 0.1 0.9\n",
+    "stem_preds/a_1.txt": "!geometry 640 480 30 5\n0 0 0.5 0.5 0.1 0.1 0.9\n",
+    "stem_gts/a_1.txt": "0 0.5 0.5 0.1 0.1\n",
     "report.json": "{not json",
 }
 ANALYZE = ["analyze", "--log", "<tmp>/clip.log"]
@@ -604,6 +608,10 @@ ERROR_PATHS = [
     pytest.param(
         ["evaluate", "<tmp>/preds", "<tmp>/bad_gts", "--out", "<tmp>/out"], 1,
         "<tmp>/bad_gts/clip.txt: line 1: expected 5 fields, got 4", id="evaluate-bad-ground-truth",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/stem_preds", "<tmp>/stem_gts", "--out", "<tmp>/out"], 3,
+        "predictions without ground truth: a", id="evaluate-stem-file-is-not-a-frame-file",
     ),
     pytest.param(
         ["evaluate", "<tmp>/empty", "<tmp>/gts", "--out", "<tmp>/out"], 3,

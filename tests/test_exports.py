@@ -1,11 +1,15 @@
-"""Every name a module lists in ``__all__`` must exist.
+"""Every name a module lists in ``__all__`` must exist, and importing stays light.
 
 A name deleted from a module but left in its ``__all__`` does not break
 ``import``, only ``from module import *``, so nothing else would notice.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +33,17 @@ def test_modules_with_all_are_found():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_import_loads_no_numpy():
+    """Every CLI call pays the package's import, which stays on the standard library."""
+    src = Path(dragonwatch.__file__).resolve().parents[1]
+    code = "import sys, dragonwatch, dragonwatch.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
