@@ -183,11 +183,7 @@ _FRAME_SUFFIX = re.compile(r"^(?P<stem>.+)_(?P<frame>\d+)$")
 
 
 def _ground_truth_sources(gts_path: Path, stems: list[str]) -> tuple[dict[str, list[Path]], set[Path]]:
-    """Map each prediction stem to its ground-truth file(s) inside a directory.
-
-    ``<stem>.txt`` is the combined file of a prediction stem, and only that:
-    ``a_1.txt`` is frame 1 of ``a`` only when no prediction is named ``a_1``.
-    """
+    """Map each prediction stem to its ground-truth file(s) inside a directory."""
     named = set(stems)
     available = sorted(p for p in gts_path.iterdir() if p.suffix == ".txt")
     by_stem: dict[str, list[Path]] = {}
@@ -201,6 +197,7 @@ def _ground_truth_sources(gts_path: Path, stems: list[str]) -> tuple[dict[str, l
         members = []
         for path in available:
             m = _FRAME_SUFFIX.match(path.stem)
+            # a prediction stem's own file is its combined file, never a frame file
             if m and m.group("stem") == stem and path.stem not in named:
                 members.append(path)
         if members:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add
+from functools import lru_cache, reduce
+from itertools import accumulate, compress, count
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import ClassLabel, PixelBox, Timeline, iou, to_pixels
@@ -122,24 +122,29 @@ def match_ranked(
 
 def _mean_of_101(values: Sequence[float]) -> float:
     """Mean of 101 floats, summed in the pairwise order of numpy's ``mean``."""
-    # The pinned AP outputs depend on this order (a sequential sum rounds
-    # differently): eight strided lanes over the first 96 values, folded
-    # pairwise, then the last 5 one by one.
+    # The pinned AP outputs depend on this order, which a sequential sum does not keep:
+    # eight strided lanes over the first 96 values, folded pairwise, then the last 5.
     r = [reduce(add, values[lane:96:8]) for lane in range(8)]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     return reduce(add, values[96:], total) / 101
+
+
+@lru_cache(maxsize=256)
+def _sample_reader(ground_truths: int) -> itemgetter:
+    """Per recall sample, the index of the first true positive whose recall reaches it."""
+    recall = [hits / ground_truths for hits in range(1, ground_truths + 1)]
+    return itemgetter(*(bisect_left(recall, r) for r in _RECALL_SAMPLES))
 
 
 def _ap_from_tags(tags: Sequence[bool], ground_truths: int) -> float | None:
     """101-point interpolated AP from TP tags in matching order."""
     if not ground_truths:
         return None
-    tp = list(accumulate(map(int, tags)))
-    recall = [hits / ground_truths for hits in tp]
-    precision = [hits / ranked for ranked, hits in enumerate(tp, 1)]
-    # the precision envelope, then 0.0 for recall levels never reached
-    envelope = [*accumulate(reversed(precision), max)][::-1] + [0.0]
-    return _mean_of_101([envelope[bisect_left(recall, r)] for r in _RECALL_SAMPLES])
+    # only a true positive raises precision, so the envelope needs no other rank
+    precision = [hits / rank for hits, rank in enumerate(compress(count(1), tags), 1)]
+    envelope = [*accumulate(reversed(precision), max)][::-1]
+    envelope += [0.0] * (ground_truths - len(envelope))
+    return _mean_of_101(_sample_reader(ground_truths)(envelope))
 
 
 def average_precision(
@@ -258,11 +263,9 @@ def confusion_matrix(
         for gi in free_g:
             counts[_BACKGROUND][igts[gi].label] += 1
     col_sums = [sum(column) for column in zip(*counts)]
-    normalized = tuple(
-        tuple(c / total if total else 0.0 for c, total in zip(row, col_sums)) for row in counts
-    )
+    normalized = [tuple(c / t if t else 0.0 for c, t in zip(row, col_sums)) for row in counts]
     order = tuple(label.display_name for label in ClassLabel) + ("background",)
-    return ConfusionMatrix(order=order, counts=tuple(map(tuple, counts)), normalized=normalized)
+    return ConfusionMatrix(order, tuple(map(tuple, counts)), tuple(normalized))
 
 
 @dataclass(frozen=True)
