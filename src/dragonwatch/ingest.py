@@ -188,10 +188,32 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     Raises MissingGeometry / MalformedLine / UnknownClass / OutOfRange with
     the offending line number.
     """
+    return _strict_detection_log(list(_lines(source)))
+
+
+def _geometry_header(parts: list[str], line_no: int) -> tuple[FrameGeometry, int]:
+    """The geometry and frame count of a ``!geometry`` line split into ``parts``."""
+    if len(parts) != 5:
+        raise MalformedLine(line_no, f"!geometry takes 4 fields, got {len(parts) - 1}")
+    width = _int_field(parts[1], line_no, "width")
+    height = _int_field(parts[2], line_no, "height")
+    fps = _float_field(parts[3], line_no, "fps")
+    frame_count = _int_field(parts[4], line_no, "frame count")
+    try:
+        geometry = FrameGeometry(width, height, fps)
+    except ValueError as exc:
+        raise OutOfRange(line_no, str(exc)) from None
+    if frame_count < 0:
+        raise OutOfRange(line_no, f"frame count must be >= 0, got {frame_count}")
+    return geometry, frame_count
+
+
+def _strict_detection_log(lines: list[str]) -> Timeline:
+    """The reference parser: one line at a time, the first fault raised with its line number."""
     geometry: FrameGeometry | None = None
     frame_count = 0
     detections: list[Detection] = []
-    for line_no, raw in enumerate(_lines(source), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -201,18 +223,7 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
                 raise MalformedLine(line_no, f"unknown directive {parts[0]!r}")
             if geometry is not None:
                 raise MalformedLine(line_no, "duplicate !geometry directive")
-            if len(parts) != 5:
-                raise MalformedLine(line_no, f"!geometry takes 4 fields, got {len(parts) - 1}")
-            width = _int_field(parts[1], line_no, "width")
-            height = _int_field(parts[2], line_no, "height")
-            fps = _float_field(parts[3], line_no, "fps")
-            frame_count = _int_field(parts[4], line_no, "frame count")
-            try:
-                geometry = FrameGeometry(width, height, fps)
-            except ValueError as exc:
-                raise OutOfRange(line_no, str(exc)) from None
-            if frame_count < 0:
-                raise OutOfRange(line_no, f"frame count must be >= 0, got {frame_count}")
+            geometry, frame_count = _geometry_header(parts, line_no)
             continue
         if geometry is None:
             raise MissingGeometry(line_no, "data line before !geometry header")
