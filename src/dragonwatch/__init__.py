@@ -46,6 +46,7 @@ from .ingest import (
 from .model import (
     BBox,
     ClassLabel,
+    Columns,
     Detection,
     FrameGeometry,
     PixelBox,

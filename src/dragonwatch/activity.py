@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .behaviour import BehaviourKind, FrameState, Run
+from .model import sequential_sum
 
 __all__ = [
     "ActivityReport",
@@ -56,7 +57,7 @@ def mean_vertical_diff(values: Sequence[float]) -> float | None:
     """Arithmetic mean of the separation values; None when there are none."""
     if not values:
         return None
-    return sum(values) / len(values)
+    return sequential_sum(values) / len(values)
 
 
 def jitter(samples: Sequence[tuple[int, float]]) -> float | None:
@@ -73,7 +74,7 @@ def jitter(samples: Sequence[tuple[int, float]]) -> float | None:
     ]
     if not diffs:
         return None
-    return sum(diffs) / len(diffs)
+    return sequential_sum(diffs) / len(diffs)
 
 
 def drift_slope(times_s: Sequence[float], values: Sequence[float]) -> float | None:
@@ -86,12 +87,12 @@ def drift_slope(times_s: Sequence[float], values: Sequence[float]) -> float | No
         raise ValueError("times and values must have the same length")
     if n < 2:
         return None
-    t_mean = sum(times_s) / n
-    v_mean = sum(values) / n
-    denom = sum((t - t_mean) ** 2 for t in times_s)
+    t_mean = sequential_sum(times_s) / n
+    v_mean = sequential_sum(values) / n
+    denom = sequential_sum((t - t_mean) ** 2 for t in times_s)
     if denom == 0:
         return None
-    num = sum((t - t_mean) * (v - v_mean) for t, v in zip(times_s, values))
+    num = sequential_sum((t - t_mean) * (v - v_mean) for t, v in zip(times_s, values))
     return num / denom
 
 

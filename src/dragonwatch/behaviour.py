@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import Detection, FrameGeometry, Provenance, center_distance_px
+from .model import FrameGeometry, Provenance, center_distance_px
 from .tracks import Track
 
 __all__ = [
@@ -76,6 +76,8 @@ class FrameState:
 
 # first frame, last frame (inclusive), behaviour
 Run = tuple[int, int, BehaviourKind]
+# a normalised box centre (cx, cy)
+Centre = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,12 @@ class Episode:
 
 
 def classify_basking(
-    dragon: Detection | None,
-    lamp: Detection | None,
+    dragon: Centre | None,
+    lamp: Centre | None,
     geom: FrameGeometry,
     cfg: RunConfig,
 ) -> tuple[bool, BaskingGeometry | None]:
-    """Apply the basking rule to one frame.
+    """Apply the basking rule to one frame, given the dragon's and the lamp's box centres.
 
     Returns (is_basking, separation). The separation is measured whenever
     both objects are present, basking or not. A lamp level with the dragon
@@ -112,13 +114,13 @@ def classify_basking(
     if dragon is None or lamp is None:
         return False, None
     # scale each centre, then subtract: the pinned outputs depend on this order
-    dragon_y = dragon.box.cy * geom.height
-    lamp_y = lamp.box.cy * geom.height
+    dragon_y = dragon[1] * geom.height
+    lamp_y = lamp[1] * geom.height
     delta_y = abs(dragon_y - lamp_y)
     if delta_y == 0:
         theta = 90.0
     else:
-        dx = abs(dragon.box.cx * geom.width - lamp.box.cx * geom.width)
+        dx = abs(dragon[0] * geom.width - lamp[0] * geom.width)
         theta = math.degrees(math.atan(dx / delta_y))
     separation = BaskingGeometry(delta_y=delta_y, theta=theta)
     lamp_above = lamp_y < dragon_y
@@ -126,12 +128,16 @@ def classify_basking(
     return is_basking, separation
 
 
-def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> Detection | None:
-    # the exact frame, else the closest frame within max_gap; min keeps the earlier on a tie
-    dets = dragon.detections
-    i = bisect_left(dets, frame, key=lambda d: d.frame)
-    nearest = min(dets[max(i - 1, 0) : i + 1], key=lambda d: abs(d.frame - frame), default=None)
-    if nearest is None or abs(nearest.frame - frame) > max_gap:
+def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> int | None:
+    """The dragon's row at ``frame``, else at the closest frame within ``max_gap``; the earlier on a tie."""
+    frames = dragon.columns.frame
+    i = bisect_left(frames, frame)
+    nearest = min(
+        range(max(i - 1, 0), min(i + 1, len(frames))),
+        key=lambda row: abs(frames[row] - frame),
+        default=None,
+    )
+    if nearest is None or abs(frames[nearest] - frame) > max_gap:
         return None
     return nearest
 
@@ -151,6 +157,7 @@ def detect_hunting(
     end) and the dragon sits strictly closer than ``gamma * width`` pixels.
     """
     events: list[int] = []
+    near = dragon.columns
     for track in cricket_tracks:
         if track.is_empty:
             continue
@@ -158,15 +165,18 @@ def detect_hunting(
         assert t_last is not None
         if frame_count - 1 - t_last < cfg.disappearance_window:
             continue
-        dragon_det = _nearest_dragon(dragon, t_last, cfg.max_gap)
-        if dragon_det is None:
+        row = _nearest_dragon(dragon, t_last, cfg.max_gap)
+        if row is None:
             continue
-        cricket_det = track.get(t_last)
-        assert cricket_det is not None
-        if center_distance_px(dragon_det, cricket_det, geom) < cfg.gamma * geom.width:
+        cricket = track.columns
+        distance = center_distance_px(near.cx[row], near.cy[row], cricket.cx[-1], cricket.cy[-1], geom)
+        if distance < cfg.gamma * geom.width:
             events.append(t_last)
     events.sort()
     return events
+
+
+_PROVENANCE = {False: Provenance.OBSERVED, True: Provenance.INTERPOLATED}
 
 
 def resolve_frame_states(
@@ -184,16 +194,30 @@ def resolve_frame_states(
     single state.
     """
     hunting = set(hunting_frames)
+    d_frame, d_cx, d_cy = dragon.columns.frame, dragon.columns.cx, dragon.columns.cy
+    l_frame, l_cx, l_cy = lamp.columns.frame, lamp.columns.cx, lamp.columns.cy
+    d_end, l_end = len(d_frame), len(l_frame)
+    d = l = 0  # the next dragon and lamp rows: each track's frames increase
     states: list[FrameState] = []
     previous = -1
     # sort the concatenation, not a set union: no hash table of every frame
-    for t in sorted(chain(dragon.frames, lamp.frames, hunting)):
-        if t == previous or not 0 <= t < frame_count:
+    for t in sorted(chain(d_frame, l_frame, hunting)):
+        if t == previous:
             continue
         previous = t
-        dragon_det = dragon.get(t)
-        lamp_det = lamp.get(t)
-        is_basking, separation = classify_basking(dragon_det, lamp_det, geom, cfg)
+        d_row = l_row = None
+        if d < d_end and d_frame[d] == t:
+            d_row, d = d, d + 1
+        if l < l_end and l_frame[l] == t:
+            l_row, l = l, l + 1
+        if not 0 <= t < frame_count:
+            continue
+        is_basking, separation = classify_basking(
+            None if d_row is None else (d_cx[d_row], d_cy[d_row]),
+            None if l_row is None else (l_cx[l_row], l_cy[l_row]),
+            geom,
+            cfg,
+        )
         if t in hunting:
             kind = BehaviourKind.HUNTING
         elif is_basking:
@@ -205,8 +229,8 @@ def resolve_frame_states(
                 frame=t,
                 kind=kind,
                 separation=separation,
-                dragon_provenance=dragon_det.provenance if dragon_det else None,
-                lamp_provenance=lamp_det.provenance if lamp_det else None,
+                dragon_provenance=None if d_row is None else _PROVENANCE[dragon.interpolated[d_row]],
+                lamp_provenance=None if l_row is None else _PROVENANCE[lamp.interpolated[l_row]],
             )
         )
     return states

@@ -20,7 +20,7 @@ from itertools import accumulate, compress, count
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .model import ClassLabel, PixelBox, Timeline, iou, to_pixels
+from .model import ClassLabel, PixelBox, Timeline, iou, sequential_sum, to_pixels
 
 __all__ = [
     "BoxRecord",
@@ -61,9 +61,12 @@ def records_from_timeline(
     """Flatten a Timeline into evaluation records, boxes in pixel space."""
     geom = timeline.geometry
     records = []
-    for det in timeline.all_detections():
-        image = det.frame if prefix is None else f"{prefix}:{det.frame}"
-        records.append(BoxRecord(image, det.label, to_pixels(det.box, geom), det.confidence))
+    for label, row in timeline.rows():
+        c = timeline.by_class[label]
+        frame = c.frame[row]
+        image = frame if prefix is None else f"{prefix}:{frame}"
+        box = to_pixels(c.cx[row], c.cy[row], c.w[row], c.h[row], geom)
+        records.append(BoxRecord(image, label, box, c.conf[row]))
     return records
 
 
@@ -163,7 +166,7 @@ def average_precision(
 
 def _mean_defined(values: Iterable[float | None]) -> float | None:
     defined = [v for v in values if v is not None]
-    return sum(defined) / len(defined) if defined else None
+    return sequential_sum(defined) / len(defined) if defined else None
 
 
 def mean_ap(class_aps: Mapping[ClassLabel, float | None]) -> float | None:
@@ -339,9 +342,9 @@ class EvalReport:
             )
         with_gt = [m for m in self.per_class.values() if m.ground_truths > 0]
         if with_gt:
-            mp = sum(m.precision for m in with_gt) / len(with_gt)
-            mr = sum(m.recall for m in with_gt) / len(with_gt)
-            mf = sum(m.f1 for m in with_gt) / len(with_gt)
+            mp = sequential_sum(m.precision for m in with_gt) / len(with_gt)
+            mr = sequential_sum(m.recall for m in with_gt) / len(with_gt)
+            mf = sequential_sum(m.f1 for m in with_gt) / len(with_gt)
             rows.append(
                 f"{'All':<15} {mp:>7.3f} {mr:>7.3f} {mf:>7.3f}"
                 f" {fmt(self.map_50):>9} {fmt(self.map_range):>13}"

@@ -28,14 +28,32 @@ without ``_`` digit separators. Value ranges belong to the types the values
 build (:class:`BBox`, :class:`FrameGeometry`, :class:`Detection`,
 :class:`RunConfig`); the parsers turn their ``ValueError`` into the typed
 error for the offending line.
+
+A detection log is read in one tokenising pass straight into columns. If
+any line fails that pass, the whole log is read again by the strict line
+parser, which reports the first fault; so the errors are the strict
+parser's, line number and text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterable
 
-from .model import BBox, ClassLabel, Detection, FrameGeometry, Provenance, Timeline
+from .model import (
+    BBox,
+    ClassLabel,
+    Columns,
+    Detection,
+    FrameGeometry,
+    Provenance,
+    Timeline,
+    in_extent_range,
+    in_unit_range,
+)
 
 __all__ = [
     "ParseError",
@@ -135,8 +153,8 @@ THRESHOLDS = tuple(f for f in fields(RunConfig) if type(f.default) in (int, floa
 _ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
-def _lines(source: str | Iterable[str]) -> Iterable[str]:
-    return source.splitlines() if isinstance(source, str) else source
+def _lines(source: str | Iterable[str]) -> list[str]:
+    return source.splitlines() if isinstance(source, str) else list(source)
 
 
 def _number(cast: type, token: str) -> int | float:
@@ -188,7 +206,75 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     Raises MissingGeometry / MalformedLine / UnknownClass / OutOfRange with
     the offending line number.
     """
-    return _strict_detection_log(list(_lines(source)))
+    lines = _lines(source)
+    timeline = _columnar_detection_log(lines)
+    return timeline if timeline is not None else _strict_detection_log(lines)
+
+
+# A data line of seven tokens made of the characters a number in these files is written
+# with, separated by blanks or tabs. Of what int() and float() take, the class leaves out
+# "_", non-ASCII digits and the words nan and inf, the text _number rejects or a range
+# check would; a token that is no number makes int() or float() raise. Token and separator
+# characters do not overlap, so a match or a miss takes time linear in the line.
+_TOKEN = "[0-9+.eE-]+"
+_ROW = re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * 7) + "[ \t\r\n]*")
+_CLASS_CODES = frozenset(label.value for label in ClassLabel)
+_CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
+_BLOCK_LINES = 1024
+
+
+def _columnar_detection_log(lines: list[str]) -> Timeline | None:
+    """The log read in one pass over its tokens; None when a line needs the strict parser.
+
+    Each value comes from the ``int()`` or ``float()`` of the same token
+    text as in :func:`_strict_detection_log` and passes the same range checks.
+    """
+    for head, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        return None
+    parts = line.split()
+    if parts[0] != "!geometry":
+        return None
+    try:
+        geometry, frame_count = _geometry_header(parts, head + 1)
+    except ParseError:
+        return None
+    rows = lines[head + 1 :]
+    if None in map(_ROW.fullmatch, rows):
+        rows = [raw for raw in rows if (text := raw.strip()) and not text.startswith("#")]
+        if None in map(_ROW.fullmatch, rows):
+            return None
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    frame, code, cx, cy, w, h, conf = columns
+    try:
+        # a block of lines at a time: only one block's token strings exist at once
+        for start in range(0, len(rows), _BLOCK_LINES):
+            tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
+            for i, (column, cast) in enumerate(zip(columns, _CASTS)):
+                column.extend(map(cast, tokens[i::7]))
+    except ValueError:
+        return None
+    if frame and not (0 <= min(frame) and max(frame) < frame_count):
+        return None
+    if not (
+        _CLASS_CODES.issuperset(code)
+        and all(map(in_unit_range, cx))
+        and all(map(in_unit_range, cy))
+        and all(map(in_extent_range, w))
+        and all(map(in_extent_range, h))
+        and all(map(in_unit_range, conf))
+    ):
+        return None
+    by_class = {}
+    for label in ClassLabel:
+        mine = list(map(eq, code, repeat(label.value)))
+        by_class[label] = Columns(
+            *(list(compress(c, mine)) for c in (frame, cx, cy, w, h, conf))
+        ).in_timeline_order()
+    return Timeline(geometry, frame_count, by_class)
 
 
 def _geometry_header(parts: list[str], line_no: int) -> tuple[FrameGeometry, int]:
@@ -346,11 +432,11 @@ def write_detection_log(timeline: Timeline) -> str:
     """
     geom = timeline.geometry
     rows = [f"!geometry {geom.width} {geom.height} {geom.fps!r} {timeline.frame_count}"]
-    for det in timeline.all_detections():
-        box = det.box
+    for label, row in timeline.rows():
+        c = timeline.by_class[label]
         rows.append(
-            f"{det.frame} {int(det.label)} {box.cx!r} {box.cy!r} {box.w!r} {box.h!r}"
-            f" {det.confidence!r}"
+            f"{c.frame[row]} {int(label)} {c.cx[row]!r} {c.cy[row]!r} {c.w[row]!r} {c.h[row]!r}"
+            f" {c.conf[row]!r}"
         )
     return "\n".join(rows) + "\n"
 

@@ -5,6 +5,11 @@ fractions of the frame). Geometric tests work in pixels: :func:`to_pixels`
 gives the corners :func:`iou` reads, and :func:`center_distance_px` the
 centre distance the tracking and hunting rules threshold.
 Image rows grow downward: a smaller ``cy`` means higher up in the frame.
+
+A clip's boxes are held as :class:`Columns`, one list per field and one row
+per box, not as one object per box. :class:`Detection` and :class:`BBox`
+are the one-record forms that synthetic clips, ground truth and tests
+build a :class:`Timeline` from.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from itertools import islice
+from operator import add, lt, neg
+from typing import Iterable, Mapping, Sequence
 
 
 class ClassLabel(enum.IntEnum):
@@ -41,6 +49,28 @@ class Provenance(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added one by one, starting from int 0, as the builtin ``sum`` does up to Python 3.11.
+
+    From 3.12 ``sum`` compensates float rounding, so its last digits can
+    differ; the pinned outputs hold this order on every supported Python.
+    """
+    return reduce(add, values, 0)
+
+
+def in_unit_range(value: float) -> bool:
+    """``0 <= value <= 1``: the range of a box centre coordinate and of a confidence.
+
+    False for NaN, whose comparisons are all false.
+    """
+    return 0.0 <= value <= 1.0
+
+
+def in_extent_range(value: float) -> bool:
+    """``0 < value <= 1``: the range of a box width or height. False for NaN."""
+    return 0.0 < value <= 1.0
+
+
 @dataclass(frozen=True)
 class BBox:
     """Normalised centre/extent box: ``cx, cy`` in [0, 1], ``w, h`` in (0, 1].
@@ -55,9 +85,9 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0):
+        if not (in_unit_range(self.cx) and in_unit_range(self.cy)):
             raise ValueError(f"box centre outside unit square: ({self.cx}, {self.cy})")
-        if not (0.0 < self.w <= 1.0 and 0.0 < self.h <= 1.0):
+        if not (in_extent_range(self.w) and in_extent_range(self.h)):
             raise ValueError(f"box extent outside (0, 1]: ({self.w}, {self.h})")
 
     @property
@@ -92,15 +122,15 @@ class PixelBox:
     y_max: float
 
 
-def to_pixels(box: BBox, geom: FrameGeometry) -> PixelBox:
-    """Scale a normalised box into pixel corners. Exact arithmetic, no rounding.
+def to_pixels(cx: float, cy: float, w: float, h: float, geom: FrameGeometry) -> PixelBox:
+    """Scale a normalised centre/extent box into pixel corners. Exact arithmetic, no rounding.
 
     Centre and extent are scaled first, then halved about the centre.
     """
-    cx = box.cx * geom.width
-    cy = box.cy * geom.height
-    w = box.w * geom.width
-    h = box.h * geom.height
+    cx = cx * geom.width
+    cy = cy * geom.height
+    w = w * geom.width
+    h = h * geom.height
     return PixelBox(x_min=cx - w / 2, y_min=cy - h / 2, x_max=cx + w / 2, y_max=cy + h / 2)
 
 
@@ -108,7 +138,9 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     """Intersection over union of two positive-extent boxes; 0.0 when disjoint.
 
     Areas come from the same corner arithmetic as the intersection, which
-    keeps the result in [0, 1] and makes iou(a, a) exactly 1.0.
+    keeps the result in [0, 1] and makes iou(a, a) exactly 1.0. Boxes so
+    small that the union underflows to 0 have no measurable overlap: 0.0,
+    as every 0/0 ratio of the toolkit.
     """
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     if ix <= 0:
@@ -119,7 +151,8 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     inter = ix * iy
     area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
     area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
-    return min(1.0, inter / (area_a + area_b - inter))
+    union = area_a + area_b - inter
+    return min(1.0, inter / union) if union > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -135,29 +168,77 @@ class Detection:
     def __post_init__(self) -> None:
         if self.frame < 0:
             raise ValueError(f"frame index must be >= 0, got {self.frame}")
-        if not (0.0 <= self.confidence <= 1.0):
+        if not in_unit_range(self.confidence):
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
 
 
-def center_distance_px(a: Detection, b: Detection, geom: FrameGeometry) -> float:
-    """Pixel distance between the box centres of two detections."""
-    dx = (a.box.cx - b.box.cx) * geom.width
-    dy = (a.box.cy - b.box.cy) * geom.height
+def center_distance_px(ax: float, ay: float, bx: float, by: float, geom: FrameGeometry) -> float:
+    """Pixel distance between the normalised box centres ``(ax, ay)`` and ``(bx, by)``."""
+    dx = (ax - bx) * geom.width
+    dy = (ay - by) * geom.height
     return math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)
-class Timeline:
-    """All detections of one clip, grouped per class.
+class Columns:
+    """Boxes of one class as parallel columns: row ``i`` is one box.
 
-    Per-class sequences are sorted by frame, then by descending confidence,
+    ``frame`` holds clip frame indices, ``cx, cy, w, h`` the normalised box
+    (ranges as in :class:`BBox`) and ``conf`` the confidence. The lists are
+    shared, never modified, once the columns are built.
+    """
+
+    frame: list[int]
+    cx: list[float]
+    cy: list[float]
+    w: list[float]
+    h: list[float]
+    conf: list[float]
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> "Columns":
+        """The columns of detection records, in their order."""
+        return cls(
+            [d.frame for d in detections],
+            [d.box.cx for d in detections],
+            [d.box.cy for d in detections],
+            [d.box.w for d in detections],
+            [d.box.h for d in detections],
+            [d.confidence for d in detections],
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def fields(self) -> tuple[list, ...]:
+        """The six columns, in declaration order."""
+        return self.frame, self.cx, self.cy, self.w, self.h, self.conf
+
+    def take(self, rows: Sequence[int]) -> "Columns":
+        """The given rows, in the given order."""
+        return Columns(*(list(map(column.__getitem__, rows)) for column in self.fields()))
+
+    def in_timeline_order(self) -> "Columns":
+        """The rows sorted by frame, then by descending confidence, input order kept on ties."""
+        frame = self.frame
+        if all(map(lt, frame, islice(frame, 1, None))):
+            return self
+        keys = list(zip(frame, map(neg, self.conf)))
+        return self.take(sorted(range(len(frame)), key=keys.__getitem__))
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """All boxes of one clip, as one :class:`Columns` per class.
+
+    Each class's rows are sorted by frame, then by descending confidence,
     preserving input order on ties. Frame indices are clip-local and lie in
     ``[0, frame_count)``.
     """
 
     geometry: FrameGeometry
     frame_count: int
-    by_class: Mapping[ClassLabel, tuple[Detection, ...]]
+    by_class: Mapping[ClassLabel, Columns]
 
     @classmethod
     def build(
@@ -166,6 +247,7 @@ class Timeline:
         frame_count: int,
         detections: Iterable[Detection],
     ) -> "Timeline":
+        """The timeline of detection records, in any order."""
         if frame_count < 0:
             raise ValueError(f"frame_count must be >= 0, got {frame_count}")
         groups: dict[ClassLabel, list[Detection]] = {label: [] for label in ClassLabel}
@@ -173,23 +255,21 @@ class Timeline:
             if det.frame >= frame_count:
                 raise ValueError(f"frame {det.frame} outside [0, {frame_count})")
             groups[det.label].append(det)
-        by_class = {
-            label: tuple(sorted(dets, key=lambda d: (d.frame, -d.confidence)))
-            for label, dets in groups.items()
-        }
+        by_class = {label: Columns.of(dets).in_timeline_order() for label, dets in groups.items()}
         return cls(geometry=geometry, frame_count=frame_count, by_class=by_class)
 
-    def detections_for(self, label: ClassLabel) -> tuple[Detection, ...]:
-        return self.by_class.get(label, ())
+    def detections_for(self, label: ClassLabel) -> Columns:
+        return self.by_class[label]
 
-    def all_detections(self) -> Iterator[Detection]:
-        """Flat iterator ordered by (frame, class, descending confidence)."""
-        merged: list[Detection] = []
-        for label in ClassLabel:
-            merged.extend(self.by_class.get(label, ()))
-        merged.sort(key=lambda d: (d.frame, int(d.label)))
-        return iter(merged)
+    def rows(self) -> list[tuple[ClassLabel, int]]:
+        """Every box as (class, row), ordered by frame, then class, then descending confidence."""
+        keyed = sorted(
+            (frame, label, row)
+            for label, columns in self.by_class.items()
+            for row, frame in enumerate(columns.frame)
+        )
+        return [(label, row) for _, label, row in keyed]
 
     @property
     def detection_count(self) -> int:
-        return sum(len(dets) for dets in self.by_class.values())
+        return sum(len(columns) for columns in self.by_class.values())

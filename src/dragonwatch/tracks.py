@@ -4,15 +4,18 @@ The dragon and the lamp each get exactly one canonical track (one animal,
 one lamp per clip); crickets get multi-instance tracks built by greedy
 nearest-neighbour association. Gaps up to ``max_gap`` missing frames are
 filled by blending the nearest observed detection on each side linearly.
+A track holds its boxes as :class:`Columns`, as the timeline does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, KeysView
+from itertools import islice
+from operator import lt
+from typing import Iterable
 
-from .model import BBox, ClassLabel, Detection, Provenance, Timeline, center_distance_px
+from .model import ClassLabel, Columns, Detection, Provenance, Timeline, center_distance_px
 
 __all__ = [
     "Track",
@@ -25,48 +28,61 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Track:
-    """Time-ordered detections of one object, at most one per frame."""
+    """Boxes of one object, at most one per frame, in increasing frame order.
+
+    ``interpolated[i]`` is True when row ``i`` of ``columns`` was blended by
+    :func:`fill_gaps` rather than observed.
+    """
 
     label: ClassLabel
-    detections: tuple[Detection, ...]
+    columns: Columns
+    interpolated: list[bool]
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def build(cls, label: ClassLabel, detections: Iterable[Detection]) -> "Track":
+        """The track of detection records; ValueError unless each has ``label`` and frames increase."""
+        dets = tuple(detections)
         last = -1
-        for det in self.detections:
-            if det.label != self.label:
-                raise ValueError(f"detection label {det.label} does not match track {self.label}")
+        for det in dets:
+            if det.label != label:
+                raise ValueError(f"detection label {det.label} does not match track {label}")
             if det.frame <= last:
                 raise ValueError("track frames must be strictly increasing")
             last = det.frame
-        object.__setattr__(self, "_by_frame", {d.frame: d for d in self.detections})
+        return cls(label, Columns.of(dets), [d.provenance is Provenance.INTERPOLATED for d in dets])
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.columns)
 
     @property
     def is_empty(self) -> bool:
-        return not self.detections
+        return not self.columns.frame
 
     @property
     def first_frame(self) -> int | None:
-        return self.detections[0].frame if self.detections else None
+        return self.columns.frame[0] if self.columns.frame else None
 
     @property
     def last_frame(self) -> int | None:
-        return self.detections[-1].frame if self.detections else None
-
-    @property
-    def frames(self) -> KeysView[int]:
-        """The frames this track has a detection in, as a set-like view."""
-        return self._by_frame.keys()  # type: ignore[attr-defined]
-
-    def get(self, frame: int) -> Detection | None:
-        return self._by_frame.get(frame)  # type: ignore[attr-defined]
+        return self.columns.frame[-1] if self.columns.frame else None
 
 
-def _best_of_frame(group: Iterable[Detection]) -> Detection:
-    # max keeps the first maximal element, which preserves input order on full ties
-    return max(group, key=lambda d: (d.confidence, d.box.area))
+def _observed(label: ClassLabel, columns: Columns) -> Track:
+    return Track(label, columns, [False] * len(columns))
+
+
+def _best_rows(columns: Columns) -> list[int]:
+    """Per frame, the row with the highest confidence, then the larger box, then the first."""
+    frame, conf, w, h = columns.frame, columns.conf, columns.w, columns.h
+    kept: list[int] = []
+    for row, t in enumerate(frame):
+        if kept and frame[kept[-1]] == t:
+            best = kept[-1]
+            if (conf[row], w[row] * h[row]) > (conf[best], w[best] * h[best]):
+                kept[-1] = row
+        else:
+            kept.append(row)
+    return kept
 
 
 def reduce_per_frame(timeline: Timeline) -> tuple[Track, Track]:
@@ -77,11 +93,11 @@ def reduce_per_frame(timeline: Timeline) -> tuple[Track, Track]:
     """
     tracks = []
     for label in (ClassLabel.BEARDED_DRAGON, ClassLabel.HEATING_LAMP):
-        kept = [
-            _best_of_frame(group)
-            for _, group in groupby(timeline.detections_for(label), key=lambda d: d.frame)
-        ]
-        tracks.append(Track(label, tuple(kept)))
+        columns = timeline.detections_for(label)
+        frame = columns.frame
+        if not all(map(lt, frame, islice(frame, 1, None))):  # some frame has two boxes
+            columns = columns.take(_best_rows(columns))
+        tracks.append(_observed(label, columns))
     return tracks[0], tracks[1]
 
 
@@ -99,15 +115,18 @@ def associate_crickets(
     """
     geom = timeline.geometry
     gate_px = gate_fraction * geom.width
-    open_tracks: list[list[Detection]] = []
-    done_tracks: list[list[Detection]] = []
-    for frame, group in groupby(
-        timeline.detections_for(ClassLabel.CRICKET), key=lambda d: d.frame
-    ):
-        dets = list(group)
+    columns = timeline.detections_for(ClassLabel.CRICKET)
+    frame, cx, cy = columns.frame, columns.cx, columns.cy
+    # a track is the list of its rows
+    open_tracks: list[list[int]] = []
+    done_tracks: list[list[int]] = []
+    start = 0
+    while start < len(frame):
+        t = frame[start]
+        end = bisect_right(frame, t, start)
         still_open = []
         for track in open_tracks:
-            if frame - track[-1].frame - 1 > max_gap:
+            if t - frame[track[-1]] - 1 > max_gap:
                 done_tracks.append(track)
             else:
                 still_open.append(track)
@@ -116,35 +135,28 @@ def associate_crickets(
         candidates = []
         for ti, track in enumerate(open_tracks):
             last = track[-1]
-            elapsed = frame - last.frame
-            for di, det in enumerate(dets):
-                dist = center_distance_px(det, last, geom)
-                if dist <= gate_px * elapsed:
-                    candidates.append((dist, ti, di))
+            last_x, last_y = cx[last], cy[last]
+            limit = gate_px * (t - frame[last])
+            for row in range(start, end):
+                dist = center_distance_px(cx[row], cy[row], last_x, last_y, geom)
+                if dist <= limit:
+                    candidates.append((dist, ti, row))
         candidates.sort()
         taken_tracks: set[int] = set()
-        taken_dets: set[int] = set()
-        for dist, ti, di in candidates:
-            if ti in taken_tracks or di in taken_dets:
+        taken_rows: set[int] = set()
+        for dist, ti, row in candidates:
+            if ti in taken_tracks or row in taken_rows:
                 continue
-            open_tracks[ti].append(dets[di])
+            open_tracks[ti].append(row)
             taken_tracks.add(ti)
-            taken_dets.add(di)
-        for di, det in enumerate(dets):
-            if di not in taken_dets:
-                open_tracks.append([det])
+            taken_rows.add(row)
+        for row in range(start, end):
+            if row not in taken_rows:
+                open_tracks.append([row])
+        start = end
     done_tracks.extend(open_tracks)
-    done_tracks.sort(key=lambda t: (t[0].frame, t[0].box.cx, t[0].box.cy))
-    return [Track(ClassLabel.CRICKET, tuple(t)) for t in done_tracks]
-
-
-def _blend(a: BBox, b: BBox, wa: float, wb: float) -> BBox:
-    return BBox(
-        cx=a.cx * wa + b.cx * wb,
-        cy=a.cy * wa + b.cy * wb,
-        w=a.w * wa + b.w * wb,
-        h=a.h * wa + b.h * wb,
-    )
+    done_tracks.sort(key=lambda rows: (frame[rows[0]], cx[rows[0]], cy[rows[0]]))
+    return [_observed(ClassLabel.CRICKET, columns.take(rows)) for rows in done_tracks]
 
 
 def fill_gaps(track: Track, max_gap: int) -> Track:
@@ -156,20 +168,40 @@ def fill_gaps(track: Track, max_gap: int) -> Track:
     inflates certainty. Longer gaps stay empty; no extrapolation happens
     before the first or after the last detection. Idempotent.
     """
-    if len(track) < 2:
+    frame = track.columns.frame
+    gaps = [row for row in range(1, len(frame)) if 1 <= frame[row] - frame[row - 1] - 1 <= max_gap]
+    if not gaps:
         return track
-    out: list[Detection] = [track.detections[0]]
-    for prev, nxt in zip(track.detections, track.detections[1:]):
-        gap = nxt.frame - prev.frame - 1
-        if 1 <= gap <= max_gap:
-            span = nxt.frame - prev.frame
-            conf = min(prev.confidence, nxt.confidence)
-            for t in range(prev.frame + 1, nxt.frame):
-                wb = (t - prev.frame) / span
-                box = _blend(prev.box, nxt.box, 1.0 - wb, wb)
-                out.append(Detection(t, track.label, box, conf, Provenance.INTERPOLATED))
-        out.append(nxt)
-    return Track(track.label, tuple(out))
+    fields = track.columns.fields()
+    out: tuple[list, ...] = tuple([] for _ in fields)
+    out_frame, out_cx, out_cy, out_w, out_h, out_conf = out
+    interpolated: list[bool] = []
+    copied = 0
+    for nxt in gaps:
+        for column, target in zip(fields, out):
+            target.extend(column[copied:nxt])
+        interpolated.extend(track.interpolated[copied:nxt])
+        copied = nxt
+        prev = nxt - 1
+        t0, t1 = frame[prev], frame[nxt]
+        span = t1 - t0
+        cx0, cy0, w0, h0, conf0 = (column[prev] for column in fields[1:])
+        cx1, cy1, w1, h1, conf1 = (column[nxt] for column in fields[1:])
+        conf = min(conf0, conf1)
+        for t in range(t0 + 1, t1):
+            wb = (t - t0) / span
+            wa = 1.0 - wb
+            out_frame.append(t)
+            out_cx.append(cx0 * wa + cx1 * wb)
+            out_cy.append(cy0 * wa + cy1 * wb)
+            out_w.append(w0 * wa + w1 * wb)
+            out_h.append(h0 * wa + h1 * wb)
+            out_conf.append(conf)
+            interpolated.append(True)
+    for column, target in zip(fields, out):
+        target.extend(column[copied:])
+    interpolated.extend(track.interpolated[copied:])
+    return Track(track.label, Columns(*out), interpolated)
 
 
 def continuity(track: Track) -> float | None:

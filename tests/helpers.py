@@ -16,6 +16,7 @@ from dragonwatch.ingest import RunConfig
 from dragonwatch.model import (
     BBox,
     ClassLabel,
+    Columns,
     Detection,
     FrameGeometry,
     PixelBox,
@@ -37,6 +38,27 @@ def det(
     provenance: Provenance = Provenance.OBSERVED,
 ) -> Detection:
     return Detection(frame, label, BBox(cx, cy, w, h), conf, provenance)
+
+
+def records(
+    columns: Columns, label: ClassLabel, interpolated: Sequence[bool] | None = None
+) -> list[Detection]:
+    """The rows of ``columns`` as detection records, interpolated where the flag says so."""
+    flags = interpolated if interpolated is not None else [False] * len(columns)
+    return [
+        Detection(frame, label, BBox(cx, cy, w, h), conf, Provenance.INTERPOLATED if flag else Provenance.OBSERVED)
+        for frame, cx, cy, w, h, conf, flag in zip(*columns.fields(), flags)
+    ]
+
+
+def by_frame(track: Track) -> dict[int, Detection]:
+    """A track's rows as detection records, keyed by frame."""
+    return {d.frame: d for d in records(track.columns, track.label, track.interpolated)}
+
+
+def centre(detection: Detection | None) -> tuple[float, float] | None:
+    """The box centre ``classify_basking`` reads, or None without a detection."""
+    return None if detection is None else (detection.box.cx, detection.box.cy)
 
 
 def corner_box(x1: float, y1: float, x2: float, y2: float) -> PixelBox:
@@ -90,7 +112,8 @@ def reference_iou(a: CentreBox, b: CentreBox) -> float:
     inter = ix * iy
     area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
     area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
-    return min(1.0, inter / (area_a + area_b - inter))
+    union = area_a + area_b - inter
+    return min(1.0, inter / union) if union > 0 else 0.0
 
 
 def reference_separation(dragon: BBox, lamp: BBox, geom: FrameGeometry) -> tuple[float, float]:
@@ -155,12 +178,12 @@ def write_ground_truth(timeline: Timeline) -> str:
     """Serialise a Timeline as a combined ground-truth stream with !frame separators."""
     rows: list[str] = []
     current = None
-    for d in timeline.all_detections():
-        if d.frame != current:
-            current = d.frame
+    for label, row in timeline.rows():
+        c = timeline.by_class[label]
+        if c.frame[row] != current:
+            current = c.frame[row]
             rows.append(f"!frame {current}")
-        box = d.box
-        rows.append(f"{int(d.label)} {box.cx!r} {box.cy!r} {box.w!r} {box.h!r}")
+        rows.append(f"{int(label)} {c.cx[row]!r} {c.cy[row]!r} {c.w[row]!r} {c.h[row]!r}")
     return "\n".join(rows) + ("\n" if rows else "")
 
 
@@ -179,11 +202,12 @@ def reference_resolve_frame_states(
 ) -> list[FrameState]:
     """Reference: exactly one state for every frame of the clip, hunting over basking."""
     hunting = set(hunting_frames)
+    dragon_at, lamp_at = by_frame(dragon), by_frame(lamp)
     states: list[FrameState] = []
     for t in range(frame_count):
-        dragon_det = dragon.get(t)
-        lamp_det = lamp.get(t)
-        is_basking, separation = classify_basking(dragon_det, lamp_det, geom, cfg)
+        dragon_det = dragon_at.get(t)
+        lamp_det = lamp_at.get(t)
+        is_basking, separation = classify_basking(centre(dragon_det), centre(lamp_det), geom, cfg)
         if t in hunting:
             kind = BehaviourKind.HUNTING
         elif is_basking:

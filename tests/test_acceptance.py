@@ -28,7 +28,7 @@ from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.tracks import Track, fill_gaps
 
-from helpers import normal_equations_slope
+from helpers import normal_equations_slope, records
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -292,7 +292,7 @@ def drop_interior(timeline, rate, max_gap, seed):
     rng = random.Random(seed)
     kept = []
     for label in ClassLabel:
-        dets = timeline.detections_for(label)
+        dets = records(timeline.detections_for(label), label)
         run = 0
         for i, det in enumerate(dets):
             interior = 0 < i < len(dets) - 1
@@ -317,7 +317,7 @@ def test_criterion_5_interpolation_continuity():
         rng = random.Random(31)
         for _ in range(100):
             frames = sorted(rng.sample(range(80), k=rng.randint(1, 25)))
-            track = Track(
+            track = Track.build(
                 ClassLabel.BEARDED_DRAGON,
                 tuple(
                     Detection(

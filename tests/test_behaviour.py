@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from dragonwatch.tracks import Track
 
 from helpers import (
     bboxes,
+    centre,
     det,
     geometries,
     reference_demote_short_basking,
@@ -41,18 +43,18 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=0.5)  # delta_y = 0.2 * H
-        basking, sep = classify_basking(dragon, lamp, geom, config)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
         assert basking
         assert sep.theta == 0.0
         assert sep.delta_y == pytest.approx(0.2 * 480)
 
     def test_lamp_absent(self, config, geom):
-        basking, sep = classify_basking(det(0), None, geom, config)
+        basking, sep = classify_basking(centre(det(0)), None, geom, config)
         assert not basking
         assert sep is None
 
     def test_dragon_absent(self, config, geom):
-        basking, sep = classify_basking(None, det(0, ClassLabel.HEATING_LAMP), geom, config)
+        basking, sep = classify_basking(None, centre(det(0, ClassLabel.HEATING_LAMP)), geom, config)
         assert not basking and sep is None
 
     def test_hand_evaluated_square_frame(self, config):
@@ -60,7 +62,7 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 640, 30.0)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=320 / 640, cy=100 / 640)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=420 / 640, cy=300 / 640)
-        basking, sep = classify_basking(dragon, lamp, geom, config)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
         assert sep.delta_y == pytest.approx(200.0)
         assert sep.theta == pytest.approx(math.degrees(math.atan(100 / 200)))
         assert sep.theta == pytest.approx(26.565, abs=1e-3)
@@ -69,14 +71,14 @@ class TestClassifyBasking:
     def test_lamp_below_dragon_is_not_basking(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.7)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=0.5)
-        basking, sep = classify_basking(dragon, lamp, geom, config)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
         assert not basking
         assert sep is not None  # separation still measured
 
     def test_level_lamp_theta_is_ninety(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.3, cy=0.5)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.6, cy=0.5)
-        basking, sep = classify_basking(dragon, lamp, geom, config)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
         assert not basking
         assert sep.theta == 90.0
         assert sep.delta_y == 0.0
@@ -84,7 +86,7 @@ class TestClassifyBasking:
     def test_wide_angle_fails_theta_gate(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.1, cy=0.48)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.9, cy=0.5)
-        basking, sep = classify_basking(dragon, lamp, geom, config)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
         assert sep.theta > 45.0
         assert not basking
 
@@ -102,8 +104,8 @@ class TestClassifyBasking:
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=lamp_cx, cy=lamp_cy)
         small = FrameGeometry(320, 240, 30.0)
         large = FrameGeometry(320 * scale, 240 * scale, 30.0)
-        assert classify_basking(dragon, lamp, small, cfg)[0] == classify_basking(
-            dragon, lamp, large, cfg
+        assert classify_basking(centre(dragon), centre(lamp), small, cfg)[0] == classify_basking(
+            centre(dragon), centre(lamp), large, cfg
         )[0]
 
     @given(
@@ -119,8 +121,8 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=dragon_cy)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=min(1.0, 0.5 + offset), cy=lamp_cy)
-        low = classify_basking(dragon, lamp, geom, RunConfig(beta=beta_low))[0]
-        high = classify_basking(dragon, lamp, geom, RunConfig(beta=beta_high))[0]
+        low = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_low))[0]
+        high = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_high))[0]
         if low:
             assert high
 
@@ -135,8 +137,8 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=dragon_cx, cy=0.5)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.4)
-        low = classify_basking(dragon, lamp, geom, RunConfig(theta_max=theta_low))[0]
-        high = classify_basking(dragon, lamp, geom, RunConfig(theta_max=theta_high))[0]
+        low = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_low))[0]
+        high = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_high))[0]
         if low:
             assert high
 
@@ -146,7 +148,7 @@ class TestClassifyBasking:
         cfg = RunConfig()
         dragon = Detection(0, ClassLabel.BEARDED_DRAGON, dragon_box, 0.9)
         lamp = Detection(0, ClassLabel.HEATING_LAMP, lamp_box, 0.9)
-        basking, sep = classify_basking(dragon, lamp, geom, cfg)
+        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, cfg)
         delta_y, theta = reference_separation(dragon_box, lamp_box, geom)
         assert (sep.delta_y.hex(), sep.theta.hex()) == (delta_y.hex(), theta.hex())
         lamp_above = lamp_box.cy * geom.height < dragon_box.cy * geom.height
@@ -162,26 +164,24 @@ class TestBaskingGeometry:
 
 
 def cricket_track(frames, cx=0.6, cy=0.5):
-    return Track(
+    return Track.build(
         ClassLabel.CRICKET,
         tuple(det(t, ClassLabel.CRICKET, cx=cx, cy=cy, w=0.03, h=0.02) for t in frames),
     )
 
 
 def dragon_track(frames, cx=0.7, cy=0.5):
-    return Track(ClassLabel.BEARDED_DRAGON, tuple(det(t, cx=cx, cy=cy) for t in frames))
+    return Track.build(ClassLabel.BEARDED_DRAGON, tuple(det(t, cx=cx, cy=cy) for t in frames))
 
 
-def nearest_dragon_by_scan(dragon: Track, frame: int, max_gap: int) -> Detection | None:
-    """Reference: the former lookup, one offset at a time, earlier frame first."""
+def nearest_dragon_by_scan(dragon: Track, frame: int, max_gap: int) -> int | None:
+    """Reference: the frame of the former lookup, one offset at a time, earlier frame first."""
+    frames = set(dragon.columns.frame)
     for offset in range(max_gap + 1):
-        found = dragon.get(frame - offset)
-        if found is not None:
-            return found
-        if offset:
-            found = dragon.get(frame + offset)
-            if found is not None:
-                return found
+        if frame - offset in frames:
+            return frame - offset
+        if offset and frame + offset in frames:
+            return frame + offset
     return None
 
 
@@ -193,9 +193,9 @@ class TestNearestDragon:
     )
     def test_matches_offset_scan(self, frames, frame, max_gap):
         dragon = dragon_track(sorted(frames))
-        assert _nearest_dragon(dragon, frame, max_gap) is nearest_dragon_by_scan(
-            dragon, frame, max_gap
-        )
+        row = _nearest_dragon(dragon, frame, max_gap)
+        found = None if row is None else dragon.columns.frame[row]
+        assert found == nearest_dragon_by_scan(dragon, frame, max_gap)
 
 
 class TestDetectHunting:
@@ -228,22 +228,21 @@ class TestDetectHunting:
         assert detect_hunting(crickets, dragon, geom, 200, config) == [40]
 
     @pytest.mark.parametrize("dragon_frames, expected", [([], []), ([99], [40])])
-    def test_huge_max_gap_does_not_scan_frame_by_frame(
-        self, geom, monkeypatch, dragon_frames, expected
-    ):
+    def test_huge_max_gap_does_not_scan_frame_by_frame(self, geom, dragon_frames, expected):
         calls = 0
-        real_get = Track.get
 
-        def counted_get(track, frame):
-            nonlocal calls
-            calls += 1
-            if calls > 1000:
-                raise AssertionError("Track.get called more than 1000 times")
-            return real_get(track, frame)
+        class CountedFrames(list):
+            def __getitem__(self, index):
+                nonlocal calls
+                calls += 1
+                if calls > 1000:
+                    raise AssertionError("dragon frames read more than 1000 times")
+                return super().__getitem__(index)
 
-        monkeypatch.setattr(Track, "get", counted_get)
         crickets = [cricket_track(range(41), cx=0.6)]
         dragon = dragon_track(dragon_frames)
+        columns = replace(dragon.columns, frame=CountedFrames(dragon.columns.frame))
+        dragon = replace(dragon, columns=columns)
         cfg = RunConfig(max_gap=10**9)
         assert detect_hunting(crickets, dragon, geom, 100, cfg) == expected
 
@@ -377,7 +376,7 @@ class TestKindRuns:
 class TestResolveFrameStates:
     def test_exactly_one_state_per_frame(self, config, geom):
         dragon = dragon_track(range(10), cx=0.5, cy=0.5)
-        lamp = Track(
+        lamp = Track.build(
             ClassLabel.HEATING_LAMP,
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in range(10)),
         )
@@ -387,13 +386,13 @@ class TestResolveFrameStates:
         assert all(s.kind is BASKING for s in states if s.frame != 4)
 
     def test_missing_objects_give_no_state(self, config, geom):
-        empty_dragon = Track(ClassLabel.BEARDED_DRAGON, ())
-        empty_lamp = Track(ClassLabel.HEATING_LAMP, ())
+        empty_dragon = Track.build(ClassLabel.BEARDED_DRAGON, ())
+        empty_lamp = Track.build(ClassLabel.HEATING_LAMP, ())
         assert resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config) == []
 
     def test_states_only_where_a_box_or_a_hunt_is(self, config, geom):
         dragon = dragon_track([0, 1, 2])
-        lamp = Track(
+        lamp = Track.build(
             ClassLabel.HEATING_LAMP,
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in (2, 5, 6)),
         )

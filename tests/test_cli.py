@@ -15,7 +15,7 @@ from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.behaviour import BehaviourKind
 
-from helpers import write_ground_truth
+from helpers import records, write_ground_truth
 
 
 def write_basking_log(path, frames=200):
@@ -267,8 +267,8 @@ class TestEvaluateCommand:
         timeline = parse_detection_log(generated.log_text)
         for frame in range(3):
             rows = []
-            for label, dets in timeline.by_class.items():
-                for d in dets:
+            for label, columns in timeline.by_class.items():
+                for d in records(columns, label):
                     if d.frame == frame:
                         b = d.box
                         rows.append(f"{int(label)} {b.cx!r} {b.cy!r} {b.w!r} {b.h!r}")

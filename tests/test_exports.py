@@ -35,10 +35,14 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_import_loads_no_numpy():
-    """Every CLI call pays the package's import, which stays on the standard library."""
+def test_cli_import_loads_only_the_standard_library():
+    """Every CLI call pays the package's import, which loads nothing beyond the standard library."""
     src = Path(dragonwatch.__file__).resolve().parents[1]
-    code = "import sys, dragonwatch, dragonwatch.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules); import dragonwatch.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names) - {'dragonwatch'}))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -46,4 +50,4 @@ def test_package_import_loads_no_numpy():
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

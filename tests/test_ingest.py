@@ -16,7 +16,8 @@ from dragonwatch.ingest import (
     parse_ground_truth,
     write_detection_log,
 )
-from dragonwatch.model import ClassLabel, FrameGeometry, Provenance
+from dragonwatch.model import ClassLabel, FrameGeometry
+from dragonwatch.tracks import reduce_per_frame
 
 from helpers import timelines, write_ground_truth
 
@@ -30,8 +31,8 @@ class TestParseDetectionLog:
         assert tl.frame_count == 100
         dragon = tl.detections_for(ClassLabel.BEARDED_DRAGON)
         assert len(dragon) == 1
-        assert dragon[0].frame == 0
-        assert dragon[0].provenance is Provenance.OBSERVED
+        assert dragon.frame == [0]
+        assert reduce_per_frame(tl)[0].interpolated == [False]
 
     def test_empty_data_section(self):
         tl = parse_detection_log(HEADER)
@@ -44,8 +45,8 @@ class TestParseDetectionLog:
 
     def test_scientific_notation(self):
         tl = parse_detection_log(f"{HEADER}\n0 0 5e-1 0.5 2.0e-1 0.2 9E-1\n")
-        box = tl.detections_for(ClassLabel.BEARDED_DRAGON)[0].box
-        assert box.cx == 0.5 and box.w == 0.2
+        dragon = tl.detections_for(ClassLabel.BEARDED_DRAGON)
+        assert dragon.cx == [0.5] and dragon.w == [0.2]
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClass) as err:
@@ -139,8 +140,8 @@ class TestParseGroundTruth:
         tl = parse_ground_truth("0 0.5 0.5 0.2 0.2\n")
         dets = tl.detections_for(ClassLabel.BEARDED_DRAGON)
         assert len(dets) == 1
-        assert dets[0].frame == 0
-        assert dets[0].confidence == 1.0
+        assert dets.frame == [0]
+        assert dets.conf == [1.0]
 
     def test_duplicates_kept(self):
         tl = parse_ground_truth("0 0.5 0.5 0.2 0.2\n0 0.5 0.5 0.2 0.2\n")
@@ -152,13 +153,13 @@ class TestParseGroundTruth:
 
     def test_frame_separators(self):
         tl = parse_ground_truth("!frame 4\n1 0.5 0.5 0.2 0.2\n!frame 7\n1 0.4 0.4 0.2 0.2\n")
-        frames = [d.frame for d in tl.detections_for(ClassLabel.HEATING_LAMP)]
+        frames = tl.detections_for(ClassLabel.HEATING_LAMP).frame
         assert frames == [4, 7]
         assert tl.frame_count == 8
 
     def test_start_frame_for_per_frame_files(self):
         tl = parse_ground_truth("2 0.5 0.5 0.1 0.1\n", start_frame=12)
-        assert tl.detections_for(ClassLabel.CRICKET)[0].frame == 12
+        assert tl.detections_for(ClassLabel.CRICKET).frame == [12]
 
     def test_round_trip_via_writer(self):
         text = "!frame 1\n0 0.5 0.5 0.2 0.2\n!frame 3\n2 0.25 0.75 0.1 0.1\n"

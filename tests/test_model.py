@@ -64,27 +64,31 @@ class TestFrameGeometry:
         assert str(err.value) == message
 
 
+def pixels(box: BBox, geom: FrameGeometry) -> PixelBox:
+    return to_pixels(box.cx, box.cy, box.w, box.h, geom)
+
+
 def bits(box) -> list[str]:
     return [v.hex() for v in (box.x_min, box.y_min, box.x_max, box.y_max)]
 
 
 class TestToPixels:
     def test_midpoint_scaling(self):
-        px = to_pixels(BBox(0.5, 0.5, 0.1, 0.1), FrameGeometry(640, 480, 30.0))
+        px = to_pixels(0.5, 0.5, 0.1, 0.1, FrameGeometry(640, 480, 30.0))
         assert px == PixelBox(x_min=288.0, y_min=216.0, x_max=352.0, y_max=264.0)
 
     def test_origin(self):
-        px = to_pixels(BBox(0.0, 0.0, 0.2, 0.2), FrameGeometry(100, 100, 30.0))
+        px = to_pixels(0.0, 0.0, 0.2, 0.2, FrameGeometry(100, 100, 30.0))
         assert px == PixelBox(x_min=-10.0, y_min=-10.0, x_max=10.0, y_max=10.0)
 
     def test_hand_multiplied(self):
-        px = to_pixels(BBox(0.25, 0.75, 0.5, 0.5), FrameGeometry(100, 200, 30.0))
+        px = to_pixels(0.25, 0.75, 0.5, 0.5, FrameGeometry(100, 200, 30.0))
         assert px == PixelBox(x_min=0.0, y_min=100.0, x_max=50.0, y_max=200.0)
 
     @given(box=bboxes, geom=geometries)
     def test_corners_match_centre_extent_reference_bit_for_bit(self, box, geom):
         # each corner is c * size -/+ e * size / 2, as the centre/extent layout derived it
-        assert bits(to_pixels(box, geom)) == bits(reference_to_pixels(box, geom))
+        assert bits(pixels(box, geom)) == bits(reference_to_pixels(box, geom))
 
 
 class TestIou:
@@ -112,25 +116,30 @@ class TestIou:
     def test_bounded(self, a, b):
         assert 0.0 <= iou(a, b) <= 1.0
 
+    def test_underflowing_union_is_no_overlap(self):
+        # positive extents whose products underflow to 0: the ratio is 0/0
+        box = pixels(BBox(0.0, 0.0, 2.189413701196951e-46, 5.377463426376192e-307), FrameGeometry(1, 1, 1.0))
+        assert box.x_max > box.x_min and box.y_max > box.y_min
+        assert iou(box, box) == 0.0
+
     @given(a=bboxes, b=bboxes, geom=geometries)
     def test_equals_centre_extent_reference(self, a, b, geom):
         expected = reference_iou(reference_to_pixels(a, geom), reference_to_pixels(b, geom))
-        assert iou(to_pixels(a, geom), to_pixels(b, geom)) == expected
+        assert iou(pixels(a, geom), pixels(b, geom)) == expected
 
 
 class TestCenterDistance:
     def test_hand_computed(self):
         geom = FrameGeometry(80, 80, 30.0)
-        a = det(0, cx=0.25, cy=0.25)
-        b = det(0, cx=0.625, cy=0.75)
-        assert center_distance_px(a, b, geom) == 50.0
-        assert center_distance_px(b, a, geom) == 50.0
+        a = (0.25, 0.25)
+        b = (0.625, 0.75)
+        assert center_distance_px(*a, *b, geom) == 50.0
+        assert center_distance_px(*b, *a, geom) == 50.0
 
     def test_scales_each_axis_by_its_own_size(self):
         geom = FrameGeometry(200, 10, 30.0)
-        a = det(0, cx=0.5, cy=0.5)
-        assert center_distance_px(a, det(0, cx=0.75, cy=0.5), geom) == 50.0
-        assert center_distance_px(a, det(0, cx=0.5, cy=0.75), geom) == 2.5
+        assert center_distance_px(0.5, 0.5, 0.75, 0.5, geom) == 50.0
+        assert center_distance_px(0.5, 0.5, 0.5, 0.75, geom) == 2.5
 
 
 class TestDetection:
@@ -153,17 +162,17 @@ class TestTimeline:
         ]
         tl = Timeline.build(FrameGeometry(640, 480, 30.0), 5, detections)
         dragon = tl.detections_for(ClassLabel.BEARDED_DRAGON)
-        assert [d.frame for d in dragon] == [0, 0, 2, 2]
-        assert [d.confidence for d in dragon] == [0.3, 0.3, 0.9, 0.5]
+        assert dragon.frame == [0, 0, 2, 2]
+        assert dragon.conf == [0.3, 0.3, 0.9, 0.5]
         # stable on confidence ties: input order preserved
-        assert dragon[0].box.cx == 0.5
-        assert dragon[1].box.cx == 0.4
+        assert dragon.cx[0] == 0.5
+        assert dragon.cx[1] == 0.4
 
     def test_build_rejects_frame_beyond_count(self):
         with pytest.raises(ValueError):
             Timeline.build(FrameGeometry(640, 480, 30.0), 3, [det(3)])
 
-    def test_all_detections_order(self):
+    def test_rows_order(self):
         detections = [
             det(1, ClassLabel.CRICKET),
             det(0, ClassLabel.HEATING_LAMP),
@@ -171,7 +180,7 @@ class TestTimeline:
             det(1, ClassLabel.BEARDED_DRAGON),
         ]
         tl = Timeline.build(FrameGeometry(640, 480, 30.0), 2, detections)
-        flat = [(d.frame, int(d.label)) for d in tl.all_detections()]
+        flat = [(tl.by_class[label].frame[row], int(label)) for label, row in tl.rows()]
         assert flat == [(0, 0), (0, 1), (1, 0), (1, 2)]
         assert tl.detection_count == 4
 

@@ -1,22 +1,32 @@
-"""Differential test: ``parse_detection_log`` against the strict reference parser.
+"""``parse_detection_log``'s columnar fast path against the strict reference parser.
 
 ``ingest._strict_detection_log`` reads one line at a time and raises the
 first fault with its line number; it is the specification. The public
 parser must give equal columns, bit for bit, or the same exception class,
 line number and message, on valid logs and on logs with one token or one
-line changed.
+line changed. Logs the toolkit writes must not need the strict parser at
+all, and hostile input must end in its typed error in bounded time.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonwatch.ingest import ParseError, _lines, _strict_detection_log, parse_detection_log
-from dragonwatch.model import ClassLabel
+import dragonwatch
+from dragonwatch import ingest
+from dragonwatch.behaviour import BehaviourKind
+from dragonwatch.ingest import ParseError, _lines, _strict_detection_log, parse_detection_log, write_detection_log
+from dragonwatch.model import BBox, ClassLabel, Detection, FrameGeometry, Timeline
+from dragonwatch.synth import Scenario, generate
 
 HEADER = "!geometry 640 480 30 100"
 ROW = "3 0 0.5 0.25 0.1 0.2 0.9"
@@ -27,10 +37,8 @@ def timeline_bits(timeline) -> tuple:
     geom = timeline.geometry
     columns = {}
     for label in ClassLabel:
-        columns[label] = [
-            (d.frame, d.box.cx.hex(), d.box.cy.hex(), d.box.w.hex(), d.box.h.hex(), d.confidence.hex())
-            for d in timeline.detections_for(label)
-        ]
+        c = timeline.detections_for(label)
+        columns[label] = (c.frame, *([v.hex() for v in floats] for floats in c.fields()[1:]))
     return geom.width, geom.height, geom.fps.hex(), timeline.frame_count, columns
 
 
@@ -43,7 +51,7 @@ def outcome(parse, source) -> tuple:
 
 
 def strict(source) -> object:
-    return _strict_detection_log(list(_lines(source)))
+    return _strict_detection_log(_lines(source))
 
 
 CASES = {
@@ -182,3 +190,86 @@ def mutated_logs(draw) -> str:
 def test_mutated_log_matches_strict_parser(text):
     for make in (lambda t: t, lambda t: t.splitlines(keepends=True), lambda t: io.StringIO(t, newline="")):
         assert outcome(parse_detection_log, make(text)) == outcome(strict, make(text))
+
+
+def generator_style_log(seed: int, frames: int = 300) -> str:
+    """A log as a detector exporter writes it: fixed decimals, a comment, a blank line."""
+    rng = random.Random(seed)
+    rows = ["# exported detections", f"!geometry 1280 720 30 {frames}", ""]
+    for frame in range(frames):
+        for label in range(3):
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                x, y, w, h = (rng.uniform(0.01, 0.99) for _ in range(4))
+                rows.append(f"{frame} {label} {x:.6f} {y:.6f} {w:.6f} {h:.6f} {rng.random():.3f}")
+    return "\n".join(rows) + "\n"
+
+
+def extreme_floats_log() -> str:
+    detections = [
+        Detection(0, ClassLabel.BEARDED_DRAGON, BBox(5e-324, 1.0, 1e-17, 1.0), 0.9999999999999999),
+        Detection(0, ClassLabel.BEARDED_DRAGON, BBox(0.0, 0.1, 0.2, 0.3), 0.0),
+        Detection(2, ClassLabel.CRICKET, BBox(0.123456789012345, 1e-05, 0.25, 3e-2), 1.0),
+    ]
+    return write_detection_log(Timeline.build(FrameGeometry(7, 3, 0.5), 3, detections))
+
+
+FAST_LOGS = {
+    "synthetic hunting clip": generate(
+        Scenario(kind=BehaviourKind.HUNTING, frames=200, dropout_rate=0.2, position_noise=0.02, seed=3)
+    ).log_text,
+    "written extreme floats": extreme_floats_log(),
+    "exported with comments": generator_style_log(1),
+}
+
+
+@pytest.mark.parametrize("text", list(FAST_LOGS.values()), ids=list(FAST_LOGS))
+def test_written_and_generated_logs_never_reach_the_strict_parser(text, monkeypatch):
+    expected = outcome(strict, text)
+
+    def refuse(lines):
+        raise AssertionError("the strict parser read a log the fast path should read")
+
+    monkeypatch.setattr(ingest, "_strict_detection_log", refuse)
+    assert outcome(parse_detection_log, text) == expected
+    assert outcome(parse_detection_log, io.StringIO(text)) == expected
+
+
+ROW_TEXT = "'0 0 0.5 0.5 0.1 0.1 0.9\\n'"
+HOSTILE = {
+    # a one-line log of 1 MB: no header
+    "digits": ("'9' * 1_000_000", "MissingGeometry 1"),
+    # after a header, a 1 MB line: a run of digits ending in a letter, then 500k tokens
+    "long token": ("'!geometry 640 480 30 100\\n0 0 0.5 0.5 0.1 0.1 ' + '1' * 1_000_000 + 'x'", "MalformedLine 2"),
+    "many tokens": ("'!geometry 640 480 30 100\\n' + '1 ' * 500_000", "MalformedLine 2"),
+    # 200k lines, the last one bad: by range, then by token
+    "last line out of range": (
+        f"'!geometry 640 480 30 100\\n' + {ROW_TEXT} * 199_998 + '0 0 0.5 0.5 0.1 0.1 2'",
+        "OutOfRange 200000",
+    ),
+    "last line not a number": (
+        f"'!geometry 640 480 30 100\\n' + {ROW_TEXT} * 199_998 + '0 0 0.5 0.5 0.1 0.1 x'",
+        "MalformedLine 200000",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr, verdict", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_hostile_log_ends_in_its_typed_error_in_bounded_time(expr, verdict):
+    code = (
+        "from dragonwatch.ingest import ParseError, parse_detection_log\n"
+        f"text = {expr}\n"
+        "try:\n"
+        "    parse_detection_log(text)\n"
+        "except ParseError as exc:\n"
+        "    print(type(exc).__name__, exc.line_no)\n"
+    )
+    src = Path(dragonwatch.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout == verdict + "\n"

@@ -117,7 +117,7 @@ class TestCleanScenarios:
     def test_cricket_present_until_vanish_only(self):
         generated = generate(Scenario(kind=HUNTING, frames=100, vanish_frame=60))
         timeline = parse_detection_log(generated.log_text)
-        frames = [d.frame for d in timeline.detections_for(ClassLabel.CRICKET)]
+        frames = timeline.detections_for(ClassLabel.CRICKET).frame
         assert frames == list(range(61))
 
 

@@ -13,7 +13,7 @@ from dragonwatch.tracks import (
     reduce_per_frame,
 )
 
-from helpers import det
+from helpers import by_frame, det
 
 GEOM = FrameGeometry(640, 480, 30.0)
 
@@ -25,16 +25,16 @@ def timeline(*detections, frame_count=200):
 class TestTrack:
     def test_rejects_duplicate_frames(self):
         with pytest.raises(ValueError):
-            Track(ClassLabel.BEARDED_DRAGON, (det(1), det(1)))
+            Track.build(ClassLabel.BEARDED_DRAGON, (det(1), det(1)))
 
     def test_rejects_wrong_label(self):
         with pytest.raises(ValueError):
-            Track(ClassLabel.BEARDED_DRAGON, (det(1, ClassLabel.CRICKET),))
+            Track.build(ClassLabel.BEARDED_DRAGON, (det(1, ClassLabel.CRICKET),))
 
     def test_lookup(self):
-        track = Track(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
-        assert track.get(4).frame == 4
-        assert track.get(2) is None
+        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
+        assert by_frame(track)[4].frame == 4
+        assert 2 not in by_frame(track)
         assert track.first_frame == 1
         assert track.last_frame == 4
 
@@ -44,7 +44,7 @@ class TestReducePerFrame:
         tl = timeline(det(3, conf=0.9), det(3, conf=0.7, cx=0.3))
         dragon, _ = reduce_per_frame(tl)
         assert len(dragon) == 1
-        assert dragon.get(3).confidence == 0.9
+        assert by_frame(dragon)[3].confidence == 0.9
 
     def test_empty_lamp_track(self):
         tl = timeline(det(0))
@@ -57,7 +57,7 @@ class TestReducePerFrame:
             det(0, conf=0.8, w=0.2, h=0.2, cx=0.3),  # area 0.04
         )
         dragon, _ = reduce_per_frame(tl)
-        assert dragon.get(0).box.area == pytest.approx(0.04)
+        assert by_frame(dragon)[0].box.area == pytest.approx(0.04)
 
     def test_full_tie_keeps_input_order(self):
         tl = timeline(
@@ -65,7 +65,7 @@ class TestReducePerFrame:
             det(0, conf=0.8, cx=0.7),
         )
         dragon, _ = reduce_per_frame(tl)
-        assert dragon.get(0).box.cx == 0.2
+        assert by_frame(dragon)[0].box.cx == 0.2
 
 
 class TestAssociateCrickets:
@@ -127,46 +127,47 @@ class TestAssociateCrickets:
 
 class TestFillGaps:
     def test_midpoint_blend(self):
-        track = Track(
+        track = Track.build(
             ClassLabel.BEARDED_DRAGON,
             (det(0, cx=0.2), det(2, cx=0.4)),
         )
         filled = fill_gaps(track, max_gap=15)
-        mid = filled.get(1)
+        mid = by_frame(filled).get(1)
         assert mid is not None
         assert mid.box.cx == pytest.approx(0.3)
         assert mid.provenance is Provenance.INTERPOLATED
 
     def test_gap_just_beyond_max_left_open(self):
-        track = Track(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
+        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
         filled = fill_gaps(track, max_gap=3)  # gap of 4 missing frames
         assert len(filled) == 2
 
     def test_gap_exactly_max_is_filled(self):
-        track = Track(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
+        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
         filled = fill_gaps(track, max_gap=4)
         assert len(filled) == 6
 
     def test_blend_values_across_gap(self):
-        track = Track(
+        track = Track.build(
             ClassLabel.BEARDED_DRAGON,
             (det(10, cx=0.0), det(14, cx=0.8)),
         )
         filled = fill_gaps(track, max_gap=15)
-        assert filled.get(11).box.cx == pytest.approx(0.2)
-        assert filled.get(12).box.cx == pytest.approx(0.4)
-        assert filled.get(13).box.cx == pytest.approx(0.6)
+        rows = by_frame(filled)
+        assert rows[11].box.cx == pytest.approx(0.2)
+        assert rows[12].box.cx == pytest.approx(0.4)
+        assert rows[13].box.cx == pytest.approx(0.6)
 
     def test_confidence_is_min_of_endpoints(self):
-        track = Track(
+        track = Track.build(
             ClassLabel.BEARDED_DRAGON,
             (det(0, conf=0.9), det(2, conf=0.4)),
         )
         filled = fill_gaps(track, max_gap=15)
-        assert filled.get(1).confidence == 0.4
+        assert by_frame(filled)[1].confidence == 0.4
 
     def test_no_extrapolation(self):
-        track = Track(ClassLabel.BEARDED_DRAGON, (det(5), det(6)))
+        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(5), det(6)))
         filled = fill_gaps(track, max_gap=15)
         assert filled.first_frame == 5
         assert filled.last_frame == 6
@@ -186,7 +187,7 @@ def random_track(rng: random.Random) -> Track:
         )
         for f in frames
     )
-    return Track(ClassLabel.BEARDED_DRAGON, dets)
+    return Track.build(ClassLabel.BEARDED_DRAGON, dets)
 
 
 class TestFillGapsProperties:
@@ -202,22 +203,23 @@ class TestFillGapsProperties:
     def test_observed_detections_preserved(self, seed, max_gap):
         track = random_track(random.Random(seed))
         filled = fill_gaps(track, max_gap)
-        for original in track.detections:
-            assert filled.get(original.frame) == original
+        filled_rows = by_frame(filled)
+        for original in by_frame(track).values():
+            assert filled_rows[original.frame] == original
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
     def test_interpolated_confidence_never_exceeds_endpoints(self, seed):
         track = random_track(random.Random(seed))
         filled = fill_gaps(track, max_gap=10)
-        by_frame = {d.frame: d for d in track.detections}
-        frames = sorted(by_frame)
-        for d in filled.detections:
+        observed = by_frame(track)
+        frames = sorted(observed)
+        for d in by_frame(filled).values():
             if d.provenance is Provenance.INTERPOLATED:
                 left = max(f for f in frames if f < d.frame)
                 right = min(f for f in frames if f > d.frame)
-                assert d.confidence <= by_frame[left].confidence
-                assert d.confidence <= by_frame[right].confidence
+                assert d.confidence <= observed[left].confidence
+                assert d.confidence <= observed[right].confidence
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
@@ -227,13 +229,13 @@ class TestFillGapsProperties:
         assert continuity(filled) >= continuity(track)
 
     def test_monotone_coordinates_stay_monotone(self):
-        track = Track(
+        track = Track.build(
             ClassLabel.BEARDED_DRAGON,
             (det(0, cx=0.1, cy=0.8), det(7, cx=0.6, cy=0.2)),
         )
         filled = fill_gaps(track, max_gap=10)
-        xs = [d.box.cx for d in filled.detections]
-        ys = [d.box.cy for d in filled.detections]
+        xs = filled.columns.cx
+        ys = filled.columns.cy
         assert xs == sorted(xs)
         assert ys == sorted(ys, reverse=True)
 
@@ -243,7 +245,7 @@ class TestFillGapsProperties:
             det(t, cx=0.2 + 0.5 * t / 99, cy=0.5, w=0.1, h=0.1, conf=0.9) for t in range(100)
         ]
         kept = [full[0]] + [d for d in full[1:-1] if rng.random() > 0.3] + [full[-1]]
-        track = Track(ClassLabel.BEARDED_DRAGON, tuple(kept))
+        track = Track.build(ClassLabel.BEARDED_DRAGON, tuple(kept))
         assert continuity(track) < 1.0
         filled = fill_gaps(track, max_gap=15)
         assert continuity(filled) == 1.0
@@ -251,11 +253,11 @@ class TestFillGapsProperties:
 
 class TestContinuity:
     def test_empty_track(self):
-        assert continuity(Track(ClassLabel.CRICKET, ())) is None
+        assert continuity(Track.build(ClassLabel.CRICKET, ())) is None
 
     def test_single_detection(self):
-        assert continuity(Track(ClassLabel.CRICKET, (det(3, ClassLabel.CRICKET),))) == 1.0
+        assert continuity(Track.build(ClassLabel.CRICKET, (det(3, ClassLabel.CRICKET),))) == 1.0
 
     def test_fraction(self):
-        track = Track(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
+        track = Track.build(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
         assert continuity(track) == pytest.approx(0.5)
