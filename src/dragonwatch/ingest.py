@@ -211,16 +211,17 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     return timeline if timeline is not None else _strict_detection_log(lines)
 
 
-# A data line of seven tokens made of the characters a number in these files is written
-# with, separated by blanks or tabs. Of what int() and float() take, the class leaves out
-# "_", non-ASCII digits and the words nan and inf, the text _number rejects or a range
-# check would; a token that is no number makes int() or float() raise. Token and separator
-# characters do not overlap, so a match or a miss takes time linear in the line.
+# A data line the columnar reader takes: seven tokens separated by blanks or tabs, each made
+# of digits, signs, points and exponent letters. The class leaves out what int() and float()
+# accept but the strict parser rejects: "_" and non-ASCII digits, which _number refuses, and
+# nan and inf, which no range admits. A token that is still no number, such as "1e" or "+-",
+# makes int() or float() raise. Token and separator characters do not overlap, so a match
+# or a miss takes time linear in the line.
 _TOKEN = "[0-9+.eE-]+"
 _ROW = re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * 7) + "[ \t\r\n]*")
 _CLASS_CODES = frozenset(label.value for label in ClassLabel)
 _CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
-_BLOCK_LINES = 1024
+_BLOCK_LINES = 256
 
 
 def _columnar_detection_log(lines: list[str]) -> Timeline | None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from operator import add, lt, neg
+from operator import add, lt
 from typing import Iterable, Mapping, Sequence
 
 
@@ -223,8 +223,10 @@ class Columns:
         frame = self.frame
         if all(map(lt, frame, islice(frame, 1, None))):
             return self
-        keys = list(zip(frame, map(neg, self.conf)))
-        return self.take(sorted(range(len(frame)), key=keys.__getitem__))
+        # two stable sorts, the last by the first key: no key tuple per row
+        rows = sorted(range(len(frame)), key=self.conf.__getitem__, reverse=True)
+        rows.sort(key=frame.__getitem__)
+        return self.take(rows)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,12 @@ def strict(source) -> object:
     return _strict_detection_log(_lines(source))
 
 
+def assert_same_verdict(text: str) -> None:
+    """Both parsers agree on ``text`` as a string, a list of lines and a file object."""
+    for make in (lambda t: t, lambda t: t.splitlines(keepends=True), lambda t: io.StringIO(t, newline="")):
+        assert outcome(parse_detection_log, make(text)) == outcome(strict, make(text))
+
+
 CASES = {
     "plain": f"{HEADER}\n{ROW}\n",
     "plus sign": f"{HEADER}\n+3 0 +0.5 0.25 0.1 0.2 0.9\n",
@@ -105,8 +111,7 @@ CASES = {
 
 @pytest.mark.parametrize("text", list(CASES.values()), ids=list(CASES))
 def test_named_case_matches_strict_parser(text):
-    for make in (lambda t: t, lambda t: t.splitlines(keepends=True), lambda t: io.StringIO(t, newline="")):
-        assert outcome(parse_detection_log, make(text)) == outcome(strict, make(text))
+    assert_same_verdict(text)
 
 
 def test_generator_source_matches_strict_parser():
@@ -188,8 +193,7 @@ def mutated_logs(draw) -> str:
 @given(text=mutated_logs())
 @settings(max_examples=400, deadline=None)
 def test_mutated_log_matches_strict_parser(text):
-    for make in (lambda t: t, lambda t: t.splitlines(keepends=True), lambda t: io.StringIO(t, newline="")):
-        assert outcome(parse_detection_log, make(text)) == outcome(strict, make(text))
+    assert_same_verdict(text)
 
 
 def generator_style_log(seed: int, frames: int = 300) -> str:
