@@ -232,12 +232,23 @@ class TestDetectHunting:
         calls = 0
 
         class CountedFrames(list):
-            def __getitem__(self, index):
+            def read(self):
                 nonlocal calls
                 calls += 1
                 if calls > 1000:
                     raise AssertionError("dragon frames read more than 1000 times")
+
+            def __getitem__(self, index):
+                self.read()
                 return super().__getitem__(index)
+
+            def __contains__(self, value):
+                self.read()
+                return super().__contains__(value)
+
+            def index(self, *args):
+                self.read()
+                return super().index(*args)
 
         crickets = [cricket_track(range(41), cx=0.6)]
         dragon = dragon_track(dragon_frames)
