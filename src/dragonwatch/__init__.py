@@ -44,10 +44,8 @@ from .ingest import (
     write_detection_log,
 )
 from .model import (
-    BBox,
     ClassLabel,
     Columns,
-    Detection,
     FrameGeometry,
     PixelBox,
     Provenance,

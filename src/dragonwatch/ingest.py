@@ -9,7 +9,7 @@ Detection log (one file per clip)::
     <frame:int> <class:int> <cx> <cy> <w> <h> <confidence>
 
 The geometry directive must precede all data lines. Floats may use decimal
-or scientific notation. Coordinates are normalised (see :class:`BBox`).
+or scientific notation. Coordinates are normalised (see :class:`Columns`).
 
 Ground truth::
 
@@ -24,36 +24,27 @@ Config::
 
 Parsing is strict: anything that does not match is rejected with a typed
 error carrying the 1-based line number, never coerced. Numbers are ASCII,
-without ``_`` digit separators. Value ranges belong to the types the values
-build (:class:`BBox`, :class:`FrameGeometry`, :class:`Detection`,
+without ``_`` digit separators. The ranges of the geometry and the
+thresholds belong to the types the values build (:class:`FrameGeometry`,
 :class:`RunConfig`); the parsers turn their ``ValueError`` into the typed
-error for the offending line.
+error for the offending line. The strict parsers check each box and
+confidence on its line, with the messages written here. Every parser
+appends its rows' values to :class:`Columns` and makes its
+:class:`Timeline` with :meth:`Timeline.build`, which checks every row again.
 
 A detection log is read in one tokenising pass straight into columns. If
-any line fails that pass, the whole log is read again by the strict line
-parser, which reports the first fault; so the errors are the strict
-parser's, line number and text.
+any line fails that pass, or ``Timeline.build`` rejects the columns, the
+whole log is read again by the strict line parser, which reports the first
+fault; so the errors are the strict parser's, line number and text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import compress, repeat
-from operator import eq
 from typing import Iterable
 
-from .model import (
-    BBox,
-    ClassLabel,
-    Columns,
-    Detection,
-    FrameGeometry,
-    Provenance,
-    Timeline,
-    in_extent_range,
-    in_unit_range,
-)
+from .model import ClassLabel, Columns, FrameGeometry, Timeline, in_extent_range, in_unit_range
 
 __all__ = [
     "ParseError",
@@ -181,15 +172,16 @@ def _float_field(token: str, line_no: int, name: str) -> float:
         raise MalformedLine(line_no, f"{name} is not a number: {token!r}") from None
 
 
-def _box_fields(parts: list[str], line_no: int) -> BBox:
+def _box_fields(parts: list[str], line_no: int) -> tuple[float, float, float, float]:
     cx = _float_field(parts[0], line_no, "cx")
     cy = _float_field(parts[1], line_no, "cy")
     w = _float_field(parts[2], line_no, "w")
     h = _float_field(parts[3], line_no, "h")
-    try:
-        return BBox(cx, cy, w, h)
-    except ValueError as exc:
-        raise OutOfRange(line_no, str(exc)) from None
+    if not (in_unit_range(cx) and in_unit_range(cy)):
+        raise OutOfRange(line_no, f"box centre outside unit square: ({cx}, {cy})")
+    if not (in_extent_range(w) and in_extent_range(h)):
+        raise OutOfRange(line_no, f"box extent outside (0, 1]: ({w}, {h})")
+    return cx, cy, w, h
 
 
 def _class_field(token: str, line_no: int) -> ClassLabel:
@@ -219,7 +211,6 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
 # or a miss takes time linear in the line.
 _TOKEN = "[0-9+.eE-]+"
 _ROW = re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * 7) + "[ \t\r\n]*")
-_CLASS_CODES = frozenset(label.value for label in ClassLabel)
 _CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
 _BLOCK_LINES = 256
 
@@ -228,7 +219,8 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
     """The log read in one pass over its tokens; None when a line needs the strict parser.
 
     Each value comes from the ``int()`` or ``float()`` of the same token
-    text as in :func:`_strict_detection_log` and passes the same range checks.
+    text as in :func:`_strict_detection_log`, and ``Timeline.build`` checks
+    the same ranges.
     """
     for head, raw in enumerate(lines):
         line = raw.strip()
@@ -248,34 +240,18 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
         rows = [raw for raw in rows if (text := raw.strip()) and not text.startswith("#")]
         if None in map(_ROW.fullmatch, rows):
             return None
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    frame, code, cx, cy, w, h, conf = columns
+    code: list[int] = []
+    columns = Columns([], [], [], [], [], [])
+    frame, cx, cy, w, h, conf = columns.fields()
     try:
         # a block of lines at a time: only one block's token strings exist at once
         for start in range(0, len(rows), _BLOCK_LINES):
             tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
-            for i, (column, cast) in enumerate(zip(columns, _CASTS)):
+            for i, (column, cast) in enumerate(zip((frame, code, cx, cy, w, h, conf), _CASTS)):
                 column.extend(map(cast, tokens[i::7]))
+        return Timeline.build(geometry, frame_count, code, columns)
     except ValueError:
         return None
-    if frame and not (0 <= min(frame) and max(frame) < frame_count):
-        return None
-    if not (
-        _CLASS_CODES.issuperset(code)
-        and all(map(in_unit_range, cx))
-        and all(map(in_unit_range, cy))
-        and all(map(in_extent_range, w))
-        and all(map(in_extent_range, h))
-        and all(map(in_unit_range, conf))
-    ):
-        return None
-    by_class = {}
-    for label in ClassLabel:
-        mine = list(map(eq, code, repeat(label.value)))
-        by_class[label] = Columns(
-            *(list(compress(c, mine)) for c in (frame, cx, cy, w, h, conf))
-        ).in_timeline_order()
-    return Timeline(geometry, frame_count, by_class)
 
 
 def _geometry_header(parts: list[str], line_no: int) -> tuple[FrameGeometry, int]:
@@ -299,7 +275,8 @@ def _strict_detection_log(lines: list[str]) -> Timeline:
     """The reference parser: one line at a time, the first fault raised with its line number."""
     geometry: FrameGeometry | None = None
     frame_count = 0
-    detections: list[Detection] = []
+    code: list[int] = []
+    columns = Columns([], [], [], [], [], [])
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -322,13 +299,14 @@ def _strict_detection_log(lines: list[str]) -> Timeline:
         label = _class_field(parts[1], line_no)
         box = _box_fields(parts[2:6], line_no)
         confidence = _float_field(parts[6], line_no, "confidence")
-        try:
-            detections.append(Detection(frame, label, box, confidence, Provenance.OBSERVED))
-        except ValueError as exc:
-            raise OutOfRange(line_no, str(exc)) from None
+        if not in_unit_range(confidence):
+            raise OutOfRange(line_no, f"confidence outside [0, 1]: {confidence}")
+        code.append(label)
+        for column, value in zip(columns.fields(), (frame, *box, confidence)):
+            column.append(value)
     if geometry is None:
         raise MissingGeometry(0, "no !geometry directive found")
-    return Timeline.build(geometry, frame_count, detections)
+    return Timeline.build(geometry, frame_count, code, columns)
 
 
 def parse_ground_truth(
@@ -344,7 +322,8 @@ def parse_ground_truth(
     switches the current frame, which starts at ``start_frame``.
     """
     current = start_frame
-    detections: list[Detection] = []
+    code: list[int] = []
+    columns = Columns([], [], [], [], [], [])
     for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -363,9 +342,13 @@ def parse_ground_truth(
             raise MalformedLine(line_no, f"expected 5 fields, got {len(parts)}")
         label = _class_field(parts[0], line_no)
         box = _box_fields(parts[1:5], line_no)
-        detections.append(Detection(current, label, box, 1.0, Provenance.OBSERVED))
-    frame_count = max((d.frame for d in detections), default=-1) + 1
-    return Timeline.build(geometry if geometry is not None else _ANY_GEOMETRY, frame_count, detections)
+        code.append(label)
+        for column, value in zip(columns.fields(), (current, *box, 1.0)):
+            column.append(value)
+    frame_count = max(columns.frame, default=-1) + 1
+    return Timeline.build(
+        geometry if geometry is not None else _ANY_GEOMETRY, frame_count, code, columns
+    )
 
 
 _GEOMETRY_KEYS = tuple(asdict(_ANY_GEOMETRY))

@@ -7,9 +7,10 @@ centre distance the tracking and hunting rules threshold.
 Image rows grow downward: a smaller ``cy`` means higher up in the frame.
 
 A clip's boxes are held as :class:`Columns`, one list per field and one row
-per box, not as one object per box. :class:`Detection` and :class:`BBox`
-are the one-record forms that synthetic clips, ground truth and tests
-build a :class:`Timeline` from.
+per box, not as one object per box. Every producer (the log and
+ground-truth parsers, synthetic clips) appends plain values to columns and
+makes its :class:`Timeline` with :meth:`Timeline.build`, which checks every
+row's frame, class and ranges.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from operator import add, lt
+from itertools import compress, islice, repeat
+from operator import add, eq, lt
 from typing import Iterable, Mapping, Sequence
 
 
@@ -72,30 +73,6 @@ def in_extent_range(value: float) -> bool:
 
 
 @dataclass(frozen=True)
-class BBox:
-    """Normalised centre/extent box: ``cx, cy`` in [0, 1], ``w, h`` in (0, 1].
-
-    These bounds also guarantee the box is never fully outside the unit
-    square: the centre itself always lies inside it.
-    """
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (in_unit_range(self.cx) and in_unit_range(self.cy)):
-            raise ValueError(f"box centre outside unit square: ({self.cx}, {self.cy})")
-        if not (in_extent_range(self.w) and in_extent_range(self.h)):
-            raise ValueError(f"box extent outside (0, 1]: ({self.w}, {self.h})")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-@dataclass(frozen=True)
 class FrameGeometry:
     """Pixel dimensions and frame rate of a clip."""
 
@@ -104,10 +81,11 @@ class FrameGeometry:
     fps: float
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.height < 1:
-            raise ValueError(f"height must be >= 1, got {self.height}")
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
+            if size > 2**53:  # the integers a float holds exactly: pixel formulas scale by floats
+                raise ValueError(f"{name} must be <= 2**53, got {size}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
@@ -155,23 +133,6 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     return min(1.0, inter / union) if union > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One observed or interpolated box for one class in one frame."""
-
-    frame: int
-    label: ClassLabel
-    box: BBox
-    confidence: float
-    provenance: Provenance = Provenance.OBSERVED
-
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError(f"frame index must be >= 0, got {self.frame}")
-        if not in_unit_range(self.confidence):
-            raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
-
-
 def center_distance_px(ax: float, ay: float, bx: float, by: float, geom: FrameGeometry) -> float:
     """Pixel distance between the normalised box centres ``(ax, ay)`` and ``(bx, by)``."""
     dx = (ax - bx) * geom.width
@@ -184,8 +145,9 @@ class Columns:
     """Boxes of one class as parallel columns: row ``i`` is one box.
 
     ``frame`` holds clip frame indices, ``cx, cy, w, h`` the normalised box
-    (ranges as in :class:`BBox`) and ``conf`` the confidence. The lists are
-    shared, never modified, once the columns are built.
+    (centre in [0, 1], so never fully outside the frame; extent in (0, 1])
+    and ``conf`` the confidence, in [0, 1]. The lists are shared, never
+    modified, once a :class:`Timeline` holds them.
     """
 
     frame: list[int]
@@ -194,18 +156,6 @@ class Columns:
     w: list[float]
     h: list[float]
     conf: list[float]
-
-    @classmethod
-    def of(cls, detections: Sequence[Detection]) -> "Columns":
-        """The columns of detection records, in their order."""
-        return cls(
-            [d.frame for d in detections],
-            [d.box.cx for d in detections],
-            [d.box.cy for d in detections],
-            [d.box.w for d in detections],
-            [d.box.h for d in detections],
-            [d.confidence for d in detections],
-        )
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -229,6 +179,11 @@ class Columns:
         return self.take(rows)
 
 
+_CLASS_CODES = frozenset(label.value for label in ClassLabel)
+# the range of each box and confidence column: cx, cy, w, h, conf
+_RANGES = (in_unit_range, in_unit_range, in_extent_range, in_extent_range, in_unit_range)
+
+
 @dataclass(frozen=True)
 class Timeline:
     """All boxes of one clip, as one :class:`Columns` per class.
@@ -247,18 +202,32 @@ class Timeline:
         cls,
         geometry: FrameGeometry,
         frame_count: int,
-        detections: Iterable[Detection],
+        code: Sequence[int],
+        rows: Columns,
     ) -> "Timeline":
-        """The timeline of detection records, in any order."""
+        """The timeline of ``rows``, in any order; row ``i`` is a box of class ``code[i]``.
+
+        ValueError unless every frame lies in ``[0, frame_count)``, every
+        code is a :class:`ClassLabel` and every box and confidence is in
+        its range (see :class:`Columns`).
+        """
         if frame_count < 0:
             raise ValueError(f"frame_count must be >= 0, got {frame_count}")
-        groups: dict[ClassLabel, list[Detection]] = {label: [] for label in ClassLabel}
-        for det in detections:
-            if det.frame >= frame_count:
-                raise ValueError(f"frame {det.frame} outside [0, {frame_count})")
-            groups[det.label].append(det)
-        by_class = {label: Columns.of(dets).in_timeline_order() for label, dets in groups.items()}
-        return cls(geometry=geometry, frame_count=frame_count, by_class=by_class)
+        frame = rows.frame
+        if frame and not (0 <= min(frame) and max(frame) < frame_count):
+            raise ValueError(f"frame outside [0, {frame_count})")
+        if not _CLASS_CODES.issuperset(code):
+            raise ValueError(f"class code outside {sorted(_CLASS_CODES)}")
+        for column, in_range in zip(rows.fields()[1:], _RANGES):
+            if not all(map(in_range, column)):
+                raise ValueError("box or confidence outside its range")
+        by_class = {}
+        for label in ClassLabel:
+            mine = list(map(eq, code, repeat(label.value)))
+            by_class[label] = Columns(
+                *(list(compress(column, mine)) for column in rows.fields())
+            ).in_timeline_order()
+        return cls(geometry, frame_count, by_class)
 
     def detections_for(self, label: ClassLabel) -> Columns:
         return self.by_class[label]

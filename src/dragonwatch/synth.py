@@ -22,7 +22,7 @@ from typing import Callable
 from .activity import ActivityReport
 from .behaviour import BehaviourKind, Episode
 from .ingest import THRESHOLDS, RunConfig, write_detection_log
-from .model import BBox, ClassLabel, Detection, FrameGeometry, Provenance, Timeline
+from .model import ClassLabel, Columns, FrameGeometry, Timeline
 
 __all__ = [
     "InvalidScenario",
@@ -317,7 +317,8 @@ def generate(scenario: Scenario, config: RunConfig | None = None) -> GeneratedSc
     config = config if config is not None else RunConfig()
     rng = SplitMix64(scenario.seed)
     bodies = _scripts(scenario)
-    detections: list[Detection] = []
+    code: list[int] = []
+    columns = Columns([], [], [], [], [], [])
     for frame in range(scenario.frames):
         for body in bodies:
             if not body.present(frame):
@@ -329,16 +330,10 @@ def generate(scenario: Scenario, config: RunConfig | None = None) -> GeneratedSc
             cx, cy = body.position(frame)
             cx = _clamp01(cx + scenario.position_noise * nx)
             cy = _clamp01(cy + scenario.position_noise * ny)
-            detections.append(
-                Detection(
-                    frame,
-                    body.label,
-                    BBox(cx, cy, body.size[0], body.size[1]),
-                    body.confidence,
-                    Provenance.OBSERVED,
-                )
-            )
-    timeline = Timeline.build(scenario.geometry, scenario.frames, detections)
+            code.append(body.label)
+            for column, value in zip(columns.fields(), (frame, cx, cy, *body.size, body.confidence)):
+                column.append(value)
+    timeline = Timeline.build(scenario.geometry, scenario.frames, code, columns)
     episodes, hunts, activity = _expected_outputs(scenario, config)
     return GeneratedScenario(
         scenario=scenario,

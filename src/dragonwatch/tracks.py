@@ -13,9 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
-from typing import Iterable
 
-from .model import ClassLabel, Columns, Detection, Provenance, Timeline, center_distance_px
+from .model import ClassLabel, Columns, Timeline, center_distance_px
 
 __all__ = [
     "Track",
@@ -37,19 +36,6 @@ class Track:
     label: ClassLabel
     columns: Columns
     interpolated: list[bool]
-
-    @classmethod
-    def build(cls, label: ClassLabel, detections: Iterable[Detection]) -> "Track":
-        """The track of detection records; ValueError unless each has ``label`` and frames increase."""
-        dets = tuple(detections)
-        last = -1
-        for det in dets:
-            if det.label != label:
-                raise ValueError(f"detection label {det.label} does not match track {label}")
-            if det.frame <= last:
-                raise ValueError("track frames must be strictly increasing")
-            last = det.frame
-        return cls(label, Columns.of(dets), [d.provenance is Provenance.INTERPOLATED for d in dets])
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -6,25 +6,42 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
 from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
 from dragonwatch.behaviour import BehaviourKind, Episode, FrameState, classify_basking
 from dragonwatch.ingest import RunConfig
-from dragonwatch.model import (
-    BBox,
-    ClassLabel,
-    Columns,
-    Detection,
-    FrameGeometry,
-    PixelBox,
-    Provenance,
-    Timeline,
-)
+from dragonwatch.model import ClassLabel, Columns, FrameGeometry, PixelBox, Provenance, Timeline
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
 from dragonwatch.tracks import Track, fill_gaps, reduce_per_frame
+
+
+class Box(NamedTuple):
+    """A normalised centre/extent box, unchecked."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+
+class Row(NamedTuple):
+    """One box of one class in one frame, as a test writes it; unchecked."""
+
+    frame: int
+    label: ClassLabel
+    cx: float
+    cy: float
+    w: float
+    h: float
+    conf: float
+    interpolated: bool = False
+
+    @property
+    def provenance(self) -> Provenance:
+        return Provenance.INTERPOLATED if self.interpolated else Provenance.OBSERVED
 
 
 def det(
@@ -35,30 +52,45 @@ def det(
     w: float = 0.1,
     h: float = 0.1,
     conf: float = 0.9,
-    provenance: Provenance = Provenance.OBSERVED,
-) -> Detection:
-    return Detection(frame, label, BBox(cx, cy, w, h), conf, provenance)
+) -> Row:
+    return Row(frame, label, cx, cy, w, h, conf)
+
+
+def columns_of(rows: Sequence[Row]) -> Columns:
+    """The columns of test rows, in their order."""
+    names = ("frame", "cx", "cy", "w", "h", "conf")
+    return Columns(*([getattr(row, name) for row in rows] for name in names))
+
+
+def timeline_of(geometry: FrameGeometry, frame_count: int, rows: Sequence[Row]) -> Timeline:
+    """``Timeline.build`` of test rows, in any order."""
+    return Timeline.build(geometry, frame_count, [row.label for row in rows], columns_of(rows))
+
+
+def track_of(label: ClassLabel, rows: Sequence[Row]) -> Track:
+    """The track of test rows, taken as they are: in frame order, each of ``label``."""
+    return Track(label, columns_of(rows), [row.interpolated for row in rows])
 
 
 def records(
     columns: Columns, label: ClassLabel, interpolated: Sequence[bool] | None = None
-) -> list[Detection]:
-    """The rows of ``columns`` as detection records, interpolated where the flag says so."""
+) -> list[Row]:
+    """The rows of ``columns`` as test rows, interpolated where the flag says so."""
     flags = interpolated if interpolated is not None else [False] * len(columns)
     return [
-        Detection(frame, label, BBox(cx, cy, w, h), conf, Provenance.INTERPOLATED if flag else Provenance.OBSERVED)
+        Row(frame, label, cx, cy, w, h, conf, flag)
         for frame, cx, cy, w, h, conf, flag in zip(*columns.fields(), flags)
     ]
 
 
-def by_frame(track: Track) -> dict[int, Detection]:
-    """A track's rows as detection records, keyed by frame."""
+def by_frame(track: Track) -> dict[int, Row]:
+    """A track's rows as test rows, keyed by frame."""
     return {d.frame: d for d in records(track.columns, track.label, track.interpolated)}
 
 
-def centre(detection: Detection | None) -> tuple[float, float] | None:
-    """The box centre ``classify_basking`` reads, or None without a detection."""
-    return None if detection is None else (detection.box.cx, detection.box.cy)
+def centre(box: Row | Box | None) -> tuple[float, float] | None:
+    """The box centre ``classify_basking`` reads, or None without a box."""
+    return None if box is None else (box.cx, box.cy)
 
 
 def corner_box(x1: float, y1: float, x2: float, y2: float) -> PixelBox:
@@ -91,7 +123,7 @@ class CentreBox:
         return self.cy + self.h / 2
 
 
-def reference_to_pixels(box: BBox, geom: FrameGeometry) -> CentreBox:
+def reference_to_pixels(box: Box, geom: FrameGeometry) -> CentreBox:
     """Reference: the former ``to_pixels``, scaling centre and extent."""
     return CentreBox(
         cx=box.cx * geom.width,
@@ -116,7 +148,7 @@ def reference_iou(a: CentreBox, b: CentreBox) -> float:
     return min(1.0, inter / union) if union > 0 else 0.0
 
 
-def reference_separation(dragon: BBox, lamp: BBox, geom: FrameGeometry) -> tuple[float, float]:
+def reference_separation(dragon: Box, lamp: Box, geom: FrameGeometry) -> tuple[float, float]:
     """Reference: the former basking ``(delta_y, theta)``, read through :class:`CentreBox`."""
     dragon_px = reference_to_pixels(dragon, geom)
     lamp_px = reference_to_pixels(lamp, geom)
@@ -129,7 +161,7 @@ def reference_separation(dragon: BBox, lamp: BBox, geom: FrameGeometry) -> tuple
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 extent_floats = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_nan=False)
 
-bboxes = st.builds(BBox, cx=unit_floats, cy=unit_floats, w=extent_floats, h=extent_floats)
+bboxes = st.builds(Box, cx=unit_floats, cy=unit_floats, w=extent_floats, h=extent_floats)
 
 geometries = st.builds(
     FrameGeometry,
@@ -152,16 +184,16 @@ def timelines(draw) -> Timeline:
     geometry = draw(geometries)
     frame_count = draw(st.integers(min_value=1, max_value=40))
     n = draw(st.integers(min_value=0, max_value=25))
-    detections = [
-        Detection(
-            frame=draw(st.integers(min_value=0, max_value=frame_count - 1)),
-            label=draw(st.sampled_from(list(ClassLabel))),
-            box=draw(bboxes),
-            confidence=draw(unit_floats),
+    rows = [
+        Row(
+            draw(st.integers(min_value=0, max_value=frame_count - 1)),
+            draw(st.sampled_from(list(ClassLabel))),
+            *draw(bboxes),
+            draw(unit_floats),
         )
         for _ in range(n)
     ]
-    return Timeline.build(geometry, frame_count, detections)
+    return timeline_of(geometry, frame_count, rows)
 
 
 def normal_equations_slope(times: Sequence[float], values: Sequence[float]) -> float:

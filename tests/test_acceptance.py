@@ -23,12 +23,12 @@ from dragonwatch.ingest import (
     parse_detection_log,
     write_detection_log,
 )
-from dragonwatch.model import BBox, ClassLabel, Detection, FrameGeometry, PixelBox, Timeline
+from dragonwatch.model import ClassLabel, FrameGeometry, PixelBox
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
-from dragonwatch.tracks import Track, fill_gaps
+from dragonwatch.tracks import fill_gaps
 
-from helpers import normal_equations_slope, records
+from helpers import Row, det, normal_equations_slope, records, timeline_of, track_of
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -301,7 +301,7 @@ def drop_interior(timeline, rate, max_gap, seed):
                 continue
             run = 0
             kept.append(det)
-    return Timeline.build(timeline.geometry, timeline.frame_count, kept)
+    return timeline_of(timeline.geometry, timeline.frame_count, kept)
 
 
 def test_criterion_5_interpolation_continuity():
@@ -317,15 +317,10 @@ def test_criterion_5_interpolation_continuity():
         rng = random.Random(31)
         for _ in range(100):
             frames = sorted(rng.sample(range(80), k=rng.randint(1, 25)))
-            track = Track.build(
+            track = track_of(
                 ClassLabel.BEARDED_DRAGON,
                 tuple(
-                    Detection(
-                        f,
-                        ClassLabel.BEARDED_DRAGON,
-                        BBox(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.1, 0.1),
-                        rng.uniform(0.2, 1.0),
-                    )
+                    det(f, cx=rng.uniform(0.2, 0.8), cy=rng.uniform(0.2, 0.8), conf=rng.uniform(0.2, 1.0))
                     for f in frames
                 ),
             )
@@ -375,15 +370,18 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
         for _ in range(50):
             frame_count = rng.randint(1, 40)
             detections = [
-                Detection(
+                Row(
                     rng.randrange(frame_count),
                     rng.choice(list(ClassLabel)),
-                    BBox(rng.random(), rng.random(), rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)),
+                    rng.random(),
+                    rng.random(),
+                    rng.uniform(1e-9, 1.0),
+                    rng.uniform(1e-9, 1.0),
                     rng.random(),
                 )
                 for _ in range(rng.randint(0, 30))
             ]
-            timeline = Timeline.build(
+            timeline = timeline_of(
                 FrameGeometry(rng.randint(1, 4000), rng.randint(1, 4000), rng.uniform(0.5, 120)),
                 frame_count,
                 detections,

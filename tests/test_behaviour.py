@@ -19,7 +19,7 @@ from dragonwatch.behaviour import (
     run_length_episodes,
 )
 from dragonwatch.ingest import RunConfig
-from dragonwatch.model import ClassLabel, Detection, FrameGeometry
+from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.tracks import Track
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     reference_run_length_episodes,
     reference_runs,
     reference_separation,
+    track_of,
 )
 
 IDLE = BehaviourKind.IDLE
@@ -146,9 +147,7 @@ class TestClassifyBasking:
     @given(dragon_box=bboxes, lamp_box=bboxes, geom=geometries)
     def test_separation_equals_centre_extent_reference(self, dragon_box, lamp_box, geom):
         cfg = RunConfig()
-        dragon = Detection(0, ClassLabel.BEARDED_DRAGON, dragon_box, 0.9)
-        lamp = Detection(0, ClassLabel.HEATING_LAMP, lamp_box, 0.9)
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, cfg)
+        basking, sep = classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
         delta_y, theta = reference_separation(dragon_box, lamp_box, geom)
         assert (sep.delta_y.hex(), sep.theta.hex()) == (delta_y.hex(), theta.hex())
         lamp_above = lamp_box.cy * geom.height < dragon_box.cy * geom.height
@@ -164,14 +163,14 @@ class TestBaskingGeometry:
 
 
 def cricket_track(frames, cx=0.6, cy=0.5):
-    return Track.build(
+    return track_of(
         ClassLabel.CRICKET,
         tuple(det(t, ClassLabel.CRICKET, cx=cx, cy=cy, w=0.03, h=0.02) for t in frames),
     )
 
 
 def dragon_track(frames, cx=0.7, cy=0.5):
-    return Track.build(ClassLabel.BEARDED_DRAGON, tuple(det(t, cx=cx, cy=cy) for t in frames))
+    return track_of(ClassLabel.BEARDED_DRAGON, tuple(det(t, cx=cx, cy=cy) for t in frames))
 
 
 def nearest_dragon_by_scan(dragon: Track, frame: int, max_gap: int) -> int | None:
@@ -387,7 +386,7 @@ class TestKindRuns:
 class TestResolveFrameStates:
     def test_exactly_one_state_per_frame(self, config, geom):
         dragon = dragon_track(range(10), cx=0.5, cy=0.5)
-        lamp = Track.build(
+        lamp = track_of(
             ClassLabel.HEATING_LAMP,
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in range(10)),
         )
@@ -397,13 +396,13 @@ class TestResolveFrameStates:
         assert all(s.kind is BASKING for s in states if s.frame != 4)
 
     def test_missing_objects_give_no_state(self, config, geom):
-        empty_dragon = Track.build(ClassLabel.BEARDED_DRAGON, ())
-        empty_lamp = Track.build(ClassLabel.HEATING_LAMP, ())
+        empty_dragon = track_of(ClassLabel.BEARDED_DRAGON, ())
+        empty_lamp = track_of(ClassLabel.HEATING_LAMP, ())
         assert resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config) == []
 
     def test_states_only_where_a_box_or_a_hunt_is(self, config, geom):
         dragon = dragon_track([0, 1, 2])
-        lamp = Track.build(
+        lamp = track_of(
             ClassLabel.HEATING_LAMP,
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in (2, 5, 6)),
         )

@@ -270,8 +270,7 @@ class TestEvaluateCommand:
             for label, columns in timeline.by_class.items():
                 for d in records(columns, label):
                     if d.frame == frame:
-                        b = d.box
-                        rows.append(f"{int(label)} {b.cx!r} {b.cy!r} {b.w!r} {b.h!r}")
+                        rows.append(f"{int(label)} {d.cx!r} {d.cy!r} {d.w!r} {d.h!r}")
             (gts_dir / f"clip_{frame}.txt").write_text("\n".join(rows) + "\n")
         out = tmp_path / "eval"
         assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(out)]) == 0
@@ -544,6 +543,10 @@ class TestReportCommand:
         assert main(["report", str(path)]) in (0, 1)
 
 
+# a frame width no float holds: scaled by it, a pixel formula overflows
+HUGE = "1" + "0" * 400
+HUGE_LOG = f"!geometry {HUGE} 480 30 10\n0 0 0.5 0.5 0.1 0.1 0.9\n0 1 0.5 0.3 0.1 0.1 0.9\n"
+HUGE_WIDTH = f"line 1: width must be <= 2**53, got {HUGE}"
 # Inputs of the error-path table; "<tmp>" in an argv or a message is the test's tmp_path.
 ERROR_PATH_FILES = {
     "range.cfg": "beta = 1.5\n",
@@ -558,6 +561,9 @@ ERROR_PATH_FILES = {
     "stem_preds/a_1.txt": "!geometry 640 480 30 5\n0 0 0.5 0.5 0.1 0.1 0.9\n",
     "stem_gts/a_1.txt": "0 0.5 0.5 0.1 0.1\n",
     "report.json": "{not json",
+    "huge.log": HUGE_LOG,
+    "huge_preds/clip.txt": HUGE_LOG,
+    "huge.cfg": f"width = {HUGE}\nheight = 480\nfps = 30\n",
 }
 ANALYZE = ["analyze", "--log", "<tmp>/clip.log"]
 EVALUATE = ["evaluate", "<tmp>/preds", "<tmp>/gts"]
@@ -589,6 +595,14 @@ ERROR_PATHS = [
         "<tmp>/bad.log: line 2: unknown class id 9", id="analyze-log-bad-class",
     ),
     pytest.param(
+        ["analyze", "--log", "<tmp>/huge.log", "--out", "<tmp>/out"], 1,
+        f"<tmp>/huge.log: {HUGE_WIDTH}", id="analyze-log-huge-width",
+    ),
+    pytest.param(
+        [*ANALYZE, "--config", "<tmp>/huge.cfg", "--out", "<tmp>/out"], 1,
+        f"<tmp>/huge.cfg: {HUGE_WIDTH}", id="analyze-config-huge-width",
+    ),
+    pytest.param(
         [*ANALYZE, "--out", "<tmp>/out", "--beta", "2"], 1,
         "beta must be in (0, 1], got 2.0", id="analyze-beta-out-of-range",
     ),
@@ -604,6 +618,10 @@ ERROR_PATHS = [
         ["evaluate", "<tmp>/bad_preds", "<tmp>/gts", "--out", "<tmp>/out"], 1,
         "<tmp>/bad_preds/clip.txt: line 1: data line before !geometry header",
         id="evaluate-bad-predictions",
+    ),
+    pytest.param(
+        ["evaluate", "<tmp>/huge_preds", "<tmp>/gts", "--out", "<tmp>/out"], 1,
+        f"<tmp>/huge_preds/clip.txt: {HUGE_WIDTH}", id="evaluate-predictions-huge-width",
     ),
     pytest.param(
         ["evaluate", "<tmp>/preds", "<tmp>/bad_gts", "--out", "<tmp>/out"], 1,

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given
 
 from dragonwatch.model import (
-    BBox,
     ClassLabel,
-    Detection,
     FrameGeometry,
     PixelBox,
-    Timeline,
     center_distance_px,
     iou,
     to_pixels,
 )
 
 from helpers import (
+    Box,
     bboxes,
     corner_box,
     det,
@@ -23,26 +21,8 @@ from helpers import (
     pixel_boxes,
     reference_iou,
     reference_to_pixels,
+    timeline_of,
 )
-
-
-class TestBBox:
-    def test_valid(self):
-        box = BBox(0.5, 0.5, 0.2, 0.2)
-        assert box.area == pytest.approx(0.04)
-
-    @pytest.mark.parametrize(
-        "cx,cy,w,h",
-        [
-            (-0.1, 0.5, 0.1, 0.1),
-            (0.5, 1.5, 0.1, 0.1),
-            (0.5, 0.5, 0.0, 0.1),
-            (0.5, 0.5, 0.1, 1.2),
-        ],
-    )
-    def test_rejects_out_of_bounds(self, cx, cy, w, h):
-        with pytest.raises(ValueError):
-            BBox(cx, cy, w, h)
 
 
 class TestFrameGeometry:
@@ -56,15 +36,24 @@ class TestFrameGeometry:
 
     @pytest.mark.parametrize(
         "width, height, message",
-        [(0, 480, "width must be >= 1, got 0"), (640, -2, "height must be >= 1, got -2")],
+        [
+            (0, 480, "width must be >= 1, got 0"),
+            (640, -2, "height must be >= 1, got -2"),
+            (2**53 + 1, 480, "width must be <= 2**53, got 9007199254740993"),
+            (640, 10**400, f"height must be <= 2**53, got {10**400}"),
+        ],
     )
     def test_size_message_names_one_field(self, width, height, message):
         with pytest.raises(ValueError) as err:
             FrameGeometry(width, height, 30.0)
         assert str(err.value) == message
 
+    def test_largest_size_is_the_largest_exact_float_integer(self):
+        geom = FrameGeometry(2**53, 2**53, 30.0)
+        assert float(geom.width) == geom.width
 
-def pixels(box: BBox, geom: FrameGeometry) -> PixelBox:
+
+def pixels(box: Box, geom: FrameGeometry) -> PixelBox:
     return to_pixels(box.cx, box.cy, box.w, box.h, geom)
 
 
@@ -118,7 +107,7 @@ class TestIou:
 
     def test_underflowing_union_is_no_overlap(self):
         # positive extents whose products underflow to 0: the ratio is 0/0
-        box = pixels(BBox(0.0, 0.0, 2.189413701196951e-46, 5.377463426376192e-307), FrameGeometry(1, 1, 1.0))
+        box = pixels(Box(0.0, 0.0, 2.189413701196951e-46, 5.377463426376192e-307), FrameGeometry(1, 1, 1.0))
         assert box.x_max > box.x_min and box.y_max > box.y_min
         assert iou(box, box) == 0.0
 
@@ -142,16 +131,6 @@ class TestCenterDistance:
         assert center_distance_px(0.5, 0.5, 0.5, 0.75, geom) == 2.5
 
 
-class TestDetection:
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            det(0, conf=1.5)
-
-    def test_rejects_negative_frame(self):
-        with pytest.raises(ValueError):
-            det(-1)
-
-
 class TestTimeline:
     def test_build_sorts_by_frame_then_confidence(self):
         detections = [
@@ -160,7 +139,7 @@ class TestTimeline:
             det(2, conf=0.9),
             det(0, conf=0.3, cx=0.4),
         ]
-        tl = Timeline.build(FrameGeometry(640, 480, 30.0), 5, detections)
+        tl = timeline_of(FrameGeometry(640, 480, 30.0), 5, detections)
         dragon = tl.detections_for(ClassLabel.BEARDED_DRAGON)
         assert dragon.frame == [0, 0, 2, 2]
         assert dragon.conf == [0.3, 0.3, 0.9, 0.5]
@@ -168,9 +147,24 @@ class TestTimeline:
         assert dragon.cx[0] == 0.5
         assert dragon.cx[1] == 0.4
 
-    def test_build_rejects_frame_beyond_count(self):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame", -1),
+            ("frame", 3),  # == frame_count
+            ("label", 3),
+            ("cx", 1.5),
+            ("cy", math.nan),
+            ("w", 0.0),
+            ("h", 1.5),
+            ("conf", -0.1),
+            ("conf", math.nan),
+        ],
+    )
+    def test_build_rejects_a_row_out_of_range(self, field, value):
+        rows = [det(0), det(1)._replace(**{field: value}), det(2)]
         with pytest.raises(ValueError):
-            Timeline.build(FrameGeometry(640, 480, 30.0), 3, [det(3)])
+            timeline_of(FrameGeometry(640, 480, 30.0), 3, rows)
 
     def test_rows_order(self):
         detections = [
@@ -179,7 +173,7 @@ class TestTimeline:
             det(0, ClassLabel.BEARDED_DRAGON),
             det(1, ClassLabel.BEARDED_DRAGON),
         ]
-        tl = Timeline.build(FrameGeometry(640, 480, 30.0), 2, detections)
+        tl = timeline_of(FrameGeometry(640, 480, 30.0), 2, detections)
         flat = [(tl.by_class[label].frame[row], int(label)) for label, row in tl.rows()]
         assert flat == [(0, 0), (0, 1), (1, 0), (1, 2)]
         assert tl.detection_count == 4

@@ -25,8 +25,10 @@ import dragonwatch
 from dragonwatch import ingest
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.ingest import ParseError, _lines, _strict_detection_log, parse_detection_log, write_detection_log
-from dragonwatch.model import BBox, ClassLabel, Detection, FrameGeometry, Timeline
+from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.synth import Scenario, generate
+
+from helpers import Row, timeline_of
 
 HEADER = "!geometry 640 480 30 100"
 ROW = "3 0 0.5 0.25 0.1 0.2 0.9"
@@ -209,12 +211,12 @@ def generator_style_log(seed: int, frames: int = 300) -> str:
 
 
 def extreme_floats_log() -> str:
-    detections = [
-        Detection(0, ClassLabel.BEARDED_DRAGON, BBox(5e-324, 1.0, 1e-17, 1.0), 0.9999999999999999),
-        Detection(0, ClassLabel.BEARDED_DRAGON, BBox(0.0, 0.1, 0.2, 0.3), 0.0),
-        Detection(2, ClassLabel.CRICKET, BBox(0.123456789012345, 1e-05, 0.25, 3e-2), 1.0),
+    rows = [
+        Row(0, ClassLabel.BEARDED_DRAGON, 5e-324, 1.0, 1e-17, 1.0, 0.9999999999999999),
+        Row(0, ClassLabel.BEARDED_DRAGON, 0.0, 0.1, 0.2, 0.3, 0.0),
+        Row(2, ClassLabel.CRICKET, 0.123456789012345, 1e-05, 0.25, 3e-2, 1.0),
     ]
-    return write_detection_log(Timeline.build(FrameGeometry(7, 3, 0.5), 3, detections))
+    return write_detection_log(timeline_of(FrameGeometry(7, 3, 0.5), 3, rows))
 
 
 FAST_LOGS = {

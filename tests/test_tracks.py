@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonwatch.model import ClassLabel, FrameGeometry, Provenance, Timeline
+from dragonwatch.model import ClassLabel, FrameGeometry, Provenance
 from dragonwatch.tracks import (
     Track,
     associate_crickets,
@@ -13,26 +13,36 @@ from dragonwatch.tracks import (
     reduce_per_frame,
 )
 
-from helpers import by_frame, det
+from helpers import by_frame, det, timeline_of, timelines, track_of
 
 GEOM = FrameGeometry(640, 480, 30.0)
 
 
 def timeline(*detections, frame_count=200):
-    return Timeline.build(GEOM, frame_count, list(detections))
+    return timeline_of(GEOM, frame_count, detections)
+
+
+def assert_well_formed(track: Track, label: ClassLabel) -> None:
+    """Strictly increasing frames, the class's label and one interpolated flag per row."""
+    frame = track.columns.frame
+    assert all(a < b for a, b in zip(frame, frame[1:]))
+    assert track.label is label
+    assert {len(column) for column in track.columns.fields()} == {len(track.interpolated)}
 
 
 class TestTrack:
-    def test_rejects_duplicate_frames(self):
-        with pytest.raises(ValueError):
-            Track.build(ClassLabel.BEARDED_DRAGON, (det(1), det(1)))
-
-    def test_rejects_wrong_label(self):
-        with pytest.raises(ValueError):
-            Track.build(ClassLabel.BEARDED_DRAGON, (det(1, ClassLabel.CRICKET),))
+    @given(tl=timelines(), max_gap=st.integers(0, 20))
+    @settings(max_examples=100)
+    def test_producers_return_well_formed_tracks(self, tl, max_gap):
+        dragon, lamp = reduce_per_frame(tl)
+        labelled = [(dragon, ClassLabel.BEARDED_DRAGON), (lamp, ClassLabel.HEATING_LAMP)]
+        labelled += [(t, ClassLabel.CRICKET) for t in associate_crickets(tl, max_gap=max_gap)]
+        for track, label in labelled:
+            assert_well_formed(track, label)
+            assert_well_formed(fill_gaps(track, max_gap), label)
 
     def test_lookup(self):
-        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
+        track = track_of(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
         assert by_frame(track)[4].frame == 4
         assert 2 not in by_frame(track)
         assert track.first_frame == 1
@@ -44,7 +54,7 @@ class TestReducePerFrame:
         tl = timeline(det(3, conf=0.9), det(3, conf=0.7, cx=0.3))
         dragon, _ = reduce_per_frame(tl)
         assert len(dragon) == 1
-        assert by_frame(dragon)[3].confidence == 0.9
+        assert by_frame(dragon)[3].conf == 0.9
 
     def test_empty_lamp_track(self):
         tl = timeline(det(0))
@@ -57,7 +67,8 @@ class TestReducePerFrame:
             det(0, conf=0.8, w=0.2, h=0.2, cx=0.3),  # area 0.04
         )
         dragon, _ = reduce_per_frame(tl)
-        assert by_frame(dragon)[0].box.area == pytest.approx(0.04)
+        kept = by_frame(dragon)[0]
+        assert kept.w * kept.h == pytest.approx(0.04)
 
     def test_full_tie_keeps_input_order(self):
         tl = timeline(
@@ -65,7 +76,7 @@ class TestReducePerFrame:
             det(0, conf=0.8, cx=0.7),
         )
         dragon, _ = reduce_per_frame(tl)
-        assert by_frame(dragon)[0].box.cx == 0.2
+        assert by_frame(dragon)[0].cx == 0.2
 
 
 class TestAssociateCrickets:
@@ -127,47 +138,47 @@ class TestAssociateCrickets:
 
 class TestFillGaps:
     def test_midpoint_blend(self):
-        track = Track.build(
+        track = track_of(
             ClassLabel.BEARDED_DRAGON,
             (det(0, cx=0.2), det(2, cx=0.4)),
         )
         filled = fill_gaps(track, max_gap=15)
         mid = by_frame(filled).get(1)
         assert mid is not None
-        assert mid.box.cx == pytest.approx(0.3)
+        assert mid.cx == pytest.approx(0.3)
         assert mid.provenance is Provenance.INTERPOLATED
 
     def test_gap_just_beyond_max_left_open(self):
-        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
+        track = track_of(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
         filled = fill_gaps(track, max_gap=3)  # gap of 4 missing frames
         assert len(filled) == 2
 
     def test_gap_exactly_max_is_filled(self):
-        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
+        track = track_of(ClassLabel.BEARDED_DRAGON, (det(0), det(5)))
         filled = fill_gaps(track, max_gap=4)
         assert len(filled) == 6
 
     def test_blend_values_across_gap(self):
-        track = Track.build(
+        track = track_of(
             ClassLabel.BEARDED_DRAGON,
             (det(10, cx=0.0), det(14, cx=0.8)),
         )
         filled = fill_gaps(track, max_gap=15)
         rows = by_frame(filled)
-        assert rows[11].box.cx == pytest.approx(0.2)
-        assert rows[12].box.cx == pytest.approx(0.4)
-        assert rows[13].box.cx == pytest.approx(0.6)
+        assert rows[11].cx == pytest.approx(0.2)
+        assert rows[12].cx == pytest.approx(0.4)
+        assert rows[13].cx == pytest.approx(0.6)
 
     def test_confidence_is_min_of_endpoints(self):
-        track = Track.build(
+        track = track_of(
             ClassLabel.BEARDED_DRAGON,
             (det(0, conf=0.9), det(2, conf=0.4)),
         )
         filled = fill_gaps(track, max_gap=15)
-        assert by_frame(filled)[1].confidence == 0.4
+        assert by_frame(filled)[1].conf == 0.4
 
     def test_no_extrapolation(self):
-        track = Track.build(ClassLabel.BEARDED_DRAGON, (det(5), det(6)))
+        track = track_of(ClassLabel.BEARDED_DRAGON, (det(5), det(6)))
         filled = fill_gaps(track, max_gap=15)
         assert filled.first_frame == 5
         assert filled.last_frame == 6
@@ -187,7 +198,7 @@ def random_track(rng: random.Random) -> Track:
         )
         for f in frames
     )
-    return Track.build(ClassLabel.BEARDED_DRAGON, dets)
+    return track_of(ClassLabel.BEARDED_DRAGON, dets)
 
 
 class TestFillGapsProperties:
@@ -218,8 +229,8 @@ class TestFillGapsProperties:
             if d.provenance is Provenance.INTERPOLATED:
                 left = max(f for f in frames if f < d.frame)
                 right = min(f for f in frames if f > d.frame)
-                assert d.confidence <= observed[left].confidence
-                assert d.confidence <= observed[right].confidence
+                assert d.conf <= observed[left].conf
+                assert d.conf <= observed[right].conf
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
@@ -229,7 +240,7 @@ class TestFillGapsProperties:
         assert continuity(filled) >= continuity(track)
 
     def test_monotone_coordinates_stay_monotone(self):
-        track = Track.build(
+        track = track_of(
             ClassLabel.BEARDED_DRAGON,
             (det(0, cx=0.1, cy=0.8), det(7, cx=0.6, cy=0.2)),
         )
@@ -245,7 +256,7 @@ class TestFillGapsProperties:
             det(t, cx=0.2 + 0.5 * t / 99, cy=0.5, w=0.1, h=0.1, conf=0.9) for t in range(100)
         ]
         kept = [full[0]] + [d for d in full[1:-1] if rng.random() > 0.3] + [full[-1]]
-        track = Track.build(ClassLabel.BEARDED_DRAGON, tuple(kept))
+        track = track_of(ClassLabel.BEARDED_DRAGON, tuple(kept))
         assert continuity(track) < 1.0
         filled = fill_gaps(track, max_gap=15)
         assert continuity(filled) == 1.0
@@ -253,11 +264,11 @@ class TestFillGapsProperties:
 
 class TestContinuity:
     def test_empty_track(self):
-        assert continuity(Track.build(ClassLabel.CRICKET, ())) is None
+        assert continuity(track_of(ClassLabel.CRICKET, ())) is None
 
     def test_single_detection(self):
-        assert continuity(Track.build(ClassLabel.CRICKET, (det(3, ClassLabel.CRICKET),))) == 1.0
+        assert continuity(track_of(ClassLabel.CRICKET, (det(3, ClassLabel.CRICKET),))) == 1.0
 
     def test_fraction(self):
-        track = Track.build(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
+        track = track_of(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
         assert continuity(track) == pytest.approx(0.5)
