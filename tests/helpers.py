@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
-from dragonwatch.behaviour import BehaviourKind, Episode, FrameState, classify_basking
+from dragonwatch.behaviour import BehaviourKind, Episode
 from dragonwatch.ingest import RunConfig
 from dragonwatch.model import ClassLabel, Columns, FrameGeometry, PixelBox, Provenance, Timeline
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
@@ -89,7 +89,7 @@ def by_frame(track: Track) -> dict[int, Row]:
 
 
 def centre(box: Row | Box | None) -> tuple[float, float] | None:
-    """The box centre ``classify_basking`` reads, or None without a box."""
+    """The box centre ``reference_classify_basking`` reads, or None without a box."""
     return None if box is None else (box.cx, box.cy)
 
 
@@ -219,9 +219,74 @@ def write_ground_truth(timeline: Timeline) -> str:
     return "\n".join(rows) + ("\n" if rows else "")
 
 
-# Reference: the dense frame-state path, one FrameState per header frame.
+# Reference: the dense frame-state path, one record per header frame.
 # The pipeline keeps states only for frames with a box or a hunt; these
 # functions are what it replaced, kept to check its outputs byte for byte.
+# They share no code with the package's frame states or basking rule.
+
+
+class FrameRecord(NamedTuple):
+    """One frame's state as ``frames.jsonl`` writes it; ``delta_y`` and ``theta`` None when unmeasured."""
+
+    frame: int
+    kind: BehaviourKind
+    delta_y: float | None
+    theta: float | None
+    dragon_provenance: Provenance | None
+    lamp_provenance: Provenance | None
+
+
+def reference_classify_basking(
+    dragon: tuple[float, float] | None,
+    lamp: tuple[float, float] | None,
+    geom: FrameGeometry,
+    cfg: RunConfig,
+) -> tuple[bool, tuple[float, float] | None]:
+    """Reference: the per-frame basking rule, ``(is_basking, (delta_y, theta))`` from two box centres.
+
+    The separation is None unless both centres are given. Each centre is
+    scaled before the subtraction; a zero row distance is 90 degrees.
+    """
+    if dragon is None or lamp is None:
+        return False, None
+    dragon_y = dragon[1] * geom.height
+    lamp_y = lamp[1] * geom.height
+    delta_y = abs(dragon_y - lamp_y)
+    if delta_y == 0:
+        theta = 90.0
+    else:
+        dx = abs(dragon[0] * geom.width - lamp[0] * geom.width)
+        theta = math.degrees(math.atan(dx / delta_y))
+    lamp_above = lamp_y < dragon_y
+    is_basking = lamp_above and delta_y <= cfg.beta * geom.height and theta < cfg.theta_max
+    return is_basking, (delta_y, theta)
+
+
+def state_records(result: AnalysisResult) -> list[FrameRecord]:
+    """The pipeline's sparse frame states as records, in frame order."""
+    return [
+        FrameRecord(
+            s.frame,
+            s.kind,
+            None if s.separation is None else s.separation.delta_y,
+            None if s.separation is None else s.separation.theta,
+            s.dragon_provenance,
+            s.lamp_provenance,
+        )
+        for s in result.states
+    ]
+
+
+def dense_frames(result: AnalysisResult) -> Iterator[tuple[int, FrameRecord | None]]:
+    """Every frame of the analysed clip in order, with its record or None for a frame without a state."""
+    after = 0
+    for record in state_records(result):
+        for t in range(after, record.frame):
+            yield t, None
+        yield record.frame, record
+        after = record.frame + 1
+    for t in range(after, result.frame_count):
+        yield t, None
 
 
 def reference_resolve_frame_states(
@@ -231,31 +296,35 @@ def reference_resolve_frame_states(
     geom: FrameGeometry,
     frame_count: int,
     cfg: RunConfig,
-) -> list[FrameState]:
-    """Reference: exactly one state for every frame of the clip, hunting over basking."""
+) -> list[FrameRecord]:
+    """Reference: exactly one record for every frame of the clip, hunting over basking."""
     hunting = set(hunting_frames)
     dragon_at, lamp_at = by_frame(dragon), by_frame(lamp)
-    states: list[FrameState] = []
+    records: list[FrameRecord] = []
     for t in range(frame_count):
         dragon_det = dragon_at.get(t)
         lamp_det = lamp_at.get(t)
-        is_basking, separation = classify_basking(centre(dragon_det), centre(lamp_det), geom, cfg)
+        is_basking, separation = reference_classify_basking(
+            centre(dragon_det), centre(lamp_det), geom, cfg
+        )
         if t in hunting:
             kind = BehaviourKind.HUNTING
         elif is_basking:
             kind = BehaviourKind.BASKING
         else:
             kind = BehaviourKind.IDLE
-        states.append(
-            FrameState(
-                frame=t,
-                kind=kind,
-                separation=separation,
-                dragon_provenance=dragon_det.provenance if dragon_det else None,
-                lamp_provenance=lamp_det.provenance if lamp_det else None,
+        delta_y, theta = (None, None) if separation is None else separation
+        records.append(
+            FrameRecord(
+                t,
+                kind,
+                delta_y,
+                theta,
+                dragon_det.provenance if dragon_det else None,
+                lamp_det.provenance if lamp_det else None,
             )
         )
-    return states
+    return records
 
 
 def reference_runs(kinds: Sequence[BehaviourKind]) -> Iterator[tuple[int, int, BehaviourKind]]:
@@ -287,16 +356,12 @@ def reference_run_length_episodes(kinds: Sequence[BehaviourKind], fps: float) ->
 
 
 def reference_activity_reports(
-    states: Sequence[FrameState], frame_count: int, fps: float
+    states: Sequence[FrameRecord], frame_count: int, fps: float
 ) -> dict[BehaviourKind, ActivityReport]:
-    """Reference: activity metrics from one state per frame, coverage counted frame by frame."""
+    """Reference: activity metrics from one record per frame, coverage counted frame by frame."""
     reports = {}
     for kind in BehaviourKind:
-        measured = [
-            (s.frame, s.separation.delta_y)
-            for s in states
-            if s.kind is kind and s.separation is not None
-        ]
+        measured = [(s.frame, s.delta_y) for s in states if s.kind is kind and s.delta_y is not None]
         reports[kind] = ActivityReport(
             behaviour=kind,
             coverage=100.0 * sum(1 for s in states if s.kind is kind) / frame_count,
@@ -308,18 +373,17 @@ def reference_activity_reports(
     return reports
 
 
-def reference_frames_jsonl(states: Sequence[FrameState]) -> str:
-    """Reference: one ``json.dumps`` record per dense frame state."""
+def reference_frames_jsonl(states: Sequence[FrameRecord]) -> str:
+    """Reference: one ``json.dumps`` record per dense frame record."""
     rows = []
     for state in states:
-        sep = state.separation
         rows.append(
             json.dumps(
                 {
                     "frame": state.frame,
                     "state": state.kind.value,
-                    "delta_y": None if sep is None else sep.delta_y,
-                    "theta": None if sep is None else sep.theta,
+                    "delta_y": state.delta_y,
+                    "theta": state.theta,
                     "dragon_provenance": state.dragon_provenance.value
                     if state.dragon_provenance
                     else None,
@@ -333,8 +397,8 @@ def reference_frames_jsonl(states: Sequence[FrameState]) -> str:
     return "\n".join(rows) + ("\n" if rows else "")
 
 
-def reference_dense_states(timeline: Timeline, result: AnalysisResult) -> list[FrameState]:
-    """Reference: the final (demoted) state of every frame of the analysed clip."""
+def reference_dense_states(timeline: Timeline, result: AnalysisResult) -> list[FrameRecord]:
+    """Reference: the final (demoted) record of every frame of the analysed clip."""
     cfg = result.config
     geom = cfg.geometry
     assert geom is not None
@@ -343,7 +407,7 @@ def reference_dense_states(timeline: Timeline, result: AnalysisResult) -> list[F
         dragon, lamp, result.hunting_event_frames, geom, timeline.frame_count, cfg
     )
     kinds = reference_demote_short_basking([s.kind for s in raw], cfg.min_episode)
-    return [s if s.kind is k else replace(s, kind=k) for s, k in zip(raw, kinds)]
+    return [s if s.kind is k else s._replace(kind=k) for s, k in zip(raw, kinds)]
 
 
 def reference_outputs(timeline: Timeline, cfg: RunConfig) -> dict[str, bytes]:

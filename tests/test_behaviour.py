@@ -27,6 +27,7 @@ from helpers import (
     centre,
     det,
     geometries,
+    reference_classify_basking,
     reference_demote_short_basking,
     reference_run_length_episodes,
     reference_runs,
@@ -152,6 +153,24 @@ class TestClassifyBasking:
         assert (sep.delta_y.hex(), sep.theta.hex()) == (delta_y.hex(), theta.hex())
         lamp_above = lamp_box.cy * geom.height < dragon_box.cy * geom.height
         assert basking == (lamp_above and delta_y <= cfg.beta * geom.height and theta < cfg.theta_max)
+
+
+    @given(
+        dragon_box=st.one_of(st.none(), bboxes),
+        lamp_box=st.one_of(st.none(), bboxes),
+        geom=geometries,
+        beta=st.floats(0.05, 1.0),
+        theta_max=st.floats(1.0, 90.0),
+    )
+    def test_equals_reference_rule(self, dragon_box, lamp_box, geom, beta, theta_max):
+        cfg = RunConfig(beta=beta, theta_max=theta_max)
+        basking, sep = classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
+        ref_basking, ref_sep = reference_classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
+        assert basking == ref_basking
+        if ref_sep is None:
+            assert sep is None
+        else:
+            assert (sep.delta_y.hex(), sep.theta.hex()) == (ref_sep[0].hex(), ref_sep[1].hex())
 
 
 class TestBaskingGeometry:

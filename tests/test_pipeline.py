@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dragonwatch.behaviour import BehaviourKind, FrameState
+from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.model import FrameGeometry
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
 
-from helpers import reference_dense_states, reference_outputs
+from helpers import FrameRecord, dense_frames, reference_dense_states, reference_outputs, state_records
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -205,16 +205,17 @@ class TestDenseReference:
         timeline = parse_detection_log(log)
         result = analyze_timeline(timeline, cfg)
         expected = reference_dense_states(timeline, result)
-        dense = list(result.dense_frames())
+        dense = list(dense_frames(result))
         assert [t for t, _ in dense] == [s.frame for s in expected]
         for (frame, state), ref in zip(dense, expected):
             if state is None:
-                assert ref == FrameState(frame, IDLE, None, None, None)
+                assert ref == FrameRecord(frame, IDLE, None, None, None, None)
             else:
                 assert state == ref
         # a state exists exactly where there is a box or a hunt
-        assert result.states == [s for _, s in dense if s is not None]
-        assert [s.frame for s in result.states] == [
+        states = state_records(result)
+        assert states == [s for _, s in dense if s is not None]
+        assert [s.frame for s in states] == [
             s.frame
             for s in expected
             if s.dragon_provenance or s.lamp_provenance or s.frame in result.hunting_event_frames
