@@ -2,7 +2,6 @@
 
 from .activity import (
     ActivityReport,
-    activity_report,
     activity_reports,
     coverage,
     drift_slope,
@@ -10,10 +9,9 @@ from .activity import (
     mean_vertical_diff,
 )
 from .behaviour import (
-    BaskingGeometry,
     BehaviourKind,
     Episode,
-    FrameState,
+    FrameStates,
     classify_basking,
     detect_hunting,
     resolve_frame_states,

@@ -2,7 +2,8 @@
 
 Coverage comes from the behaviour runs that tile the clip. The other
 metrics are computed over the frames in the behaviour where the dragon-lamp
-separation was measurable; only frames with a state can have one. When too
+separation was measurable; only frames with a state can have one, and one
+pass over the state columns gathers them for every behaviour. When too
 few such frames exist the metric is absent (None), never zero; reports
 render it as "-".
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .behaviour import BehaviourKind, FrameState, Run
+from .behaviour import BehaviourKind, FrameStates, Run
 from .model import sequential_sum
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "mean_vertical_diff",
     "jitter",
     "drift_slope",
-    "activity_report",
     "activity_reports",
 ]
 
@@ -96,31 +96,26 @@ def drift_slope(times_s: Sequence[float], values: Sequence[float]) -> float | No
     return num / denom
 
 
-def activity_report(
-    states: Sequence[FrameState],
-    runs: Sequence[Run],
-    kind: BehaviourKind,
-    frame_count: int,
-    fps: float,
-) -> ActivityReport:
-    """Build the four metrics for one behaviour from the runs and the frame states in them."""
-    measured = [
-        (s.frame, s.separation.delta_y)
-        for s in states
-        if s.kind is kind and s.separation is not None
-    ]
-    return ActivityReport(
-        behaviour=kind,
-        coverage=coverage(runs, kind, frame_count),
-        mean_vertical_diff=mean_vertical_diff([v for _, v in measured]),
-        jitter=jitter(measured),
-        drift_slope=drift_slope([f / fps for f, _ in measured], [v for _, v in measured]),
-        frames_used=len(measured),
-    )
-
-
 def activity_reports(
-    states: Sequence[FrameState], runs: Sequence[Run], frame_count: int, fps: float
+    states: FrameStates, runs: Sequence[Run], frame_count: int, fps: float
 ) -> dict[BehaviourKind, ActivityReport]:
-    """One report per behaviour kind."""
-    return {kind: activity_report(states, runs, kind, frame_count, fps) for kind in BehaviourKind}
+    """One report per behaviour kind, from the runs and the frame states in them."""
+    measured: dict[BehaviourKind, tuple[list[int], list[float]]] = {
+        kind: ([], []) for kind in BehaviourKind
+    }
+    for frame, kind, delta_y in zip(states.frame, states.kind, states.delta_y):
+        if delta_y is not None:
+            frames, values = measured[kind]
+            frames.append(frame)
+            values.append(delta_y)
+    return {
+        kind: ActivityReport(
+            behaviour=kind,
+            coverage=coverage(runs, kind, frame_count),
+            mean_vertical_diff=mean_vertical_diff(values),
+            jitter=jitter(list(zip(frames, values))),
+            drift_slope=drift_slope([f / fps for f in frames], values),
+            frames_used=len(values),
+        )
+        for kind, (frames, values) in measured.items()
+    }

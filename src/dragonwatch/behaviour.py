@@ -8,29 +8,29 @@ for ``disappearance_window`` frames and the dragon was within
 ``gamma * width`` pixels at that moment. Everything else is idle.
 
 The frame axis is sparse: only frames where the dragon or the lamp has a
-box, or where a hunt fires, get a :class:`FrameState`. Every other frame is
-idle, with no separation and no provenance. Episodes come from runs
-``(start, end, kind)`` over the whole clip, so their cost follows the
-number of states, not the header's frame count.
+box, or where a hunt fires, get a state, and the states are held as
+parallel columns (:class:`FrameStates`), not as one object per frame.
+Every other frame is idle, with no separation and no box. Episodes come
+from runs ``(start, end, kind)`` over the whole clip, so their cost follows
+the number of states, not the header's frame count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import FrameGeometry, Provenance, center_distance_px
+from .model import Columns, FrameGeometry, center_distance_px
 from .tracks import Track
 
 __all__ = [
     "BehaviourKind",
-    "BaskingGeometry",
-    "FrameState",
+    "FrameStates",
     "Run",
     "Episode",
     "classify_basking",
@@ -49,35 +49,31 @@ class BehaviourKind(enum.Enum):
     HUNTING = "hunting"
 
 
-@dataclass(frozen=True)
-class BaskingGeometry:
-    """Dragon-lamp separation: row distance in pixels, off-vertical angle in degrees."""
+@dataclass(slots=True)
+class FrameStates:
+    """The frames with a dragon or lamp box or a hunt, as parallel columns in frame order.
 
-    delta_y: float
-    theta: float
+    State ``i`` is frame ``frame[i]`` (increasing), with behaviour
+    ``kind[i]``. ``delta_y[i]`` (row distance, px, ``>= 0``) and
+    ``theta[i]`` (off-vertical angle, degrees, in [0, 90]) are the
+    dragon-lamp separation, None unless both have a box. ``dragon[i]`` and
+    ``lamp[i]`` are the box's interpolated flag, None where there is no box.
+    ``len()`` counts the states.
+    """
 
-    def __post_init__(self) -> None:
-        if self.delta_y < 0:
-            raise ValueError(f"delta_y must be >= 0, got {self.delta_y}")
-        if not 0 <= self.theta <= 90:
-            raise ValueError(f"theta must be in [0, 90] degrees, got {self.theta}")
+    frame: list[int]
+    kind: list[BehaviourKind]
+    delta_y: list[float | None]
+    theta: list[float | None]
+    dragon: list[bool | None]
+    lamp: list[bool | None]
 
-
-@dataclass(frozen=True)
-class FrameState:
-    """Classification of one frame with a box or a hunt, plus the separation when measured."""
-
-    frame: int
-    kind: BehaviourKind
-    separation: BaskingGeometry | None
-    dragon_provenance: Provenance | None
-    lamp_provenance: Provenance | None
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 # first frame, last frame (inclusive), behaviour
 Run = tuple[int, int, BehaviourKind]
-# a normalised box centre (cx, cy)
-Centre = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -99,33 +95,39 @@ class Episode:
 
 
 def classify_basking(
-    dragon: Centre | None,
-    lamp: Centre | None,
+    states: FrameStates,
+    matched: Iterable[tuple[int, int, int]],
+    dragon: Columns,
+    lamp: Columns,
     geom: FrameGeometry,
     cfg: RunConfig,
-) -> tuple[bool, BaskingGeometry | None]:
-    """Apply the basking rule to one frame, given the dragon's and the lamp's box centres.
+) -> None:
+    """Apply the basking rule to the states where the dragon and the lamp both have a box.
 
-    Returns (is_basking, separation). The separation is measured whenever
-    both objects are present, basking or not. A lamp level with the dragon
-    (zero row distance) counts as 90 degrees off vertical, so it never
-    passes a theta_max below 90.
+    ``matched`` holds ``(i, d, l)``: state ``i`` has row ``d`` of ``dragon``
+    and row ``l`` of ``lamp``. Each such state gets its ``delta_y`` and
+    ``theta``, and the kind BASKING when the rule holds; the other states
+    are left as they are. A lamp level with the dragon (zero row distance)
+    counts as 90 degrees off vertical, so it never passes a theta_max below
+    90.
     """
-    if dragon is None or lamp is None:
-        return False, None
-    # scale each centre, then subtract: the pinned outputs depend on this order
-    dragon_y = dragon[1] * geom.height
-    lamp_y = lamp[1] * geom.height
-    delta_y = abs(dragon_y - lamp_y)
-    if delta_y == 0:
-        theta = 90.0
-    else:
-        dx = abs(dragon[0] * geom.width - lamp[0] * geom.width)
-        theta = math.degrees(math.atan(dx / delta_y))
-    separation = BaskingGeometry(delta_y=delta_y, theta=theta)
-    lamp_above = lamp_y < dragon_y
-    is_basking = lamp_above and delta_y <= cfg.beta * geom.height and theta < cfg.theta_max
-    return is_basking, separation
+    width, height = geom.width, geom.height
+    limit, theta_max = cfg.beta * height, cfg.theta_max
+    kind, delta_col, theta_col = states.kind, states.delta_y, states.theta
+    d_cx, d_cy, l_cx, l_cy = dragon.cx, dragon.cy, lamp.cx, lamp.cy
+    for i, d, l in matched:
+        # scale each centre, then subtract: the pinned outputs depend on this order
+        dragon_y = d_cy[d] * height
+        lamp_y = l_cy[l] * height
+        delta_y = abs(dragon_y - lamp_y)
+        if delta_y == 0:
+            theta = 90.0
+        else:
+            theta = math.degrees(math.atan(abs(d_cx[d] * width - l_cx[l] * width) / delta_y))
+        delta_col[i] = delta_y
+        theta_col[i] = theta
+        if lamp_y < dragon_y and delta_y <= limit and theta < theta_max:
+            kind[i] = BehaviourKind.BASKING
 
 
 def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> int | None:
@@ -176,7 +178,9 @@ def detect_hunting(
     return events
 
 
-_PROVENANCE = {False: Provenance.OBSERVED, True: Provenance.INTERPOLATED}
+def _rows(track: Track, frames: list[int]) -> list[int | None]:
+    """Each frame's row in ``track``, or None where the track has no box."""
+    return list(map(dict(zip(track.columns.frame, count())).get, frames))
 
 
 def resolve_frame_states(
@@ -186,7 +190,7 @@ def resolve_frame_states(
     geom: FrameGeometry,
     frame_count: int,
     cfg: RunConfig,
-) -> list[FrameState]:
+) -> FrameStates:
     """The states of the frames with a dragon or lamp box or a hunt, in frame order.
 
     Every other frame of ``[0, frame_count)`` is idle with no separation.
@@ -194,45 +198,24 @@ def resolve_frame_states(
     single state.
     """
     hunting = set(hunting_frames)
-    d_frame, d_cx, d_cy = dragon.columns.frame, dragon.columns.cx, dragon.columns.cy
-    l_frame, l_cx, l_cy = lamp.columns.frame, lamp.columns.cx, lamp.columns.cy
-    d_end, l_end = len(d_frame), len(l_frame)
-    d = l = 0  # the next dragon and lamp rows: each track's frames increase
-    states: list[FrameState] = []
-    previous = -1
-    # sort the concatenation, not a set union: no hash table of every frame
-    for t in sorted(chain(d_frame, l_frame, hunting)):
-        if t == previous:
-            continue
-        previous = t
-        d_row = l_row = None
-        if d < d_end and d_frame[d] == t:
-            d_row, d = d, d + 1
-        if l < l_end and l_frame[l] == t:
-            l_row, l = l, l + 1
-        if not 0 <= t < frame_count:
-            continue
-        is_basking, separation = classify_basking(
-            None if d_row is None else (d_cx[d_row], d_cy[d_row]),
-            None if l_row is None else (l_cx[l_row], l_cy[l_row]),
-            geom,
-            cfg,
-        )
-        if t in hunting:
-            kind = BehaviourKind.HUNTING
-        elif is_basking:
-            kind = BehaviourKind.BASKING
-        else:
-            kind = BehaviourKind.IDLE
-        states.append(
-            FrameState(
-                frame=t,
-                kind=kind,
-                separation=separation,
-                dragon_provenance=None if d_row is None else _PROVENANCE[dragon.interpolated[d_row]],
-                lamp_provenance=None if l_row is None else _PROVENANCE[lamp.interpolated[l_row]],
-            )
-        )
+    present = sorted(hunting.union(dragon.columns.frame, lamp.columns.frame))
+    frames = present[bisect_left(present, 0) : bisect_left(present, frame_count)]
+    n = len(frames)
+    d_rows, l_rows = _rows(dragon, frames), _rows(lamp, frames)
+    states = FrameStates(
+        frames,
+        [BehaviourKind.IDLE] * n,
+        [None] * n,
+        [None] * n,
+        [None if d is None else dragon.interpolated[d] for d in d_rows],
+        [None if l is None else lamp.interpolated[l] for l in l_rows],
+    )
+    # the states where both have a box, with the dragon's and the lamp's row
+    matched = [(i, d, l) for i, d, l in zip(count(), d_rows, l_rows) if not (d is None or l is None)]
+    classify_basking(states, matched, dragon.columns, lamp.columns, geom, cfg)
+    for t in hunting:
+        if 0 <= t < frame_count:
+            states.kind[bisect_left(frames, t)] = BehaviourKind.HUNTING
     return states
 
 
@@ -246,36 +229,35 @@ def _merged(runs: Iterable[Run]) -> list[Run]:
     return out
 
 
-def kind_runs(states: Sequence[FrameState], frame_count: int) -> list[Run]:
-    """Maximal runs of one behaviour tiling ``[0, frame_count)``; frames without a state are idle.
-
-    ``states`` are sparse and in frame order, as :func:`resolve_frame_states`
-    returns them.
-    """
+def kind_runs(states: FrameStates, frame_count: int) -> list[Run]:
+    """Maximal runs of one behaviour tiling ``[0, frame_count)``; frames without a state are idle."""
 
     def pieces() -> Iterator[Run]:
         after = 0
-        for state in states:
-            if state.frame > after:
-                yield after, state.frame - 1, BehaviourKind.IDLE
-            yield state.frame, state.frame, state.kind
-            after = state.frame + 1
+        for frame, kind in zip(states.frame, states.kind):
+            if frame > after:
+                yield after, frame - 1, BehaviourKind.IDLE
+            yield frame, frame, kind
+            after = frame + 1
         if after < frame_count:
             yield after, frame_count - 1, BehaviourKind.IDLE
 
     return _merged(pieces())
 
 
-def relabel(states: Sequence[FrameState], runs: Sequence[Run]) -> list[FrameState]:
-    """The states with each kind replaced by the kind of the run holding its frame."""
-    out: list[FrameState] = []
-    covering = iter(runs)
-    end, kind = -1, BehaviourKind.IDLE
-    for state in states:
-        while state.frame > end:
-            _, end, kind = next(covering)
-        out.append(state if state.kind is kind else replace(state, kind=kind))
-    return out
+def relabel(states: FrameStates, runs: Sequence[Run]) -> FrameStates:
+    """The states with the kind column rewritten: each state takes the kind of the run holding its frame.
+
+    ``runs`` tile the clip, as :func:`kind_runs` returns them.
+    """
+    frame = states.frame
+    kind: list[BehaviourKind] = []
+    lo = 0
+    for _, end, run_kind in runs:
+        hi = bisect_right(frame, end, lo)
+        kind += [run_kind] * (hi - lo)
+        lo = hi
+    return replace(states, kind=kind)
 
 
 def demote_short_basking(runs: Sequence[Run], min_episode: int) -> list[Run]:

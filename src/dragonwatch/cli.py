@@ -21,6 +21,8 @@ import re
 import sys
 import time
 from dataclasses import replace
+from itertools import chain, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -131,47 +133,55 @@ _FRAME = (
 )
 # the record of a frame with no state: idle, nothing measured, no box
 _EMPTY_FRAME = _FRAME % ("%d", "idle", "null", "null", "null", "null")
-_JSON_PROVENANCE = {None: "null", **{p: f'"{p.value}"' for p in Provenance}}
+# a box's interpolated flag as its provenance; None: no box
+_JSON_PROVENANCE = {
+    None: "null", False: f'"{Provenance.OBSERVED.value}"', True: f'"{Provenance.INTERPOLATED.value}"'
+}
 _CHUNK_LINES = 4096
+
+
+def _frame_lines(result: AnalysisResult) -> Iterator[Iterable[str]]:
+    """Every frame's record in frame order: idle gaps alternating with runs of consecutive states."""
+    states = result.states
+    frame = states.frame
+    rows = map(
+        _FRAME.__mod__,
+        zip(
+            frame,
+            map(attrgetter("_value_"), states.kind),  # BehaviourKind.value, without the property call
+            ["null" if v is None else repr(v) for v in states.delta_y],
+            ["null" if v is None else repr(v) for v in states.theta],
+            map(_JSON_PROVENANCE.__getitem__, states.dragon),
+            map(_JSON_PROVENANCE.__getitem__, states.lamp),
+        ),
+    )
+    # the states that follow a gap in the frames
+    starts = [i for i in range(1, len(frame)) if frame[i] != frame[i - 1] + 1]
+    after = 0  # the first frame not yet written
+    for start, stop in zip([0, *starts], [*starts, len(frame)] if frame else []):
+        yield map(_EMPTY_FRAME.__mod__, range(after, frame[start]))
+        yield islice(rows, stop - start)
+        after = frame[stop - 1] + 1
+    yield map(_EMPTY_FRAME.__mod__, range(after, result.frame_count))
 
 
 def _frames_jsonl(result: AnalysisResult) -> Iterator[str]:
     """frames.jsonl as chunks of up to ``_CHUNK_LINES`` records, one record per frame."""
-    lines: list[str] = []
-    for frame, state in result.dense_frames():
-        if state is None:
-            lines.append(_EMPTY_FRAME % frame)
-        else:
-            sep = state.separation
-            lines.append(
-                _FRAME
-                % (
-                    frame,
-                    state.kind.value,
-                    "null" if sep is None else repr(sep.delta_y),
-                    "null" if sep is None else repr(sep.theta),
-                    _JSON_PROVENANCE[state.dragon_provenance],
-                    _JSON_PROVENANCE[state.lamp_provenance],
-                )
-            )
-        if len(lines) == _CHUNK_LINES:
-            yield "".join(lines)
-            lines = []
-    if lines:
-        yield "".join(lines)
+    lines = chain.from_iterable(_frame_lines(result))
+    return iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")
 
 
 def _run_meta(argv_echo: dict) -> str:
-    return json.dumps({"run_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **argv_echo}, indent=2) + "\n"
+    return json.dumps({"run_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **argv_echo}, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     log_path = Path(args.log)
-    result = analyze_timeline(_load(log_path, parse_detection_log), cfg)
+    result = _checked(analyze_timeline, _load(log_path, parse_detection_log), cfg)
     outputs = {
         "events.txt": _events_text(result),
-        "report.json": json.dumps(result.to_json_dict(), indent=2) + "\n",
+        "report.json": json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n",
         "frames.jsonl": _frames_jsonl(result),
         "run_meta.json": _run_meta({"log": str(log_path)}),
     }
@@ -259,7 +269,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(preds, gts, iou_threshold=args.iou, confusion_confidence=args.conf)
     table = report.to_table()
     outputs = {
-        "eval_report.json": json.dumps(report.to_json_dict(), indent=2) + "\n",
+        "eval_report.json": json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n",
         "eval_report.txt": table,
     }
     _write_outputs(Path(args.out), outputs)

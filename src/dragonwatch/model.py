@@ -90,6 +90,18 @@ class FrameGeometry:
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
 
+# The longest clip, in seconds. So far below the float range that every time
+# derived from a clip, and the drift slope's sum of squared times, stay finite.
+MAX_CLIP_SECONDS = 2**53
+
+
+def check_clip_length(frame_count: int, fps: float) -> None:
+    """ValueError when ``frame_count`` frames at ``fps`` last over :data:`MAX_CLIP_SECONDS`."""
+    # an int compared with a float is exact, for any frame count
+    if not frame_count <= MAX_CLIP_SECONDS * fps:
+        raise ValueError(f"{frame_count} frames at {fps!r} fps last over 2**53 seconds")
+
+
 @dataclass(frozen=True)
 class PixelBox:
     """Corner box in pixel units: ``x_min <= x_max``, ``y_min <= y_max``."""

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator
 
 from .activity import ActivityReport, activity_reports
 from .behaviour import (
     BehaviourKind,
     Episode,
-    FrameState,
+    FrameStates,
     demote_short_basking,
     detect_hunting,
     kind_runs,
@@ -18,7 +17,7 @@ from .behaviour import (
     run_length_episodes,
 )
 from .ingest import THRESHOLDS, RunConfig
-from .model import Timeline
+from .model import Timeline, check_clip_length
 from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
 
 __all__ = ["TrackContinuity", "AnalysisResult", "analyze_timeline"]
@@ -42,29 +41,18 @@ class AnalysisResult:
     """Everything one clip analysis produces, ready for serialisation.
 
     ``states`` holds only the frames with a dragon or lamp box or a hunt, in
-    frame order; :meth:`dense_frames` expands them to every frame.
+    frame order; every other frame is idle, with nothing measured.
     """
 
     config: RunConfig  # effective config, geometry resolved
     frame_count: int
-    states: list[FrameState]
+    states: FrameStates
     episodes: list[Episode]
     hunting_event_frames: list[int]
     activity: dict[BehaviourKind, ActivityReport]
     dragon_continuity: TrackContinuity
     lamp_continuity: TrackContinuity
     cricket_continuity: list[TrackContinuity]
-
-    def dense_frames(self) -> Iterator[tuple[int, FrameState | None]]:
-        """Every frame of the clip in order, with its state or None for an implicit idle frame."""
-        after = 0
-        for state in self.states:
-            for t in range(after, state.frame):
-                yield t, None
-            yield state.frame, state
-            after = state.frame + 1
-        for t in range(after, self.frame_count):
-            yield t, None
 
     def to_json_dict(self) -> dict:
         geom = self.config.geometry
@@ -99,9 +87,14 @@ def _filled_with_continuity(track: Track, max_gap: int) -> tuple[Track, TrackCon
 
 
 def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> AnalysisResult:
-    """Run the full behaviour pipeline on one parsed clip."""
+    """Run the full behaviour pipeline on one parsed clip.
+
+    ValueError when the clip, at the effective fps, lasts over
+    :data:`~dragonwatch.model.MAX_CLIP_SECONDS`.
+    """
     cfg = cfg if cfg is not None else RunConfig()
     geom = cfg.geometry if cfg.geometry is not None else timeline.geometry
+    check_clip_length(timeline.frame_count, geom.fps)
     effective = replace(cfg, geometry=geom)
 
     dragon_raw, lamp_raw = reduce_per_frame(timeline)

@@ -22,7 +22,7 @@ from typing import Callable
 from .activity import ActivityReport
 from .behaviour import BehaviourKind, Episode
 from .ingest import THRESHOLDS, RunConfig, write_detection_log
-from .model import ClassLabel, Columns, FrameGeometry, Timeline
+from .model import ClassLabel, Columns, FrameGeometry, Timeline, check_clip_length
 
 __all__ = [
     "InvalidScenario",
@@ -104,6 +104,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise InvalidScenario(f"frames must be >= 1, got {self.frames}")
+        try:
+            check_clip_length(self.frames, self.geometry.fps)
+        except ValueError as exc:
+            raise InvalidScenario(str(exc)) from None
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidScenario(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.position_noise) and self.position_noise >= 0.0):
@@ -214,7 +218,7 @@ class GeneratedScenario:
                 kind.value: report.to_json_dict() for kind, report in self.expected_activity.items()
             },
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _empty_report(kind: BehaviourKind) -> ActivityReport:

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
-from dragonwatch.behaviour import BehaviourKind, Episode
+from dragonwatch.behaviour import BehaviourKind, Episode, FrameStates, resolve_frame_states
 from dragonwatch.ingest import RunConfig
 from dragonwatch.model import ClassLabel, Columns, FrameGeometry, PixelBox, Provenance, Timeline
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
@@ -262,31 +262,59 @@ def reference_classify_basking(
     return is_basking, (delta_y, theta)
 
 
-def state_records(result: AnalysisResult) -> list[FrameRecord]:
-    """The pipeline's sparse frame states as records, in frame order."""
+_PROVENANCE = {None: None, False: Provenance.OBSERVED, True: Provenance.INTERPOLATED}
+
+
+def state_records(states: FrameStates) -> list[FrameRecord]:
+    """The pipeline's sparse frame-state columns as records, in frame order."""
     return [
-        FrameRecord(
-            s.frame,
-            s.kind,
-            None if s.separation is None else s.separation.delta_y,
-            None if s.separation is None else s.separation.theta,
-            s.dragon_provenance,
-            s.lamp_provenance,
+        FrameRecord(frame, kind, delta_y, theta, _PROVENANCE[dragon], _PROVENANCE[lamp])
+        for frame, kind, delta_y, theta, dragon, lamp in zip(
+            states.frame, states.kind, states.delta_y, states.theta, states.dragon, states.lamp
         )
-        for s in result.states
     ]
 
 
 def dense_frames(result: AnalysisResult) -> Iterator[tuple[int, FrameRecord | None]]:
     """Every frame of the analysed clip in order, with its record or None for a frame without a state."""
     after = 0
-    for record in state_records(result):
+    for record in state_records(result.states):
         for t in range(after, record.frame):
             yield t, None
         yield record.frame, record
         after = record.frame + 1
     for t in range(after, result.frame_count):
         yield t, None
+
+
+class Separation(NamedTuple):
+    delta_y: float
+    theta: float
+
+
+def classify_one(
+    dragon: tuple[float, float] | None,
+    lamp: tuple[float, float] | None,
+    geom: FrameGeometry,
+    cfg: RunConfig,
+) -> tuple[bool, Separation | None]:
+    """The package's rule on a one-frame clip: ``(is_basking, separation)`` from two box centres.
+
+    A centre of None means that object has no box; the separation is None
+    unless both have one.
+    """
+
+    def track(label: ClassLabel, centre: tuple[float, float] | None) -> Track:
+        return track_of(label, [] if centre is None else [Row(0, label, *centre, 0.1, 0.1, 0.9)])
+
+    states = resolve_frame_states(
+        track(ClassLabel.BEARDED_DRAGON, dragon), track(ClassLabel.HEATING_LAMP, lamp), [], geom, 1, cfg
+    )
+    if not states.frame:
+        return False, None
+    delta_y, theta = states.delta_y[0], states.theta[0]
+    separation = None if delta_y is None else Separation(delta_y, theta)
+    return states.kind[0] is BehaviourKind.BASKING, separation
 
 
 def reference_resolve_frame_states(

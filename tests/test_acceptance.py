@@ -252,11 +252,11 @@ def test_criterion_3_basking_rule():
         geom = generated.scenario.geometry
         delta_expected = abs(0.40 - 0.20) * geom.height
         theta_expected = math.degrees(math.atan(abs(0.55 - 0.50) * geom.width / delta_expected))
-        assert [state.frame for state in result.states] == list(range(200))
-        for state in result.states:
-            assert state.separation is not None
-            assert abs(state.separation.delta_y - delta_expected) <= 1e-9
-            assert abs(state.separation.theta - theta_expected) <= 1e-9
+        assert result.states.frame == list(range(200))
+        for delta_y, theta in zip(result.states.delta_y, result.states.theta):
+            assert delta_y is not None and theta is not None
+            assert abs(delta_y - delta_expected) <= 1e-9
+            assert abs(theta - theta_expected) <= 1e-9
 
         idle = generate(Scenario(kind=IDLE, frames=200))
         idle_result = analyze_timeline(parse_detection_log(idle.log_text))

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dragonwatch.activity import (
-    activity_report,
     activity_reports,
     coverage,
     drift_slope,
     jitter,
     mean_vertical_diff,
 )
-from dragonwatch.behaviour import BaskingGeometry, BehaviourKind, FrameState
+from dragonwatch.behaviour import BehaviourKind, FrameStates
 
 from helpers import normal_equations_slope, reference_runs
 
@@ -26,13 +25,16 @@ def runs_of(kinds):
 
 
 def report_for(states, kind, frame_count):
-    """activity_report over states that give every frame of the clip a state."""
-    return activity_report(states, runs_of([s.kind for s in states]), kind, frame_count, 30.0)
+    """The report of ``kind`` over states that give every frame of the clip a state."""
+    return activity_reports(states, runs_of(states.kind), frame_count, 30.0)[kind]
 
 
-def state(frame, kind, delta_y=None):
-    sep = None if delta_y is None else BaskingGeometry(delta_y=delta_y, theta=0.0)
-    return FrameState(frame, kind, sep, None, None)
+def states_of(*rows):
+    """Frame-state columns of ``(frame, kind, delta_y)`` rows in frame order; delta_y None: unmeasured."""
+    frame, kind, delta_y = zip(*rows)
+    theta = [None if v is None else 0.0 for v in delta_y]
+    nothing = [None] * len(rows)
+    return FrameStates(list(frame), list(kind), list(delta_y), theta, nothing, nothing)
 
 
 class TestCoverage:
@@ -173,19 +175,19 @@ class TestDriftSlope:
 
 class TestActivityReport:
     def test_mean_over_state_frames_only(self):
-        states = [
-            state(0, BASKING, 100.0),
-            state(1, BASKING, 102.0),
-            state(2, IDLE, 400.0),
-            state(3, HUNTING, 150.0),
-        ]
+        states = states_of(
+            (0, BASKING, 100.0),
+            (1, BASKING, 102.0),
+            (2, IDLE, 400.0),
+            (3, HUNTING, 150.0),
+        )
         report = report_for(states, BASKING, 4)
         assert report.coverage == 50.0
         assert report.mean_vertical_diff == pytest.approx(101.0)
         assert report.frames_used == 2
 
     def test_hunting_single_frame_has_absent_jitter_and_drift(self):
-        states = [state(0, IDLE, 200.0), state(1, HUNTING, 145.8), state(2, IDLE, 200.0)]
+        states = states_of((0, IDLE, 200.0), (1, HUNTING, 145.8), (2, IDLE, 200.0))
         report = report_for(states, HUNTING, 3)
         assert report.mean_vertical_diff == pytest.approx(145.8)
         assert report.jitter is None
@@ -193,7 +195,7 @@ class TestActivityReport:
         assert report.frames_used == 1
 
     def test_states_without_separation_are_skipped(self):
-        states = [state(0, IDLE), state(1, IDLE, 300.0), state(2, IDLE)]
+        states = states_of((0, IDLE, None), (1, IDLE, 300.0), (2, IDLE, None))
         report = report_for(states, IDLE, 3)
         assert report.coverage == 100.0
         assert report.frames_used == 1
@@ -201,7 +203,7 @@ class TestActivityReport:
         assert report.jitter is None
 
     def test_frames_without_state_count_toward_idle_coverage(self):
-        states = [state(5, BASKING, 100.0), state(6, BASKING, 101.0)]
+        states = states_of((5, BASKING, 100.0), (6, BASKING, 101.0))
         runs = [(0, 4, IDLE), (5, 6, BASKING), (7, 9, IDLE)]
         reports = activity_reports(states, runs, 10, 30.0)
         assert reports[BASKING].coverage == 20.0
@@ -211,7 +213,7 @@ class TestActivityReport:
         assert reports[IDLE].mean_vertical_diff is None
 
     def test_reports_cover_all_kinds(self):
-        states = [state(0, IDLE, 100.0)]
+        states = states_of((0, IDLE, 100.0))
         reports = activity_reports(states, runs_of([IDLE]), 1, 30.0)
         assert set(reports) == {IDLE, BASKING, HUNTING}
         assert reports[BASKING].coverage == 0.0

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dragonwatch.behaviour import (
-    BaskingGeometry,
     BehaviourKind,
-    FrameState,
+    FrameStates,
     _nearest_dragon,
-    classify_basking,
     demote_short_basking,
     detect_hunting,
     kind_runs,
@@ -23,8 +21,11 @@ from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.tracks import Track
 
 from helpers import (
+    Row,
     bboxes,
+    by_frame,
     centre,
+    classify_one,
     det,
     geometries,
     reference_classify_basking,
@@ -45,18 +46,18 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=0.5)  # delta_y = 0.2 * H
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
+        basking, sep = classify_one(centre(dragon), centre(lamp), geom, config)
         assert basking
         assert sep.theta == 0.0
         assert sep.delta_y == pytest.approx(0.2 * 480)
 
     def test_lamp_absent(self, config, geom):
-        basking, sep = classify_basking(centre(det(0)), None, geom, config)
+        basking, sep = classify_one(centre(det(0)), None, geom, config)
         assert not basking
         assert sep is None
 
     def test_dragon_absent(self, config, geom):
-        basking, sep = classify_basking(None, centre(det(0, ClassLabel.HEATING_LAMP)), geom, config)
+        basking, sep = classify_one(None, centre(det(0, ClassLabel.HEATING_LAMP)), geom, config)
         assert not basking and sep is None
 
     def test_hand_evaluated_square_frame(self, config):
@@ -64,7 +65,7 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 640, 30.0)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=320 / 640, cy=100 / 640)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=420 / 640, cy=300 / 640)
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
+        basking, sep = classify_one(centre(dragon), centre(lamp), geom, config)
         assert sep.delta_y == pytest.approx(200.0)
         assert sep.theta == pytest.approx(math.degrees(math.atan(100 / 200)))
         assert sep.theta == pytest.approx(26.565, abs=1e-3)
@@ -73,14 +74,14 @@ class TestClassifyBasking:
     def test_lamp_below_dragon_is_not_basking(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.7)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=0.5)
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
+        basking, sep = classify_one(centre(dragon), centre(lamp), geom, config)
         assert not basking
         assert sep is not None  # separation still measured
 
     def test_level_lamp_theta_is_ninety(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.3, cy=0.5)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.6, cy=0.5)
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
+        basking, sep = classify_one(centre(dragon), centre(lamp), geom, config)
         assert not basking
         assert sep.theta == 90.0
         assert sep.delta_y == 0.0
@@ -88,7 +89,7 @@ class TestClassifyBasking:
     def test_wide_angle_fails_theta_gate(self, config, geom):
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.1, cy=0.48)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.9, cy=0.5)
-        basking, sep = classify_basking(centre(dragon), centre(lamp), geom, config)
+        basking, sep = classify_one(centre(dragon), centre(lamp), geom, config)
         assert sep.theta > 45.0
         assert not basking
 
@@ -106,7 +107,7 @@ class TestClassifyBasking:
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=lamp_cx, cy=lamp_cy)
         small = FrameGeometry(320, 240, 30.0)
         large = FrameGeometry(320 * scale, 240 * scale, 30.0)
-        assert classify_basking(centre(dragon), centre(lamp), small, cfg)[0] == classify_basking(
+        assert classify_one(centre(dragon), centre(lamp), small, cfg)[0] == classify_one(
             centre(dragon), centre(lamp), large, cfg
         )[0]
 
@@ -123,8 +124,8 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=0.5, cy=dragon_cy)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=min(1.0, 0.5 + offset), cy=lamp_cy)
-        low = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_low))[0]
-        high = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_high))[0]
+        low = classify_one(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_low))[0]
+        high = classify_one(centre(dragon), centre(lamp), geom, RunConfig(beta=beta_high))[0]
         if low:
             assert high
 
@@ -139,8 +140,8 @@ class TestClassifyBasking:
         geom = FrameGeometry(640, 480, 30.0)
         dragon = det(0, ClassLabel.BEARDED_DRAGON, cx=dragon_cx, cy=0.5)
         lamp = det(0, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.4)
-        low = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_low))[0]
-        high = classify_basking(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_high))[0]
+        low = classify_one(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_low))[0]
+        high = classify_one(centre(dragon), centre(lamp), geom, RunConfig(theta_max=theta_high))[0]
         if low:
             assert high
 
@@ -148,7 +149,7 @@ class TestClassifyBasking:
     @given(dragon_box=bboxes, lamp_box=bboxes, geom=geometries)
     def test_separation_equals_centre_extent_reference(self, dragon_box, lamp_box, geom):
         cfg = RunConfig()
-        basking, sep = classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
+        basking, sep = classify_one(centre(dragon_box), centre(lamp_box), geom, cfg)
         delta_y, theta = reference_separation(dragon_box, lamp_box, geom)
         assert (sep.delta_y.hex(), sep.theta.hex()) == (delta_y.hex(), theta.hex())
         lamp_above = lamp_box.cy * geom.height < dragon_box.cy * geom.height
@@ -164,21 +165,13 @@ class TestClassifyBasking:
     )
     def test_equals_reference_rule(self, dragon_box, lamp_box, geom, beta, theta_max):
         cfg = RunConfig(beta=beta, theta_max=theta_max)
-        basking, sep = classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
+        basking, sep = classify_one(centre(dragon_box), centre(lamp_box), geom, cfg)
         ref_basking, ref_sep = reference_classify_basking(centre(dragon_box), centre(lamp_box), geom, cfg)
         assert basking == ref_basking
         if ref_sep is None:
             assert sep is None
         else:
             assert (sep.delta_y.hex(), sep.theta.hex()) == (ref_sep[0].hex(), ref_sep[1].hex())
-
-
-class TestBaskingGeometry:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            BaskingGeometry(delta_y=-1.0, theta=0.0)
-        with pytest.raises(ValueError):
-            BaskingGeometry(delta_y=1.0, theta=95.0)
 
 
 def cricket_track(frames, cx=0.6, cy=0.5):
@@ -370,7 +363,9 @@ class TestEpisodes:
 
 
 def sparse_states(frame_kinds):
-    return [FrameState(frame, kind, None, None, None) for frame, kind in sorted(frame_kinds.items())]
+    frames = sorted(frame_kinds)
+    nothing = [None] * len(frames)
+    return FrameStates(frames, [frame_kinds[f] for f in frames], nothing, nothing, nothing, nothing)
 
 
 class TestKindRuns:
@@ -384,7 +379,7 @@ class TestKindRuns:
         assert kind_runs(sparse_states({2: IDLE, 5: IDLE}), 8) == [(0, 7, IDLE)]
 
     def test_no_frames(self):
-        assert kind_runs([], 0) == []
+        assert kind_runs(sparse_states({}), 0) == []
 
     @given(
         frame_count=st.integers(0, 80),
@@ -397,9 +392,14 @@ class TestKindRuns:
         dense = [frame_kinds.get(t, IDLE) for t in range(frame_count)]
         runs = kind_runs(sparse_states(frame_kinds), frame_count)
         assert runs == runs_of(dense)
-        relabelled = relabel(sparse_states(frame_kinds), demote_short_basking(runs, 3))
+        states = sparse_states(frame_kinds)
+        relabelled = relabel(states, demote_short_basking(runs, 3))
         demoted = reference_demote_short_basking(dense, 3)
-        assert [(s.frame, s.kind) for s in relabelled] == [(f, demoted[f]) for f in sorted(frames)]
+        assert list(zip(relabelled.frame, relabelled.kind)) == [(f, demoted[f]) for f in sorted(frames)]
+        # only the kind column is rewritten
+        assert relabelled.frame is states.frame
+        assert (relabelled.delta_y, relabelled.theta) == (states.delta_y, states.theta)
+        assert (relabelled.dragon, relabelled.lamp) == (states.dragon, states.lamp)
 
 
 class TestResolveFrameStates:
@@ -410,14 +410,17 @@ class TestResolveFrameStates:
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in range(10)),
         )
         states = resolve_frame_states(dragon, lamp, [4], geom, 10, config)
-        assert [s.frame for s in states] == list(range(10))
-        assert states[4].kind is HUNTING  # hunting wins over basking
-        assert all(s.kind is BASKING for s in states if s.frame != 4)
+        assert len(states) == 10
+        assert states.frame == list(range(10))
+        assert states.kind[4] is HUNTING  # hunting wins over basking
+        assert all(kind is BASKING for frame, kind in zip(states.frame, states.kind) if frame != 4)
 
     def test_missing_objects_give_no_state(self, config, geom):
         empty_dragon = track_of(ClassLabel.BEARDED_DRAGON, ())
         empty_lamp = track_of(ClassLabel.HEATING_LAMP, ())
-        assert resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config) == []
+        states = resolve_frame_states(empty_dragon, empty_lamp, [], geom, 5, config)
+        assert len(states) == 0
+        assert states == FrameStates([], [], [], [], [], [])
 
     def test_states_only_where_a_box_or_a_hunt_is(self, config, geom):
         dragon = dragon_track([0, 1, 2])
@@ -426,8 +429,55 @@ class TestResolveFrameStates:
             tuple(det(t, ClassLabel.HEATING_LAMP, cx=0.5, cy=0.3) for t in (2, 5, 6)),
         )
         states = resolve_frame_states(dragon, lamp, [9], geom, 12, config)
-        assert [s.frame for s in states] == [0, 1, 2, 5, 6, 9]
-        assert [s.separation is None for s in states] == [True, True, False, True, True, True]
-        hunt = states[-1]
-        assert hunt.kind is HUNTING
-        assert (hunt.dragon_provenance, hunt.lamp_provenance) == (None, None)
+        assert states.frame == [0, 1, 2, 5, 6, 9]
+        assert [v is None for v in states.delta_y] == [True, True, False, True, True, True]
+        assert [v is None for v in states.theta] == [True, True, False, True, True, True]
+        assert states.kind[-1] is HUNTING
+        assert (states.dragon[-1], states.lamp[-1]) == (None, None)
+
+
+@st.composite
+def clip_tracks(draw):
+    """A dragon and a lamp track with boxes anywhere in the frame, missing boxes and hunts."""
+    frame_count = draw(st.integers(0, 40))
+    frames = st.sets(st.integers(0, max(frame_count - 1, 0)), max_size=frame_count)
+
+    def track(label):
+        return track_of(
+            label,
+            [Row(t, label, *draw(bboxes), 0.9, draw(st.booleans())) for t in sorted(draw(frames))],
+        )
+
+    dragon, lamp = track(ClassLabel.BEARDED_DRAGON), track(ClassLabel.HEATING_LAMP)
+    hunts = draw(st.lists(st.integers(-2, frame_count + 2), max_size=6))
+    return dragon, lamp, hunts, frame_count
+
+
+class TestFrameStateColumns:
+    @given(
+        clip=clip_tracks(),
+        geom=geometries,
+        cfg=st.builds(RunConfig, beta=st.floats(0.05, 1.0), theta_max=st.floats(1.0, 90.0)),
+    )
+    @settings(max_examples=200)
+    def test_columns_hold_the_rule_per_frame(self, clip, geom, cfg):
+        dragon, lamp, hunts, frame_count = clip
+        states = resolve_frame_states(dragon, lamp, hunts, geom, frame_count, cfg)
+        dragon_at, lamp_at = by_frame(dragon), by_frame(lamp)
+        hunting = {t for t in hunts if 0 <= t < frame_count}
+        assert states.frame == sorted(dragon_at.keys() | lamp_at.keys() | hunting)
+        columns = (states.kind, states.delta_y, states.theta, states.dragon, states.lamp)
+        assert [len(column) for column in columns] == [len(states)] * 5
+        for frame, kind, delta_y, theta, dragon_flag, lamp_flag in zip(states.frame, *columns):
+            d, l = dragon_at.get(frame), lamp_at.get(frame)
+            # the flags are the tracks' interpolated, None without a box
+            assert (dragon_flag, lamp_flag) == (d and d.interpolated, l and l.interpolated)
+            # measured exactly where both have a box, and in range there
+            assert (delta_y is None) == (theta is None) == (d is None or l is None)
+            if delta_y is not None:
+                assert delta_y >= 0
+                assert 0 <= theta <= 90
+            basking, separation = reference_classify_basking(centre(d), centre(l), geom, cfg)
+            assert (delta_y, theta) == (separation or (None, None))
+            # hunting wins over basking
+            assert kind is (HUNTING if frame in hunting else BASKING if basking else IDLE)

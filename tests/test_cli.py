@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -96,6 +97,16 @@ class TestAnalyze:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["beta"] == 0.2
+
+    def test_config_fps_overrides_a_log_fps_too_low(self, tmp_path):
+        log = tmp_path / "clip.log"
+        log.write_text(SLOW_FPS_LOG, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("width = 640\nheight = 480\nfps = 2\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "events.txt").read_text() == "basking 0 5 3.000\n"
+        assert json.loads((out / "report.json").read_text())["activity"]["basking"]["drift_slope"] == 0.0
 
     def test_bad_config_exits_1(self, tmp_path):
         log = tmp_path / "clip.log"
@@ -454,6 +465,37 @@ def analyze_peak_rss_kib(log: Path, out: Path) -> int:
     return int(done.stdout)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+class TestFiniteOutputs:
+    @given(
+        fps=st.floats(min_value=5e-324, max_value=1e308),
+        frame_count=st.integers(1, 30),
+        boxed=st.integers(0, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_frame_rate_writes_finite_numbers_or_exits_1(self, fps, frame_count, boxed):
+        rows = "".join(
+            f"{t} 0 0.55 {0.4 + t / 100} 0.18 0.12 0.9\n{t} 1 0.5 0.2 0.1 0.08 0.85\n"
+            for t in range(min(boxed, frame_count))
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            log, out = Path(scratch) / "clip.log", Path(scratch) / "out"
+            log.write_text(f"!geometry 640 480 {fps!r} {frame_count}\n{rows}", encoding="utf-8")
+            code = main(["analyze", "--log", str(log), "--out", str(out)])
+            if code == 1:
+                assert not out.exists()
+                return
+            assert code == 0
+            json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+            for line in (out / "frames.jsonl").read_text().splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+            events = (out / "events.txt").read_text()
+            assert "inf" not in events and "nan" not in events
+
+
 class TestLongClips:
     def test_empty_log_memory_does_not_grow_with_frame_count(self, tmp_path):
         frame_count = 500_000
@@ -547,6 +589,11 @@ class TestReportCommand:
 HUGE = "1" + "0" * 400
 HUGE_LOG = f"!geometry {HUGE} 480 30 10\n0 0 0.5 0.5 0.1 0.1 0.9\n0 1 0.5 0.3 0.1 0.1 0.9\n"
 HUGE_WIDTH = f"line 1: width must be <= 2**53, got {HUGE}"
+# frame rates so low that the clip's durations overflow a float, or the drift slope's squares do
+TINY_FPS_LOG = "!geometry 640 480 5e-324 10\n0 0 0.5 0.5 0.1 0.1 0.9\n0 1 0.5 0.3 0.1 0.1 0.9\n"
+SLOW_FPS_LOG = "!geometry 640 480 1e-306 6\n" + "".join(
+    f"{t} 0 0.55 0.4 0.18 0.12 0.9\n{t} 1 0.5 0.2 0.1 0.08 0.85\n" for t in range(6)
+)
 # Inputs of the error-path table; "<tmp>" in an argv or a message is the test's tmp_path.
 ERROR_PATH_FILES = {
     "range.cfg": "beta = 1.5\n",
@@ -564,6 +611,9 @@ ERROR_PATH_FILES = {
     "huge.log": HUGE_LOG,
     "huge_preds/clip.txt": HUGE_LOG,
     "huge.cfg": f"width = {HUGE}\nheight = 480\nfps = 30\n",
+    "tiny_fps.log": TINY_FPS_LOG,
+    "slow_fps.log": SLOW_FPS_LOG,
+    "tiny_fps.cfg": "width = 640\nheight = 480\nfps = 5e-324\n",
 }
 ANALYZE = ["analyze", "--log", "<tmp>/clip.log"]
 EVALUATE = ["evaluate", "<tmp>/preds", "<tmp>/gts"]
@@ -601,6 +651,18 @@ ERROR_PATHS = [
     pytest.param(
         [*ANALYZE, "--config", "<tmp>/huge.cfg", "--out", "<tmp>/out"], 1,
         f"<tmp>/huge.cfg: {HUGE_WIDTH}", id="analyze-config-huge-width",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/tiny_fps.log", "--out", "<tmp>/out"], 1,
+        "10 frames at 5e-324 fps last over 2**53 seconds", id="analyze-log-duration-overflows",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/slow_fps.log", "--out", "<tmp>/out"], 1,
+        "6 frames at 1e-306 fps last over 2**53 seconds", id="analyze-log-drift-overflows",
+    ),
+    pytest.param(
+        [*ANALYZE, "--config", "<tmp>/tiny_fps.cfg", "--out", "<tmp>/out"], 1,
+        "5 frames at 5e-324 fps last over 2**53 seconds", id="analyze-config-duration-overflows",
     ),
     pytest.param(
         [*ANALYZE, "--out", "<tmp>/out", "--beta", "2"], 1,
@@ -653,6 +715,10 @@ ERROR_PATHS = [
     pytest.param(
         [*SIMULATE, "--config", "<tmp>/range.cfg", "--out", "<tmp>/out"], 1,
         "<tmp>/range.cfg: line 1: beta must be in (0, 1], got 1.5", id="simulate-config-out-of-range",
+    ),
+    pytest.param(
+        [*SIMULATE, "--config", "<tmp>/tiny_fps.cfg", "--out", "<tmp>/out"], 1,
+        "200 frames at 5e-324 fps last over 2**53 seconds", id="simulate-config-duration-overflows",
     ),
     pytest.param(
         [*SIMULATE, "--config", "<tmp>/nope.cfg", "--out", "<tmp>/out"], 2,

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 
 from dragonwatch.model import (
+    MAX_CLIP_SECONDS,
     ClassLabel,
     FrameGeometry,
     PixelBox,
     center_distance_px,
+    check_clip_length,
     iou,
     to_pixels,
 )
@@ -51,6 +53,31 @@ class TestFrameGeometry:
     def test_largest_size_is_the_largest_exact_float_integer(self):
         geom = FrameGeometry(2**53, 2**53, 30.0)
         assert float(geom.width) == geom.width
+
+
+class TestClipLength:
+    @pytest.mark.parametrize(
+        "frame_count, fps", [(0, 5e-324), (2**53, 1.0), (2**54, 2.0), (1, 1e-15)]
+    )
+    def test_accepts_up_to_the_limit(self, frame_count, fps):
+        check_clip_length(frame_count, fps)
+
+    @pytest.mark.parametrize(
+        "frame_count, fps, message",
+        [
+            (2**53 + 1, 1.0, "9007199254740993 frames at 1.0 fps last over 2**53 seconds"),
+            (1, 5e-324, "1 frames at 5e-324 fps last over 2**53 seconds"),
+            (10**400, 1.0, f"{10**400} frames at 1.0 fps last over 2**53 seconds"),
+        ],
+    )
+    def test_rejects_beyond_the_limit(self, frame_count, fps, message):
+        with pytest.raises(ValueError) as err:
+            check_clip_length(frame_count, fps)
+        assert str(err.value) == message
+
+    def test_drift_squares_stay_finite_at_the_limit(self):
+        # the drift slope squares times up to the clip length and sums one square per frame
+        assert math.isfinite(MAX_CLIP_SECONDS**2 * 2.0**63)
 
 
 def pixels(box: Box, geom: FrameGeometry) -> PixelBox:

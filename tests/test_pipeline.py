@@ -39,14 +39,14 @@ class TestAnalyzeTimeline:
     def test_zero_frame_clip(self):
         timeline = parse_detection_log("!geometry 640 480 30 0\n")
         result = analyze_timeline(timeline)
-        assert result.states == []
-        assert list(result.dense_frames()) == []
+        assert len(result.states) == 0
+        assert list(dense_frames(result)) == []
         assert result.episodes == []
         assert result.activity == {}
 
     def test_states_partition_every_frame(self):
         result = analyze_timeline(basking_timeline(frames=80, dropout=0.2, seed=5))
-        assert [t for t, _ in result.dense_frames()] == list(range(80))
+        assert [t for t, _ in dense_frames(result)] == list(range(80))
         spans = [(ep.start_frame, ep.end_frame) for ep in result.episodes]
         flat = [t for start, end in spans for t in range(start, end + 1)]
         assert flat == list(range(80))
@@ -59,7 +59,18 @@ class TestAnalyzeTimeline:
         result = analyze_timeline(timeline, taller)
         assert result.config.geometry == taller.geometry
         # 0.2 normalised separation = 400 px on the 2000 px frame
-        assert result.states[0].separation.delta_y == pytest.approx(400.0)
+        assert result.states.delta_y[0] == pytest.approx(400.0)
+
+    def test_effective_fps_bounds_the_clip_length(self):
+        timeline = parse_detection_log("!geometry 640 480 1e-300 10\n")
+        with pytest.raises(ValueError, match="10 frames at 1e-300 fps last over 2"):
+            analyze_timeline(timeline)
+        # the config's geometry overrides the header's fps, both ways
+        normal = RunConfig(geometry=FrameGeometry(640, 480, 30.0))
+        assert analyze_timeline(timeline, normal).episodes[0].duration_s == 10 / 30.0
+        tiny = RunConfig(geometry=FrameGeometry(640, 480, 1e-300))
+        with pytest.raises(ValueError, match="at 1e-300 fps"):
+            analyze_timeline(parse_detection_log("!geometry 640 480 30 10\n"), tiny)
 
     def test_interpolated_frames_marked(self):
         text = (
@@ -68,10 +79,9 @@ class TestAnalyzeTimeline:
             "4 0 0.5 0.5 0.2 0.2 0.9\n"
         )
         result = analyze_timeline(parse_detection_log(text))
-        provenances = [s.dragon_provenance.value for s in result.states]
-        assert provenances == ["observed", "interpolated", "interpolated", "interpolated", "observed"]
+        assert result.states.dragon == [False, True, True, True, False]
         # frames 5-9 have no box, so no state
-        assert [s.frame for s in result.states] == list(range(5))
+        assert result.states.frame == list(range(5))
 
     def test_continuity_improves_with_gap_filling(self):
         text = (
@@ -100,7 +110,7 @@ class TestAnalyzeTimeline:
 
     def test_empty_log_has_no_states(self):
         result = analyze_timeline(parse_detection_log("!geometry 640 480 30 1000000\n"))
-        assert result.states == []
+        assert len(result.states) == 0
         assert [(ep.kind, ep.start_frame, ep.end_frame) for ep in result.episodes] == [
             (IDLE, 0, 999_999)
         ]
@@ -213,7 +223,7 @@ class TestDenseReference:
             else:
                 assert state == ref
         # a state exists exactly where there is a box or a hunt
-        states = state_records(result)
+        states = state_records(result.states)
         assert states == [s for _, s in dense if s is not None]
         assert [s.frame for s in states] == [
             s.frame
