@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
 from dragonwatch.behaviour import BehaviourKind, Episode, FrameStates, resolve_frame_states
 from dragonwatch.ingest import RunConfig
-from dragonwatch.model import ClassLabel, Columns, FrameGeometry, PixelBox, Provenance, Timeline
+from dragonwatch.model import (
+    ClassLabel,
+    Columns,
+    FrameGeometry,
+    PixelBox,
+    Provenance,
+    Timeline,
+    center_distance_px,
+)
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
 from dragonwatch.tracks import Track, fill_gaps, reduce_per_frame
 
@@ -217,6 +226,90 @@ def write_ground_truth(timeline: Timeline) -> str:
             rows.append(f"!frame {current}")
         rows.append(f"{int(label)} {c.cx[row]!r} {c.cy[row]!r} {c.w[row]!r} {c.h[row]!r}")
     return "\n".join(rows) + ("\n" if rows else "")
+
+
+def reference_associate_crickets(
+    timeline: Timeline, gate_fraction: float = 0.05, max_gap: int = 15
+) -> list[Track]:
+    """Reference: cricket association measuring every open track against every row of a frame.
+
+    The all-pairs loop that the gate window of ``associate_crickets``
+    replaced, kept to check its tracks bit for bit.
+    """
+    geom = timeline.geometry
+    gate_px = gate_fraction * geom.width
+    columns = timeline.detections_for(ClassLabel.CRICKET)
+    frame, cx, cy = columns.frame, columns.cx, columns.cy
+    open_tracks: list[list[int]] = []
+    done_tracks: list[list[int]] = []
+    start = 0
+    while start < len(frame):
+        t = frame[start]
+        end = bisect_right(frame, t, start)
+        still_open = []
+        for track in open_tracks:
+            if t - frame[track[-1]] - 1 > max_gap:
+                done_tracks.append(track)
+            else:
+                still_open.append(track)
+        open_tracks = still_open
+
+        candidates = []
+        for ti, track in enumerate(open_tracks):
+            last = track[-1]
+            last_x, last_y = cx[last], cy[last]
+            limit = gate_px * (t - frame[last])
+            for row in range(start, end):
+                dist = center_distance_px(cx[row], cy[row], last_x, last_y, geom)
+                if dist <= limit:
+                    candidates.append((dist, ti, row))
+        candidates.sort()
+        taken_tracks: set[int] = set()
+        taken_rows: set[int] = set()
+        for dist, ti, row in candidates:
+            if ti in taken_tracks or row in taken_rows:
+                continue
+            open_tracks[ti].append(row)
+            taken_tracks.add(ti)
+            taken_rows.add(row)
+        for row in range(start, end):
+            if row not in taken_rows:
+                open_tracks.append([row])
+        start = end
+    done_tracks.extend(open_tracks)
+    done_tracks.sort(key=lambda rows: (frame[rows[0]], cx[rows[0]], cy[rows[0]]))
+    return [
+        Track(ClassLabel.CRICKET, columns.take(rows), [False] * len(rows)) for rows in done_tracks
+    ]
+
+
+@st.composite
+def crowded_cricket_clips(draw) -> tuple[Timeline, float, int]:
+    """A cricket-only clip with up to 40 boxes a frame, and the gate and ``max_gap`` to link it with.
+
+    Centres snap to a grid, so distances tie and boxes sit on the frame
+    edge (0.0 and 1.0); frames follow each other by up to ``max_gap + 2``,
+    so tracks both bridge gaps and close; widths and heights include 1 and
+    ``2**53``.
+    """
+    max_gap = draw(st.integers(0, 15))
+    sizes = st.sampled_from([1, 2**53]) | st.integers(1, 4000)
+    geometry = FrameGeometry(draw(sizes), draw(sizes), 30.0)
+    cells = draw(st.sampled_from([1, 2, 4, 10, 20, 64]))
+    snapped = st.integers(0, cells).map(lambda k: k / cells)
+    coordinate = snapped | unit_floats
+    gate = draw(
+        st.sampled_from([1 / cells, 0.05, 1.0])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_nan=False)
+    )
+    rows: list[Row] = []
+    t = 0
+    for _ in range(draw(st.integers(1, 8))):
+        for _ in range(draw(st.integers(0, 40))):
+            conf = draw(st.sampled_from([0.5, 0.9]))
+            rows.append(Row(t, ClassLabel.CRICKET, draw(coordinate), draw(coordinate), 0.03, 0.02, conf))
+        t += draw(st.integers(1, max_gap + 2))
+    return timeline_of(geometry, t, rows), gate, max_gap
 
 
 # Reference: the dense frame-state path, one record per header frame.

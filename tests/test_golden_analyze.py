@@ -13,8 +13,8 @@ Two sets live in ``tests/golden/analyze/``:
   the rule boundaries: an empty clip, no lamp, a lamp level with the dragon,
   a gap of exactly ``max_gap`` frames, a hunt cut off by the clip end,
   duplicate boxes with equal confidence, a hunt on a frame where neither the
-  dragon nor the lamp has a box, and a header frame count far past the last
-  detection.
+  dragon nor the lamp has a box, a header frame count far past the last
+  detection, and a swarm of 32 crickets whose association decides the hunts.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_analyze.py`` only
 when the output is meant to change, and record why in CHANGES.md.
@@ -93,7 +93,47 @@ def _edge_logs() -> dict[str, str]:
         rows.append(_box(t, DRAGON, 0.55, 0.40, 0.9))
         rows.append(_box(t, LAMP, 0.5, 0.20, 0.85))
     logs["long_empty_tail"] = _log(1000, rows)
+    logs["cricket_swarm"] = _log(90, _cricket_swarm_rows())
     return logs
+
+
+def _cricket_swarm_rows() -> list[tuple]:
+    """A feeding session: 32 crickets at once around a dragon, for 90 frames.
+
+    30 crickets sit on a 6 x 5 lattice with its outer points on the frame
+    edge, each walking the same 8 px square (clamped to the frame), so their
+    steps tie; each misses a frame now and then. Four lattice crickets
+    within gamma * width of the dragon vanish after frames 20, 30, 40 and
+    50. The two on the dragon's row hide: one for 10 frames, which its track
+    bridges, and one for 20 frames, after which its track has closed (a
+    hunt at frame 35). The track that vanished at frame 50 is still open and
+    takes the returning box, so it ends without a hunt. Two more crickets
+    below the dragon, one inside the hunting distance and one outside, are
+    both 15 px from the single box that replaces them at frame 30: the tie
+    goes to the track opened first, the near one, so the far track ends
+    without a hunt and the near one hunts at frame 59.
+    """
+    rows = []
+    square = [(0, 0), (4, 0), (8, 0), (8, 4), (8, 8), (4, 8), (0, 8), (0, 4)]  # px
+    last_seen = {(0.4, 0.25): 20, (0.6, 0.25): 30, (0.4, 0.75): 40, (0.6, 0.75): 50}
+    hidden = {(0.4, 0.5): range(25, 35), (0.6, 0.5): range(36, 56)}
+    for t in range(90):
+        rows.append(_box(t, DRAGON, 0.5, 0.5, 0.9))
+        rows.append(_box(t, LAMP, 0.5, 0.15, 0.85))
+        dx, dy = square[t % len(square)]
+        for i, home in enumerate((c / 5, r / 4) for r in range(5) for c in range(6)):
+            if t > last_seen.get(home, t) or t in hidden.get(home, ()) or (7 * t + 3 * i) % 11 == 0:
+                continue
+            cx = round(min(1.0, home[0] + dx / 640), 6)
+            cy = round(min(1.0, home[1] + dy / 480), 6)
+            rows.append(_box(t, CRICKET, cx, cy, 0.6))
+        # exact binary fractions: 390 / 480 = 0.8125, 405 / 480 = 0.84375, 420 / 480 = 0.875
+        if t < 30:
+            rows.append(_box(t, CRICKET, 0.5, 0.8125, 0.7))  # 150 px from the dragon
+            rows.append(_box(t, CRICKET, 0.5, 0.875, 0.6))  # 180 px
+        elif t < 60:
+            rows.append(_box(t, CRICKET, 0.5, round(0.84375 - (t - 30) / 480, 6), 0.7))
+    return rows
 
 
 EDGE_LOGS = _edge_logs()

@@ -13,7 +13,15 @@ from dragonwatch.tracks import (
     reduce_per_frame,
 )
 
-from helpers import by_frame, det, timeline_of, timelines, track_of
+from helpers import (
+    by_frame,
+    crowded_cricket_clips,
+    det,
+    reference_associate_crickets,
+    timeline_of,
+    timelines,
+    track_of,
+)
 
 GEOM = FrameGeometry(640, 480, 30.0)
 
@@ -134,6 +142,14 @@ class TestAssociateCrickets:
         ]
         tracks = associate_crickets(timeline(*dets))
         assert len(tracks) == 2
+
+    @given(clip=crowded_cricket_clips())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_reference(self, clip):
+        tl, gate, max_gap = clip
+        tracks = associate_crickets(tl, gate_fraction=gate, max_gap=max_gap)
+        # Track equality: the label, every column and the interpolated flags, in track order
+        assert tracks == reference_associate_crickets(tl, gate, max_gap)
 
 
 class TestFillGaps:
