@@ -5,11 +5,17 @@ one lamp per clip); crickets get multi-instance tracks built by greedy
 nearest-neighbour association. Gaps up to ``max_gap`` missing frames are
 filled by blending the nearest observed detection on each side linearly.
 A track holds its boxes as :class:`Columns`, as the timeline does.
+
+Association prunes by sort and sweep, as in I-COLLIDE (Cohen, Lin, Manocha
+and Ponamgi, 1995): a frame's rows are sorted by ``cx`` once, and each open
+track measures only the rows inside its gate window along x. The window is
+a little wider than the gate, so it drops no pair the gate passes and the
+tracks are those of measuring every pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -97,10 +103,24 @@ def associate_crickets(
     A detection may join a track when the pixel distance to the track's last
     position is at most ``gate_fraction * width`` per elapsed frame and the
     frame gap does not exceed ``max_gap``. Candidate pairs are assigned in
-    ascending distance order; leftovers start new tracks.
+    ascending distance order; a tie goes to the track opened first, then
+    to the row first in timeline order. Leftovers start new tracks.
+
+    In a frame with more than one row, a track with gate ``limit`` pixels
+    measures only the rows whose ``cx`` lies within
+    ``reach = limit / width * (1 + 1e-9) + 1e-12`` of its last ``cx``. No
+    passing pair lies outside: ``|(cx - last_x) * width|`` is at most
+    ``hypot(dx * width, dy * height)``, and stays so in floats because
+    ``math.hypot`` rounds faithfully. The relative margin covers the
+    rounding of ``cx - last_x``, of the product with the width and of
+    ``limit / width``; the absolute one covers that of ``last_x +- reach``,
+    as ``cx`` lies in [0, 1]. So the candidate pairs, their order and every
+    tie are those of measuring every row. A frame with one row measures it
+    against every track, with no sort.
     """
     geom = timeline.geometry
-    gate_px = gate_fraction * geom.width
+    width = geom.width
+    gate_px = gate_fraction * width
     columns = timeline.detections_for(ClassLabel.CRICKET)
     frame, cx, cy = columns.frame, columns.cx, columns.cy
     # a track is the list of its rows
@@ -118,12 +138,21 @@ def associate_crickets(
                 still_open.append(track)
         open_tracks = still_open
 
+        near = range(start, end)
+        sweep = end - start > 1  # one row needs no sort and no bisect
+        if sweep:
+            rows = sorted(near, key=cx.__getitem__)
+            xs = list(map(cx.__getitem__, rows))
         candidates = []
         for ti, track in enumerate(open_tracks):
             last = track[-1]
             last_x, last_y = cx[last], cy[last]
             limit = gate_px * (t - frame[last])
-            for row in range(start, end):
+            if sweep:
+                reach = limit / width * (1 + 1e-9) + 1e-12
+                lo = bisect_left(xs, last_x - reach)
+                near = rows[lo : bisect_right(xs, last_x + reach, lo)]
+            for row in near:
                 dist = center_distance_px(cx[row], cy[row], last_x, last_y, geom)
                 if dist <= limit:
                     candidates.append((dist, ti, row))

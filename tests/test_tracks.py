@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonwatch.model import ClassLabel, FrameGeometry, Provenance
+import dragonwatch.tracks as tracks_module
+from dragonwatch.model import ClassLabel, FrameGeometry, Provenance, center_distance_px
 from dragonwatch.tracks import (
     Track,
     associate_crickets,
@@ -150,6 +152,52 @@ class TestAssociateCrickets:
         tracks = associate_crickets(tl, gate_fraction=gate, max_gap=max_gap)
         # Track equality: the label, every column and the interpolated flags, in track order
         assert tracks == reference_associate_crickets(tl, gate, max_gap)
+
+
+class TestGateWindow:
+    """Association measures a track only against the rows inside its gate window."""
+
+    @staticmethod
+    def count_distances(monkeypatch) -> list[None]:
+        calls: list[None] = []
+
+        def counting(*args):
+            calls.append(None)
+            return center_distance_px(*args)
+
+        monkeypatch.setattr(tracks_module, "center_distance_px", counting)
+        return calls
+
+    def test_crowded_grid_measures_under_a_quarter_of_the_pairs(self, monkeypatch):
+        # 30 crickets seen in all 60 frames, each circling inside its own cell of a 6 x 5 grid
+        dets = [
+            det(
+                t,
+                ClassLabel.CRICKET,
+                cx=(i % 6 + 0.5) / 6 + 25 / 640 * math.cos(i + 0.05 * t),
+                cy=(i // 6 + 0.5) / 5 + 20 / 480 * math.sin(i + 0.05 * t),
+                w=0.03,
+                h=0.02,
+            )
+            for t in range(60)
+            for i in range(30)
+        ]
+        tl = timeline(*dets, frame_count=60)
+        calls = self.count_distances(monkeypatch)
+        assert [len(track) for track in associate_crickets(tl)] == [60] * 30
+        all_pairs = 59 * 30 * 30  # every frame after the first: 30 open tracks, 30 rows
+        assert len(calls) <= all_pairs / 4
+
+    def test_one_row_is_measured_once_per_open_track(self, monkeypatch):
+        # one cricket a frame, alternating between two far spots: two tracks
+        dets = [
+            det(t, ClassLabel.CRICKET, cx=0.1 if t % 2 else 0.9, cy=0.5, w=0.03, h=0.02)
+            for t in range(40)
+        ]
+        calls = self.count_distances(monkeypatch)
+        assert len(associate_crickets(timeline(*dets))) == 2
+        # frame 0 meets no open track, frame 1 one, every later frame two
+        assert len(calls) == 0 + 1 + 2 * 38
 
 
 class TestFillGaps:
