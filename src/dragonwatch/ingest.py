@@ -44,7 +44,15 @@ import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable
 
-from .model import ClassLabel, Columns, FrameGeometry, Timeline, in_extent_range, in_unit_range
+from .model import (
+    ClassLabel,
+    Columns,
+    FrameGeometry,
+    Timeline,
+    check_frame_count,
+    in_extent_range,
+    in_unit_range,
+)
 
 __all__ = [
     "ParseError",
@@ -264,6 +272,7 @@ def _geometry_header(parts: list[str], line_no: int) -> tuple[FrameGeometry, int
     frame_count = _int_field(parts[4], line_no, "frame count")
     try:
         geometry = FrameGeometry(width, height, fps)
+        check_frame_count(frame_count)
     except ValueError as exc:
         raise OutOfRange(line_no, str(exc)) from None
     if frame_count < 0:

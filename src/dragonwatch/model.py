@@ -102,6 +102,18 @@ def check_clip_length(frame_count: int, fps: float) -> None:
         raise ValueError(f"{frame_count} frames at {fps!r} fps last over 2**53 seconds")
 
 
+# The most frames a clip may have: over 38 days at 30 fps. Some outputs
+# grow with the frame count (``frames.jsonl`` has a line per frame), so a
+# bound on the count, not only on the duration, keeps every run finite.
+MAX_FRAME_COUNT = 10**8
+
+
+def check_frame_count(frame_count: int) -> None:
+    """ValueError when ``frame_count`` is over :data:`MAX_FRAME_COUNT`."""
+    if frame_count > MAX_FRAME_COUNT:
+        raise ValueError(f"frame count must be <= {MAX_FRAME_COUNT}, got {frame_count}")
+
+
 @dataclass(frozen=True)
 class PixelBox:
     """Corner box in pixel units: ``x_min <= x_max``, ``y_min <= y_max``."""

@@ -17,7 +17,7 @@ from .behaviour import (
     run_length_episodes,
 )
 from .ingest import THRESHOLDS, RunConfig
-from .model import Timeline, check_clip_length
+from .model import Timeline, check_clip_length, check_frame_count
 from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
 
 __all__ = ["TrackContinuity", "AnalysisResult", "analyze_timeline"]
@@ -89,11 +89,13 @@ def _filled_with_continuity(track: Track, max_gap: int) -> tuple[Track, TrackCon
 def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> AnalysisResult:
     """Run the full behaviour pipeline on one parsed clip.
 
-    ValueError when the clip, at the effective fps, lasts over
+    ValueError when the clip has over :data:`~dragonwatch.model.MAX_FRAME_COUNT`
+    frames or, at the effective fps, lasts over
     :data:`~dragonwatch.model.MAX_CLIP_SECONDS`.
     """
     cfg = cfg if cfg is not None else RunConfig()
     geom = cfg.geometry if cfg.geometry is not None else timeline.geometry
+    check_frame_count(timeline.frame_count)
     check_clip_length(timeline.frame_count, geom.fps)
     effective = replace(cfg, geometry=geom)
 

@@ -22,7 +22,14 @@ from typing import Callable
 from .activity import ActivityReport
 from .behaviour import BehaviourKind, Episode
 from .ingest import THRESHOLDS, RunConfig, write_detection_log
-from .model import ClassLabel, Columns, FrameGeometry, Timeline, check_clip_length
+from .model import (
+    ClassLabel,
+    Columns,
+    FrameGeometry,
+    Timeline,
+    check_clip_length,
+    check_frame_count,
+)
 
 __all__ = [
     "InvalidScenario",
@@ -105,6 +112,7 @@ class Scenario:
         if self.frames < 1:
             raise InvalidScenario(f"frames must be >= 1, got {self.frames}")
         try:
+            check_frame_count(self.frames)
             check_clip_length(self.frames, self.geometry.fps)
         except ValueError as exc:
             raise InvalidScenario(str(exc)) from None

@@ -591,6 +591,10 @@ HUGE_LOG = f"!geometry {HUGE} 480 30 10\n0 0 0.5 0.5 0.1 0.1 0.9\n0 1 0.5 0.3 0.
 HUGE_WIDTH = f"line 1: width must be <= 2**53, got {HUGE}"
 # frame rates so low that the clip's durations overflow a float, or the drift slope's squares do
 TINY_FPS_LOG = "!geometry 640 480 5e-324 10\n0 0 0.5 0.5 0.1 0.1 0.9\n0 1 0.5 0.3 0.1 0.1 0.9\n"
+# frame counts over the cap, though inside the clip-length rule: 10**400 frames at fps
+# 1e300 (2**53 * 1e300 overflows to inf) and 10**17 frames at fps 1e12 (10**5 s)
+HUGE_COUNT_LOG = f"!geometry 640 480 1e300 {10**400}\n"
+LONG_COUNT_LOG = f"!geometry 640 480 1e12 {10**17}\n"
 SLOW_FPS_LOG = "!geometry 640 480 1e-306 6\n" + "".join(
     f"{t} 0 0.55 0.4 0.18 0.12 0.9\n{t} 1 0.5 0.2 0.1 0.08 0.85\n" for t in range(6)
 )
@@ -614,6 +618,8 @@ ERROR_PATH_FILES = {
     "tiny_fps.log": TINY_FPS_LOG,
     "slow_fps.log": SLOW_FPS_LOG,
     "tiny_fps.cfg": "width = 640\nheight = 480\nfps = 5e-324\n",
+    "huge_count.log": HUGE_COUNT_LOG,
+    "long_count.log": LONG_COUNT_LOG,
 }
 ANALYZE = ["analyze", "--log", "<tmp>/clip.log"]
 EVALUATE = ["evaluate", "<tmp>/preds", "<tmp>/gts"]
@@ -659,6 +665,16 @@ ERROR_PATHS = [
     pytest.param(
         ["analyze", "--log", "<tmp>/slow_fps.log", "--out", "<tmp>/out"], 1,
         "6 frames at 1e-306 fps last over 2**53 seconds", id="analyze-log-drift-overflows",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/huge_count.log", "--out", "<tmp>/out"], 1,
+        f"<tmp>/huge_count.log: line 1: frame count must be <= 100000000, got {10**400}",
+        id="analyze-log-frame-count-overflows",
+    ),
+    pytest.param(
+        ["analyze", "--log", "<tmp>/long_count.log", "--out", "<tmp>/out"], 1,
+        f"<tmp>/long_count.log: line 1: frame count must be <= 100000000, got {10**17}",
+        id="analyze-log-frame-count-over-cap",
     ),
     pytest.param(
         [*ANALYZE, "--config", "<tmp>/tiny_fps.cfg", "--out", "<tmp>/out"], 1,

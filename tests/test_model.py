@@ -5,11 +5,13 @@ from hypothesis import given
 
 from dragonwatch.model import (
     MAX_CLIP_SECONDS,
+    MAX_FRAME_COUNT,
     ClassLabel,
     FrameGeometry,
     PixelBox,
     center_distance_px,
     check_clip_length,
+    check_frame_count,
     iou,
     to_pixels,
 )
@@ -78,6 +80,19 @@ class TestClipLength:
     def test_drift_squares_stay_finite_at_the_limit(self):
         # the drift slope squares times up to the clip length and sums one square per frame
         assert math.isfinite(MAX_CLIP_SECONDS**2 * 2.0**63)
+
+
+class TestFrameCount:
+    # 2,000,000 frames: the longest clip the tests analyze; a week at 30 fps: a multi-day clip
+    @pytest.mark.parametrize("frame_count", [0, 2_000_000, 7 * 86_400 * 30, MAX_FRAME_COUNT])
+    def test_accepts_up_to_the_cap(self, frame_count):
+        check_frame_count(frame_count)
+
+    @pytest.mark.parametrize("frame_count", [MAX_FRAME_COUNT + 1, 10**17, 10**400])
+    def test_rejects_beyond_the_cap(self, frame_count):
+        with pytest.raises(ValueError) as err:
+            check_frame_count(frame_count)
+        assert str(err.value) == f"frame count must be <= 100000000, got {frame_count}"
 
 
 def pixels(box: Box, geom: FrameGeometry) -> PixelBox:

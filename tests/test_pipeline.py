@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
-from dragonwatch.model import FrameGeometry
+from dragonwatch.model import Columns, FrameGeometry, Timeline
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
 
@@ -71,6 +71,13 @@ class TestAnalyzeTimeline:
         tiny = RunConfig(geometry=FrameGeometry(640, 480, 1e-300))
         with pytest.raises(ValueError, match="at 1e-300 fps"):
             analyze_timeline(parse_detection_log("!geometry 640 480 30 10\n"), tiny)
+
+    def test_frame_count_is_capped(self):
+        # 10**17 frames at 10**12 fps last 10**5 s: inside the clip-length rule
+        fast = FrameGeometry(640, 480, 1e12)
+        timeline = Timeline.build(fast, 10**17, [], Columns([], [], [], [], [], []))
+        with pytest.raises(ValueError, match=f"frame count must be <= 100000000, got {10**17}$"):
+            analyze_timeline(timeline)
 
     def test_interpolated_frames_marked(self):
         text = (

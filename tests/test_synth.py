@@ -40,6 +40,10 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             Scenario(kind=IDLE, frames=0)
 
+    def test_rejects_frames_over_the_cap(self):
+        with pytest.raises(InvalidScenario, match="frame count must be <= 100000000"):
+            Scenario(kind=IDLE, frames=10**8 + 1)
+
     def test_rejects_dropout_one(self):
         with pytest.raises(InvalidScenario):
             Scenario(kind=IDLE, frames=10, dropout_rate=1.0)
