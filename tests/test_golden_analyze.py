@@ -15,6 +15,11 @@ Two sets live in ``tests/golden/analyze/``:
   duplicate boxes with equal confidence, a hunt on a frame where neither the
   dragon nor the lamp has a box, a header frame count far past the last
   detection, and a swarm of 32 crickets whose association decides the hunts.
+- ``oracle_grid.sha256``: one SHA-256 digest of the detection log and the
+  ``.expected.json`` text that ``simulate`` writes for each noiseless
+  scenario of ``ORACLE_GRID``: every kind, short clips, every vanish frame,
+  near and far hunts, four configs and three geometries, at the default
+  ``beta`` and ``theta_max``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_analyze.py`` only
 when the output is meant to change, and record why in CHANGES.md.
@@ -22,12 +27,16 @@ when the output is meant to change, and record why in CHANGES.md.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
+from dragonwatch.ingest import RunConfig
+from dragonwatch.model import FrameGeometry
+from dragonwatch.synth import Scenario, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "analyze"
 ANALYZE_OUTPUTS = ("events.txt", "report.json", "frames.jsonl")
@@ -149,6 +158,51 @@ GRID = {
 GRID_FRAMES = "120"
 
 
+# noiseless scenarios for the simulate oracle, with the config each is generated under
+ORACLE_GEOMETRIES = (
+    FrameGeometry(640, 480, 30.0),
+    FrameGeometry(1280, 720, 25.0),
+    FrameGeometry(1, 3, 0.5),
+)
+ORACLE_CONFIGS = (
+    RunConfig(),
+    RunConfig(min_episode=5),  # basking clips of 3 and 4 frames are demoted too
+    RunConfig(disappearance_window=1),  # 3 frames, vanish 1: a lone idle frame on each side
+    RunConfig(gamma=0.05, disappearance_window=4, min_episode=1),
+)
+ORACLE_GRID = [
+    (scenario, config)
+    for geometry in ORACLE_GEOMETRIES
+    for config in ORACLE_CONFIGS
+    for frames in (1, 2, 3, 4, 5, 6, 7, 12, 20)
+    for scenario in (
+        Scenario(BehaviourKind.BASKING, frames, geometry),
+        Scenario(BehaviourKind.IDLE, frames, geometry),
+        *(
+            Scenario(
+                BehaviourKind.HUNTING,
+                frames,
+                geometry,
+                vanish_frame=vanish,
+                vanish_distance_fraction=distance,  # 0.3 is past every gamma here
+            )
+            for vanish in range(frames)
+            for distance in (0.04, 0.3)
+        ),
+    )
+]
+
+
+def oracle_digest() -> str:
+    """SHA-256 over each ``ORACLE_GRID`` case's log text, then its ``.expected.json`` text."""
+    digest = hashlib.sha256()
+    for scenario, config in ORACLE_GRID:
+        generated = generate(scenario, config)
+        digest.update(generated.log_text.encode())
+        digest.update(generated.expected_json().encode())
+    return digest.hexdigest()
+
+
 def simulate_and_analyze(
     kind: str,
     out: Path,
@@ -201,6 +255,10 @@ def test_edge_case_outputs_match_goldens(case, tmp_path):
         assert (out / name).read_bytes() == (GOLDEN_DIR / "edge" / case / name).read_bytes(), name
 
 
+def test_simulate_oracle_matches_golden_digest():
+    assert oracle_digest() == (GOLDEN_DIR / "oracle_grid.sha256").read_text(encoding="utf-8").strip()
+
+
 if __name__ == "__main__":
     import shutil
     import tempfile
@@ -223,3 +281,4 @@ if __name__ == "__main__":
             (GOLDEN_DIR / "edge" / case).mkdir(parents=True, exist_ok=True)
             for name in ANALYZE_OUTPUTS:
                 shutil.copyfile(out / name, GOLDEN_DIR / "edge" / case / name)
+    (GOLDEN_DIR / "oracle_grid.sha256").write_text(oracle_digest() + "\n", encoding="utf-8")
