@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .activity import ActivityReport
-from .behaviour import BehaviourKind, Episode
+from .behaviour import BehaviourKind, Episode, Run
 from .ingest import THRESHOLDS, RunConfig, write_detection_log
 from .model import (
     ClassLabel,
@@ -86,12 +86,12 @@ _LAMP_CONF = 0.85
 _DRAGON_CONF = 0.9
 _CRICKET_CONF = 0.6
 
-_BASKING_LAMP = (0.5, 0.20)
-_BASKING_DRAGON = (0.55, 0.40)
-_IDLE_LAMP = (0.5, 0.10)
-_IDLE_DRAGON = (0.72, 0.82)
-_HUNT_LAMP = (0.5, 0.10)
-_HUNT_DRAGON = (0.70, 0.70)
+# scenario kind -> (dragon centre, lamp centre); neither moves
+_POSES = {
+    BehaviourKind.BASKING: ((0.55, 0.40), (0.5, 0.20)),
+    BehaviourKind.IDLE: ((0.72, 0.82), (0.5, 0.10)),
+    BehaviourKind.HUNTING: ((0.70, 0.70), (0.5, 0.10)),
+}
 _HUNT_CRICKET_START = (0.08, 0.70)
 
 
@@ -126,10 +126,11 @@ class Scenario:
             raise InvalidScenario(
                 f"vanish_frame must be in [0, {self.frames}), got {self.vanish_frame}"
             )
-        if not 0.0 <= self.vanish_distance_fraction <= _HUNT_DRAGON[0]:
+        dragon_x = _POSES[BehaviourKind.HUNTING][0][0]
+        if not 0.0 <= self.vanish_distance_fraction <= dragon_x:
             raise InvalidScenario(
                 "vanish_distance_fraction must be in "
-                f"[0, {_HUNT_DRAGON[0]}] to keep the scripted cricket in frame, "
+                f"[0, {dragon_x}] to keep the scripted cricket in frame, "
                 f"got {self.vanish_distance_fraction}"
             )
 
@@ -151,19 +152,15 @@ class _Body:
 
 
 def _scripts(scenario: Scenario) -> list[_Body]:
-    kind = scenario.kind
-    if kind is BehaviourKind.BASKING:
-        return [
-            _Body(ClassLabel.BEARDED_DRAGON, _DRAGON_SIZE, _DRAGON_CONF, lambda t: _BASKING_DRAGON),
-            _Body(ClassLabel.HEATING_LAMP, _LAMP_SIZE, _LAMP_CONF, lambda t: _BASKING_LAMP),
-        ]
-    if kind is BehaviourKind.IDLE:
-        return [
-            _Body(ClassLabel.BEARDED_DRAGON, _DRAGON_SIZE, _DRAGON_CONF, lambda t: _IDLE_DRAGON),
-            _Body(ClassLabel.HEATING_LAMP, _LAMP_SIZE, _LAMP_CONF, lambda t: _IDLE_LAMP),
-        ]
+    dragon, lamp = _POSES[scenario.kind]
+    bodies = [
+        _Body(ClassLabel.BEARDED_DRAGON, _DRAGON_SIZE, _DRAGON_CONF, lambda t: dragon),
+        _Body(ClassLabel.HEATING_LAMP, _LAMP_SIZE, _LAMP_CONF, lambda t: lamp),
+    ]
+    if scenario.kind is not BehaviourKind.HUNTING:
+        return bodies
     vanish = scenario.effective_vanish_frame
-    end = (_HUNT_DRAGON[0] - scenario.vanish_distance_fraction, _HUNT_DRAGON[1])
+    end = (dragon[0] - scenario.vanish_distance_fraction, dragon[1])
 
     def cricket_pos(t: int) -> tuple[float, float]:
         if vanish == 0:
@@ -174,11 +171,10 @@ def _scripts(scenario: Scenario) -> list[_Body]:
             _HUNT_CRICKET_START[1] + (end[1] - _HUNT_CRICKET_START[1]) * frac,
         )
 
-    return [
-        _Body(ClassLabel.BEARDED_DRAGON, _DRAGON_SIZE, _DRAGON_CONF, lambda t: _HUNT_DRAGON),
-        _Body(ClassLabel.HEATING_LAMP, _LAMP_SIZE, _LAMP_CONF, lambda t: _HUNT_LAMP),
-        _Body(ClassLabel.CRICKET, _CRICKET_SIZE, _CRICKET_CONF, cricket_pos, last_frame=vanish),
-    ]
+    bodies.append(
+        _Body(ClassLabel.CRICKET, _CRICKET_SIZE, _CRICKET_CONF, cricket_pos, last_frame=vanish)
+    )
+    return bodies
 
 
 def _clamp01(value: float) -> float:
@@ -229,20 +225,20 @@ class GeneratedScenario:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _empty_report(kind: BehaviourKind) -> ActivityReport:
-    return ActivityReport(kind, 0.0, None, None, None, 0)
-
-
-def _constant_report(
-    kind: BehaviourKind, frames_used: int, frame_count: int, delta_px: float
+def _expected_report(
+    kind: BehaviourKind, runs: list[Run], frame_count: int, delta_px: float
 ) -> ActivityReport:
+    """The kind's report when every frame of the clip measures the separation ``delta_px``."""
+    lengths = [end - start + 1 for start, end, k in runs if k is kind]
+    used = sum(lengths)
     return ActivityReport(
         behaviour=kind,
-        coverage=100.0 * frames_used / frame_count,
-        mean_vertical_diff=delta_px,
-        jitter=0.0 if frames_used >= 2 else None,
-        drift_slope=0.0 if frames_used >= 2 else None,
-        frames_used=frames_used,
+        coverage=100.0 * used / frame_count,
+        mean_vertical_diff=delta_px if used else None,
+        # jitter needs two adjacent frames of the kind, so two frames of one run
+        jitter=0.0 if any(n >= 2 for n in lengths) else None,
+        drift_slope=0.0 if used >= 2 else None,
+        frames_used=used,
     )
 
 
@@ -250,78 +246,32 @@ def _expected_outputs(
     scenario: Scenario, config: RunConfig
 ) -> tuple[list[Episode], list[int], dict[BehaviourKind, ActivityReport]]:
     frames = scenario.frames
-    fps = scenario.geometry.fps
-    height = scenario.geometry.height
-    kind = scenario.kind
-
-    if kind is BehaviourKind.BASKING:
-        delta_px = (_BASKING_DRAGON[1] - _BASKING_LAMP[1]) * height
-        if frames >= config.min_episode:
-            episodes = [Episode(BehaviourKind.BASKING, 0, frames - 1, frames / fps)]
-            activity = {
-                BehaviourKind.IDLE: _empty_report(BehaviourKind.IDLE),
-                BehaviourKind.BASKING: _constant_report(
-                    BehaviourKind.BASKING, frames, frames, delta_px
-                ),
-                BehaviourKind.HUNTING: _empty_report(BehaviourKind.HUNTING),
-            }
-        else:  # run too short, demoted to idle
-            episodes = [Episode(BehaviourKind.IDLE, 0, frames - 1, frames / fps)]
-            activity = {
-                BehaviourKind.IDLE: _constant_report(BehaviourKind.IDLE, frames, frames, delta_px),
-                BehaviourKind.BASKING: _empty_report(BehaviourKind.BASKING),
-                BehaviourKind.HUNTING: _empty_report(BehaviourKind.HUNTING),
-            }
-        return episodes, [], activity
-
-    if kind is BehaviourKind.IDLE:
-        delta_px = (_IDLE_DRAGON[1] - _IDLE_LAMP[1]) * height
-        episodes = [Episode(BehaviourKind.IDLE, 0, frames - 1, frames / fps)]
-        activity = {
-            BehaviourKind.IDLE: _constant_report(BehaviourKind.IDLE, frames, frames, delta_px),
-            BehaviourKind.BASKING: _empty_report(BehaviourKind.BASKING),
-            BehaviourKind.HUNTING: _empty_report(BehaviourKind.HUNTING),
-        }
-        return episodes, [], activity
-
-    # hunting scenario: idle background plus (possibly) one event at the vanish frame
-    delta_px = (_HUNT_DRAGON[1] - _HUNT_LAMP[1]) * height
-    vanish = scenario.effective_vanish_frame
-    width = scenario.geometry.width
-    distance_px = scenario.vanish_distance_fraction * width
-    window_fits = frames - 1 - vanish >= config.disappearance_window
-    fires = window_fits and distance_px < config.gamma * width
-    if not fires:
-        episodes = [Episode(BehaviourKind.IDLE, 0, frames - 1, frames / fps)]
-        activity = {
-            BehaviourKind.IDLE: _constant_report(BehaviourKind.IDLE, frames, frames, delta_px),
-            BehaviourKind.BASKING: _empty_report(BehaviourKind.BASKING),
-            BehaviourKind.HUNTING: _empty_report(BehaviourKind.HUNTING),
-        }
-        return episodes, [], activity
-    episodes = []
-    if vanish > 0:
-        episodes.append(Episode(BehaviourKind.IDLE, 0, vanish - 1, vanish / fps))
-    episodes.append(Episode(BehaviourKind.HUNTING, vanish, vanish, 1 / fps))
-    if vanish < frames - 1:
-        episodes.append(
-            Episode(BehaviourKind.IDLE, vanish + 1, frames - 1, (frames - 1 - vanish) / fps)
-        )
-    idle_frames = frames - 1
-    idle = _constant_report(BehaviourKind.IDLE, idle_frames, frames, delta_px)
-    # jitter needs an adjacent idle pair; a lone idle frame on both sides of the event has none
-    if idle_frames >= 2 and max(vanish, frames - 1 - vanish) < 2:
-        idle = ActivityReport(
-            BehaviourKind.IDLE, idle.coverage, idle.mean_vertical_diff, None, 0.0, idle_frames
-        )
-    activity = {
-        BehaviourKind.IDLE: idle,
-        BehaviourKind.BASKING: _empty_report(BehaviourKind.BASKING),
-        BehaviourKind.HUNTING: ActivityReport(
-            BehaviourKind.HUNTING, 100.0 / frames, delta_px, None, None, 1
-        ),
-    }
-    return episodes, [vanish], activity
+    width, height, fps = scenario.geometry.width, scenario.geometry.height, scenario.geometry.fps
+    basking, idle = BehaviourKind.BASKING, BehaviourKind.IDLE
+    background = basking if scenario.kind is basking else idle
+    runs: list[Run] = [(0, frames - 1, background)]
+    hunts: list[int] = []
+    if scenario.kind is BehaviourKind.HUNTING:
+        vanish = scenario.effective_vanish_frame
+        window_fits = frames - 1 - vanish >= config.disappearance_window
+        if window_fits and scenario.vanish_distance_fraction * width < config.gamma * width:
+            runs = [
+                (0, vanish - 1, background),
+                (vanish, vanish, BehaviourKind.HUNTING),
+                (vanish + 1, frames - 1, background),
+            ]
+            hunts = [vanish]
+    # drop the empty runs; a basking run shorter than min_episode is idle
+    runs = [
+        (start, end, idle if kind is basking and end - start + 1 < config.min_episode else kind)
+        for start, end, kind in runs
+        if start <= end
+    ]
+    dragon, lamp = _POSES[scenario.kind]
+    delta_px = (dragon[1] - lamp[1]) * height
+    episodes = [Episode(kind, start, end, (end - start + 1) / fps) for start, end, kind in runs]
+    activity = {kind: _expected_report(kind, runs, frames, delta_px) for kind in BehaviourKind}
+    return episodes, hunts, activity
 
 
 def generate(scenario: Scenario, config: RunConfig | None = None) -> GeneratedScenario:
