@@ -248,7 +248,16 @@ def _expected_outputs(
     frames = scenario.frames
     width, height, fps = scenario.geometry.width, scenario.geometry.height, scenario.geometry.fps
     basking, idle = BehaviourKind.BASKING, BehaviourKind.IDLE
-    background = basking if scenario.kind is basking else idle
+    # every frame but a hunt's takes the basking rule on the scripted pose, restated here in
+    # classify_basking's order (scale each centre, then subtract) to keep this an independent check
+    (dragon_x, dragon_y), (lamp_x, lamp_y) = _POSES[scenario.kind]
+    delta_px = (dragon_y - lamp_y) * height
+    dragon_y, lamp_y = dragon_y * height, lamp_y * height
+    delta_y = abs(dragon_y - lamp_y)
+    off_x = abs(dragon_x * width - lamp_x * width)
+    theta = 90.0 if delta_y == 0 else math.degrees(math.atan(off_x / delta_y))
+    basks = lamp_y < dragon_y and delta_y <= config.beta * height and theta < config.theta_max
+    background = basking if basks else idle
     runs: list[Run] = [(0, frames - 1, background)]
     hunts: list[int] = []
     if scenario.kind is BehaviourKind.HUNTING:
@@ -267,8 +276,6 @@ def _expected_outputs(
         for start, end, kind in runs
         if start <= end
     ]
-    dragon, lamp = _POSES[scenario.kind]
-    delta_px = (dragon[1] - lamp[1]) * height
     episodes = [Episode(kind, start, end, (end - start + 1) / fps) for start, end, kind in runs]
     activity = {kind: _expected_report(kind, runs, frames, delta_px) for kind in BehaviourKind}
     return episodes, hunts, activity

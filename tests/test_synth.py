@@ -78,7 +78,50 @@ class TestDeterminism:
         assert a.log_text != b.log_text
 
 
+# noiseless clips over thresholds and aspect ratios that move the scripted poses across the
+# basking rule; every hunt's cricket steps at most 0.58 / 20 of the width a frame, inside the
+# default cricket gate of 0.05, so it stays one track
+CLEAN_CONFIGS = {
+    "default": RunConfig(),
+    "beta1": RunConfig(beta=1.0),
+    "beta0.1": RunConfig(beta=0.1),
+    "theta10": RunConfig(theta_max=10.0),
+}
+CLEAN_GEOMETRIES = {
+    "640x480": FrameGeometry(640, 480, 30.0),
+    "2000x400": FrameGeometry(2000, 400, 30.0),
+    "1x3": FrameGeometry(1, 3, 0.5),
+}
+CLEAN_SCRIPTS = {
+    "basking-2": dict(kind=BASKING, frames=2),
+    "basking-40": dict(kind=BASKING, frames=40),
+    "idle-40": dict(kind=IDLE, frames=40),
+    "hunting-vanish0": dict(kind=HUNTING, frames=40, vanish_frame=0),
+    "hunting-vanish20": dict(kind=HUNTING, frames=40, vanish_frame=20),
+    "hunting-vanish30": dict(kind=HUNTING, frames=40, vanish_frame=30),  # window cut by clip end
+    "hunting-far": dict(kind=HUNTING, frames=40, vanish_frame=20, vanish_distance_fraction=0.3),
+}
+
+
 class TestCleanScenarios:
+    @pytest.mark.parametrize("config", sorted(CLEAN_CONFIGS))
+    @pytest.mark.parametrize("geometry", sorted(CLEAN_GEOMETRIES))
+    @pytest.mark.parametrize("script", sorted(CLEAN_SCRIPTS))
+    def test_expected_follows_thresholds_and_geometry(self, config, geometry, script):
+        cfg = CLEAN_CONFIGS[config]
+        generated = generate(Scenario(geometry=CLEAN_GEOMETRIES[geometry], **CLEAN_SCRIPTS[script]), cfg)
+        result = analyze_timeline(parse_detection_log(generated.log_text), cfg)
+        assert result.episodes == generated.expected_episodes
+        assert result.hunting_event_frames == generated.expected_hunting_frames
+        for kind, expected in generated.expected_activity.items():
+            got = result.activity[kind]
+            assert (got.coverage, got.frames_used) == (expected.coverage, expected.frames_used)
+            for name in ("mean_vertical_diff", "jitter", "drift_slope"):
+                value = getattr(expected, name)
+                assert getattr(got, name) == (
+                    None if value is None else pytest.approx(value, rel=1e-9, abs=1e-9)
+                ), (kind, name)
+
     def test_basking_recovers_expected(self):
         generated = generate(Scenario(kind=BASKING, frames=200))
         result = analyze_timeline(parse_detection_log(generated.log_text))
