@@ -37,9 +37,9 @@ from .ingest import (
     parse_detection_log,
     parse_ground_truth,
 )
-from .model import FrameGeometry, Provenance
+from .model import Provenance
 from .pipeline import AnalysisResult, analyze_timeline
-from .synth import Scenario, generate
+from .synth import _DEFAULT_GEOMETRY, Scenario, generate
 
 _EXIT_OK = 0
 _EXIT_PARSE = 1
@@ -279,7 +279,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    geometry = cfg.geometry if cfg.geometry is not None else FrameGeometry(640, 480, 30.0)
+    geometry = cfg.geometry if cfg.geometry is not None else _DEFAULT_GEOMETRY
     scenario = _checked(
         Scenario,
         kind=BehaviourKind(args.kind),

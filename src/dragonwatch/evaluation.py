@@ -58,15 +58,17 @@ class BoxRecord:
 def records_from_timeline(
     timeline: Timeline, prefix: str | None = None
 ) -> list[BoxRecord]:
-    """Flatten a Timeline into evaluation records, boxes in pixel space."""
+    """Flatten a Timeline into evaluation records, boxes in pixel space.
+
+    The records come class by class, each class's rows in timeline order, so
+    each image's records run by class, then by descending confidence.
+    """
     geom = timeline.geometry
     records = []
-    for label, row in timeline.rows():
-        c = timeline.by_class[label]
-        frame = c.frame[row]
-        image = frame if prefix is None else f"{prefix}:{frame}"
-        box = to_pixels(c.cx[row], c.cy[row], c.w[row], c.h[row], geom)
-        records.append(BoxRecord(image, label, box, c.conf[row]))
+    for label, columns in timeline.by_class.items():
+        for frame, cx, cy, w, h, conf in zip(*columns.fields()):
+            image = frame if prefix is None else f"{prefix}:{frame}"
+            records.append(BoxRecord(image, label, to_pixels(cx, cy, w, h, geom), conf))
     return records
 
 

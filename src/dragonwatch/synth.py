@@ -10,6 +10,13 @@ Draw order, fixed by contract: frames ascending; within a frame, entities
 in the order dragon, lamp, cricket; per present entity one uniform draw
 (dropout) followed by one Gaussian pair (centre noise), drawn whether or
 not the detection is dropped.
+
+The expected outcomes (``simulate``'s ``.expected.json``: hunting frames,
+episodes and each behaviour's activity) are closed forms of the noiseless
+script under the config's thresholds and geometry; with noise or dropout
+they describe the target, not a guarantee. Out of scope: a cricket that
+steps farther than ``cricket_gate * width`` a frame (``vanish_frame`` 1 to
+11 at the defaults) splits into several tracks, which they do not model.
 """
 
 from __future__ import annotations
@@ -183,11 +190,7 @@ def _clamp01(value: float) -> float:
 
 @dataclass(frozen=True)
 class GeneratedScenario:
-    """Detection log text plus the outcomes the pipeline should reproduce.
-
-    Expected values are closed forms of the noiseless script; with nonzero
-    noise or dropout they describe the target, not a guarantee.
-    """
+    """Detection log text plus the outcomes the pipeline should reproduce."""
 
     scenario: Scenario
     config: RunConfig
@@ -251,7 +254,7 @@ def _expected_outputs(
     # every frame but a hunt's takes the basking rule on the scripted pose, restated here in
     # classify_basking's order (scale each centre, then subtract) to keep this an independent check
     (dragon_x, dragon_y), (lamp_x, lamp_y) = _POSES[scenario.kind]
-    delta_px = (dragon_y - lamp_y) * height
+    delta_px = (dragon_y - lamp_y) * height  # the pinned sidecars subtract, then scale
     dragon_y, lamp_y = dragon_y * height, lamp_y * height
     delta_y = abs(dragon_y - lamp_y)
     off_x = abs(dragon_x * width - lamp_x * width)

@@ -439,5 +439,22 @@ class TestRecordsFromTimeline:
         assert rec.box == PixelBox(x_min=40.0, y_min=90.0, x_max=60.0, y_max=110.0)
         assert rec.confidence == 0.7
 
+    def test_each_image_keeps_the_order_class_then_confidence(self):
+        rng = random.Random(4)
+        rows = [
+            f"{rng.randrange(6)} {rng.randrange(3)} 0.5 0.5 0.2 0.1 {rng.choice((0.3, 0.6, 0.9))}"
+            for _ in range(60)
+        ]
+        tl = parse_detection_log("!geometry 100 200 30 6\n" + "\n".join(rows) + "\n")
+        records = records_from_timeline(tl)
+        assert [r.label for r in records] == sorted(r.label for r in records)
+        for image in range(6):
+            mine = [(r.label, r.confidence) for r in records if r.image == image]
+            assert mine == [
+                (label, tl.by_class[label].conf[row])
+                for label, row in tl.rows()
+                if tl.by_class[label].frame[row] == image
+            ]
+
     def test_map_iou_thresholds_are_exact(self):
         assert MAP_IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)

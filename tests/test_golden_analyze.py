@@ -256,7 +256,8 @@ def test_edge_case_outputs_match_goldens(case, tmp_path):
 
 
 def test_simulate_oracle_matches_golden_digest():
-    assert oracle_digest() == (GOLDEN_DIR / "oracle_grid.sha256").read_text(encoding="utf-8").strip()
+    pinned = (GOLDEN_DIR / "oracle_grid.sha256").read_text(encoding="utf-8").strip()
+    assert oracle_digest() == pinned
 
 
 if __name__ == "__main__":

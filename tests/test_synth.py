@@ -109,7 +109,8 @@ class TestCleanScenarios:
     @pytest.mark.parametrize("script", sorted(CLEAN_SCRIPTS))
     def test_expected_follows_thresholds_and_geometry(self, config, geometry, script):
         cfg = CLEAN_CONFIGS[config]
-        generated = generate(Scenario(geometry=CLEAN_GEOMETRIES[geometry], **CLEAN_SCRIPTS[script]), cfg)
+        scenario = Scenario(geometry=CLEAN_GEOMETRIES[geometry], **CLEAN_SCRIPTS[script])
+        generated = generate(scenario, cfg)
         result = analyze_timeline(parse_detection_log(generated.log_text), cfg)
         assert result.episodes == generated.expected_episodes
         assert result.hunting_event_frames == generated.expected_hunting_frames
