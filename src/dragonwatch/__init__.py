@@ -17,7 +17,7 @@ from .behaviour import (
     resolve_frame_states,
 )
 from .evaluation import (
-    BoxRecord,
+    Boxes,
     ConfusionMatrix,
     EvalReport,
     average_precision,
@@ -45,7 +45,6 @@ from .model import (
     ClassLabel,
     Columns,
     FrameGeometry,
-    PixelBox,
     Provenance,
     Timeline,
     iou,

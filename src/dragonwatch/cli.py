@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .behaviour import BehaviourKind
-from .evaluation import BoxRecord, check_thresholds, evaluate, records_from_timeline
+from .evaluation import Boxes, check_thresholds, evaluate, records_from_timeline
 from .ingest import (
     THRESHOLDS,
     ParseError,
@@ -37,7 +37,7 @@ from .ingest import (
     parse_detection_log,
     parse_ground_truth,
 )
-from .model import Provenance
+from .model import Provenance, Timeline
 from .pipeline import AnalysisResult, analyze_timeline
 from .synth import _DEFAULT_GEOMETRY, Scenario, generate
 
@@ -217,10 +217,8 @@ def _ground_truth_sources(gts_path: Path, stems: list[str]) -> tuple[dict[str, l
     return by_stem, set(available) - claimed
 
 
-def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[list[BoxRecord], list[BoxRecord]]:
-    """Build flat prediction / ground-truth records; inputs that do not pair up exit 3."""
-    preds: list[BoxRecord] = []
-    gts: list[BoxRecord] = []
+def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[Boxes, Boxes]:
+    """Build the prediction and ground-truth boxes; inputs that do not pair up exit 3."""
     if preds_path.is_file() and gts_path.is_file():
         pairs = {preds_path.stem: (preds_path, [gts_path])}
     elif preds_path.is_dir() and gts_path.is_dir():
@@ -246,16 +244,17 @@ def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[list[BoxReco
             _EXIT_MISMATCH, "predictions and ground truth must both be files or both be directories"
         )
 
+    preds: list[tuple[str, Timeline]] = []
+    gts: list[tuple[str, Timeline]] = []
     for stem, (pred_file, gt_files) in sorted(pairs.items()):
         timeline = _load(pred_file, parse_detection_log)
-        preds.extend(records_from_timeline(timeline, prefix=stem))
+        preds.append((stem, timeline))
         geom = timeline.geometry
         for gt_file in gt_files:
             m = _FRAME_SUFFIX.match(gt_file.stem)
             start = int(m.group("frame")) if m and m.group("stem") == stem else 0
-            gt_timeline = _load(gt_file, parse_ground_truth, geometry=geom, start_frame=start)
-            gts.extend(records_from_timeline(gt_timeline, prefix=stem))
-    return preds, gts
+            gts.append((stem, _load(gt_file, parse_ground_truth, geometry=geom, start_frame=start)))
+    return records_from_timeline(preds), records_from_timeline(gts)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -1,10 +1,15 @@
 """Detection-quality metrics: precision, recall, F1, AP, mAP, confusion matrix.
 
-Matching is class-wise and greedy in descending confidence: each prediction
-takes the unmatched ground truth with the highest IoU at or above the
-threshold. ``evaluate`` ranks each class's predictions once and matches them
-once per distinct IoU threshold: the ten mAP thresholds, plus the reporting
-threshold when it is off that grid. Every figure derives from those matches.
+Predictions and ground truth are :class:`Boxes`, one row per box. Matching is
+class-wise and greedy in descending confidence: each prediction takes the
+unmatched ground truth with the highest IoU at or above the threshold. As in
+COCO's evaluator, ``evaluate`` computes each same-image IoU once and keeps
+only the pairs with IoU > 0: every threshold lies in (0, 1], so no other pair
+can match. It ranks the predictions once and matches each class once per
+distinct IoU threshold: the ten mAP thresholds, plus the reporting threshold
+when it is off that grid. Every figure derives from those matches. The
+confusion matrix sorts the batch's pairs once: pairs from different images
+share no box, so one sort makes the same greedy choices as one per image.
 AP integrates the monotone precision envelope at 101 evenly spaced recall
 points; mAP averages over the classes that actually appear in the ground
 truth. mAP@0.5:0.95 averages over IoU thresholds 0.50 to 0.95 in steps of
@@ -16,19 +21,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .model import ClassLabel, PixelBox, Timeline, iou, sequential_sum, to_pixels
+from .model import ClassLabel, Corners, Timeline, iou, sequential_sum, to_pixels
 
 __all__ = [
-    "BoxRecord",
+    "Boxes",
     "ConfusionMatrix",
     "ClassMetrics",
     "EvalReport",
     "MAP_IOU_THRESHOLDS",
-    "rank_by_confidence",
     "match_ranked",
     "precision_recall_f1",
     "average_precision",
@@ -46,30 +50,38 @@ _BACKGROUND = len(ClassLabel)
 
 
 @dataclass(frozen=True)
-class BoxRecord:
-    """One predicted or ground-truth box, keyed by image (clip stem + frame)."""
+class Boxes:
+    """Predicted or ground-truth boxes as parallel columns: row ``i`` is one box.
 
-    image: str | int
-    label: ClassLabel
-    box: PixelBox
-    confidence: float = 1.0
-
-
-def records_from_timeline(
-    timeline: Timeline, prefix: str | None = None
-) -> list[BoxRecord]:
-    """Flatten a Timeline into evaluation records, boxes in pixel space.
-
-    The records come class by class, each class's rows in timeline order, so
-    each image's records run by class, then by descending confidence.
+    ``image`` keys the image a box lies in (clip stem and frame), ``label``
+    holds its class, ``corners`` its pixel corners ``(x_min, y_min, x_max,
+    y_max)`` and ``conf`` its confidence (1.0 for ground truth).
     """
-    geom = timeline.geometry
-    records = []
-    for label, columns in timeline.by_class.items():
-        for frame, cx, cy, w, h, conf in zip(*columns.fields()):
-            image = frame if prefix is None else f"{prefix}:{frame}"
-            records.append(BoxRecord(image, label, to_pixels(cx, cy, w, h, geom), conf))
-    return records
+
+    image: list[str]
+    label: list[ClassLabel]
+    corners: list[Corners]
+    conf: list[float]
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+
+def records_from_timeline(pairs: Iterable[tuple[str, Timeline]]) -> Boxes:
+    """The boxes of every ``(stem, timeline)`` pair, keyed ``"stem:frame"``, corners in pixels.
+
+    Each timeline's rows come class by class, each class's rows in timeline
+    order, so each image's rows run by class, then by descending confidence.
+    """
+    boxes = Boxes([], [], [], [])
+    for stem, timeline in pairs:
+        geom = repeat(timeline.geometry)
+        for label, columns in timeline.by_class.items():
+            boxes.image.extend(f"{stem}:{frame}" for frame in columns.frame)
+            boxes.label.extend(repeat(label, len(columns)))
+            boxes.corners.extend(map(to_pixels, columns.cx, columns.cy, columns.w, columns.h, geom))
+            boxes.conf.extend(columns.conf)
+    return boxes
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -80,48 +92,43 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]
     return precision, recall, f1
 
 
-def _group_by_image(records: Sequence[BoxRecord]) -> dict[str | int, list[BoxRecord]]:
-    groups: dict[str | int, list[BoxRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.image, []).append(rec)
-    return groups
-
-
-def rank_by_confidence(preds: Sequence[BoxRecord]) -> list[BoxRecord]:
-    """Predictions in descending confidence, stable on ties: the matching order."""
-    return sorted(preds, key=lambda r: -r.confidence)
+def _overlaps(preds: Boxes, gts: Boxes) -> list[list[tuple[int, float]]]:
+    """Per prediction row, the ``(ground-truth row, IoU)`` pairs of its image with IoU > 0."""
+    rows_by_image: dict[str, list[int]] = {}
+    for row, image in enumerate(gts.image):
+        rows_by_image.setdefault(image, []).append(row)
+    return [
+        [
+            (row, overlap)
+            for row in rows_by_image.get(image, ())
+            if (overlap := iou(box, gts.corners[row])) > 0
+        ]
+        for image, box in zip(preds.image, preds.corners)
+    ]
 
 
 def match_ranked(
-    ranked: Sequence[BoxRecord],
-    gts_by_image: Mapping[str | int, Sequence[BoxRecord]],
-    iou_threshold: float,
+    candidates: Sequence[Sequence[tuple[int, float]]], iou_threshold: float
 ) -> list[int]:
-    """Greedy matching of one class's predictions, in ``rank_by_confidence`` order.
+    """Greedy matching of one class's predictions, in descending confidence.
 
-    Each prediction in turn takes the unmatched ground truth of its image
-    with the highest IoU >= threshold, the lowest index winning IoU ties.
-    Returns, per prediction, the index of the ground truth it took within
-    ``gts_by_image[image]``, or -1 for a false positive.
+    ``candidates`` holds, per prediction in matching order, the
+    ``(ground-truth row, IoU)`` pairs it may take, in row order. Each
+    prediction in turn takes the untaken ground truth with the highest
+    IoU >= threshold, the lowest row winning IoU ties. Returns, per
+    prediction, the row it took, or -1 for a false positive.
     """
-    taken: dict[str | int, list[bool]] = {
-        image: [False] * len(gts) for image, gts in gts_by_image.items()
-    }
-    matched = [-1] * len(ranked)
-    for i, pred in enumerate(ranked):
-        gts = gts_by_image.get(pred.image, [])
-        flags = taken.get(pred.image, [])
-        best_j = None
+    taken: set[int] = set()
+    matched = []
+    for pairs in candidates:
+        best_row = -1
         best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if flags[j]:
-                continue
-            overlap = iou(pred.box, gt.box)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_j, best_iou = j, overlap
-        if best_j is not None:
-            flags[best_j] = True
-            matched[i] = best_j
+        for row, overlap in pairs:
+            if overlap >= iou_threshold and overlap > best_iou and row not in taken:
+                best_row, best_iou = row, overlap
+        if best_row >= 0:
+            taken.add(best_row)
+        matched.append(best_row)
     return matched
 
 
@@ -141,8 +148,12 @@ def _sample_reader(ground_truths: int) -> itemgetter:
     return itemgetter(*(bisect_left(recall, r) for r in _RECALL_SAMPLES))
 
 
-def _ap_from_tags(tags: Sequence[bool], ground_truths: int) -> float | None:
-    """101-point interpolated AP from TP tags in matching order."""
+def average_precision(tags: Sequence[bool], ground_truths: int) -> float | None:
+    """101-point interpolated AP of one class from its TP tags in matching order.
+
+    None when the class has no ground truth (undefined); 0.0 when it has
+    ground truth but no true positive.
+    """
     if not ground_truths:
         return None
     # only a true positive raises precision, so the envelope needs no other rank
@@ -150,20 +161,6 @@ def _ap_from_tags(tags: Sequence[bool], ground_truths: int) -> float | None:
     envelope = [*accumulate(reversed(precision), max)][::-1]
     envelope += [0.0] * (ground_truths - len(envelope))
     return _mean_of_101(_sample_reader(ground_truths)(envelope))
-
-
-def average_precision(
-    preds: Sequence[BoxRecord],
-    gts: Sequence[BoxRecord],
-    iou_threshold: float,
-) -> float | None:
-    """101-point interpolated AP for one class across the dataset.
-
-    None when the class has no ground truth (undefined); 0.0 when it has
-    ground truth but no predictions.
-    """
-    matched = match_ranked(rank_by_confidence(preds), _group_by_image(gts), iou_threshold)
-    return _ap_from_tags([m >= 0 for m in matched], len(gts))
 
 
 def _mean_defined(values: Iterable[float | None]) -> float | None:
@@ -176,15 +173,6 @@ def mean_ap(class_aps: Mapping[ClassLabel, float | None]) -> float | None:
     return _mean_defined(class_aps.values())
 
 
-def _split_by_class(
-    records: Sequence[BoxRecord],
-) -> dict[ClassLabel, list[BoxRecord]]:
-    split: dict[ClassLabel, list[BoxRecord]] = {label: [] for label in ClassLabel}
-    for rec in records:
-        split[rec.label].append(rec)
-    return split
-
-
 def _f1_sweep(
     tagged: list[tuple[float, bool]], total_gts: int
 ) -> tuple[float, float | None, float | None]:
@@ -193,23 +181,16 @@ def _f1_sweep(
     Returns the maximum F1, the cut reaching it (lowest on ties) and the
     lowest cut at which precision reaches 1.0, if any.
     """
-    if not tagged:
-        return 0.0, None, None
-    tagged = sorted(tagged, key=lambda pair: -pair[0])
-    cuts = sorted({conf for conf, _ in tagged}, reverse=True)
     best_f1 = 0.0
     best_conf: float | None = None
     full_precision: float | None = None
-    tp = fp = 0
-    i = 0
-    for cut in cuts:
-        while i < len(tagged) and tagged[i][0] >= cut:
-            if tagged[i][1]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        precision, _, f1 = precision_recall_f1(tp, fp, total_gts - tp)
+    tp = seen = 0
+    # confidences in descending order, one group per distinct cut
+    for cut, group in groupby(sorted(tagged, key=itemgetter(0), reverse=True), itemgetter(0)):
+        tags = [tag for _, tag in group]
+        tp += sum(tags)
+        seen += len(tags)
+        precision, _, f1 = precision_recall_f1(tp, seen - tp, total_gts - tp)
         if best_conf is None or f1 >= best_f1:
             best_f1, best_conf = f1, cut
         if precision == 1.0:
@@ -232,41 +213,38 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(
-    preds: Sequence[BoxRecord],
-    gts: Sequence[BoxRecord],
+    preds: Boxes,
+    gts: Boxes,
+    overlaps: Sequence[Sequence[tuple[int, float]]],
     confidence_threshold: float,
     iou_threshold: float,
 ) -> ConfusionMatrix:
     """Cross-class confusion with a background row and column.
 
-    Predictions below the confidence threshold are dropped. Within each
-    image, candidate pairs at IoU >= threshold are matched greedily by
-    descending IoU regardless of class. Unmatched predictions land in the
-    background column, unmatched ground truths in the background row.
+    ``overlaps`` holds, per prediction row, the ``(ground-truth row, IoU)``
+    pairs of its image with IoU > 0. Predictions below the confidence
+    threshold are dropped. Pairs at IoU >= threshold are matched greedily by
+    descending IoU regardless of class, then by prediction row and
+    ground-truth row. Unmatched predictions land in the background column,
+    unmatched ground truths in the background row.
     """
-    kept = [p for p in preds if p.confidence >= confidence_threshold]
+    free_pred = [conf >= confidence_threshold for conf in preds.conf]
+    free_gt = [True] * len(gts)
+    pairs = sorted(
+        (-overlap, p, g)
+        for p in compress(range(len(preds)), free_pred)
+        for g, overlap in overlaps[p]
+        if overlap >= iou_threshold
+    )
     counts = [[0.0] * (_BACKGROUND + 1) for _ in range(_BACKGROUND + 1)]
-    preds_by_image = _group_by_image(kept)
-    gts_by_image = _group_by_image(gts)
-    for image in sorted(set(preds_by_image) | set(gts_by_image), key=str):
-        ipreds = preds_by_image.get(image, [])
-        igts = gts_by_image.get(image, [])
-        pairs = []
-        for pi, pred in enumerate(ipreds):
-            for gi, gt in enumerate(igts):
-                overlap = iou(pred.box, gt.box)
-                if overlap >= iou_threshold:
-                    pairs.append((-overlap, pi, gi))
-        free_p, free_g = set(range(len(ipreds))), set(range(len(igts)))
-        for _, pi, gi in sorted(pairs):
-            if pi in free_p and gi in free_g:
-                free_p.remove(pi)
-                free_g.remove(gi)
-                counts[ipreds[pi].label][igts[gi].label] += 1
-        for pi in free_p:
-            counts[ipreds[pi].label][_BACKGROUND] += 1
-        for gi in free_g:
-            counts[_BACKGROUND][igts[gi].label] += 1
+    for _, p, g in pairs:
+        if free_pred[p] and free_gt[g]:
+            free_pred[p] = free_gt[g] = False
+            counts[preds.label[p]][gts.label[g]] += 1
+    for label in compress(preds.label, free_pred):
+        counts[label][_BACKGROUND] += 1
+    for label in compress(gts.label, free_gt):
+        counts[_BACKGROUND][label] += 1
     col_sums = [sum(column) for column in zip(*counts)]
     normalized = [tuple(c / t if t else 0.0 for c, t in zip(row, col_sums)) for row in counts]
     order = tuple(label.display_name for label in ClassLabel) + ("background",)
@@ -372,8 +350,8 @@ def check_thresholds(iou_threshold: float, confusion_confidence: float) -> None:
 
 
 def evaluate(
-    preds: Sequence[BoxRecord],
-    gts: Sequence[BoxRecord],
+    preds: Boxes,
+    gts: Boxes,
     iou_threshold: float = 0.5,
     confusion_confidence: float = 0.25,
 ) -> EvalReport:
@@ -387,32 +365,32 @@ def evaluate(
     """
     check_thresholds(iou_threshold, confusion_confidence)
     thresholds = dict.fromkeys((*MAP_IOU_THRESHOLDS, iou_threshold))
-    preds_by_class = _split_by_class(preds)
-    gts_by_class = _split_by_class(gts)
+    overlaps = _overlaps(preds, gts)
+    ranked = sorted(range(len(preds)), key=preds.conf.__getitem__, reverse=True)  # stable on ties
     per_class: dict[ClassLabel, ClassMetrics] = {}
     # aps[threshold][label]; inner dicts fill in ClassLabel order
     aps: dict[float, dict[ClassLabel, float | None]] = {t: {} for t in thresholds}
     pooled: list[tuple[float, bool]] = []
     for label in ClassLabel:
-        ranked = rank_by_confidence(preds_by_class[label])
-        cls_gts = gts_by_class[label]
-        gts_by_image = _group_by_image(cls_gts)
-        tags = {t: [m >= 0 for m in match_ranked(ranked, gts_by_image, t)] for t in thresholds}
+        mine = [p for p in ranked if preds.label[p] == label]
+        candidates = [[pair for pair in overlaps[p] if gts.label[pair[0]] == label] for p in mine]
+        ground_truths = gts.label.count(label)
+        tags = {t: [g >= 0 for g in match_ranked(candidates, t)] for t in thresholds}
         for t, t_tags in tags.items():
-            aps[t][label] = _ap_from_tags(t_tags, len(cls_gts))
+            aps[t][label] = average_precision(t_tags, ground_truths)
         tp = sum(tags[iou_threshold])
-        precision, recall, f1 = precision_recall_f1(tp, len(ranked) - tp, len(cls_gts) - tp)
+        precision, recall, f1 = precision_recall_f1(tp, len(mine) - tp, ground_truths - tp)
         per_class[label] = ClassMetrics(
             label=label,
-            ground_truths=len(cls_gts),
-            predictions=len(ranked),
+            ground_truths=ground_truths,
+            predictions=len(mine),
             precision=precision,
             recall=recall,
             f1=f1,
             ap_50=aps[0.5][label],
             ap_range=_mean_defined(aps[t][label] for t in MAP_IOU_THRESHOLDS),
         )
-        pooled.extend((rec.confidence, tag) for rec, tag in zip(ranked, tags[iou_threshold]))
+        pooled.extend(zip(map(preds.conf.__getitem__, mine), tags[iou_threshold]))
     max_f1, max_f1_confidence, full_precision_confidence = _f1_sweep(pooled, len(gts))
     return EvalReport(
         iou_threshold=iou_threshold,
@@ -423,5 +401,5 @@ def evaluate(
         max_f1=max_f1,
         max_f1_confidence=max_f1_confidence,
         full_precision_confidence=full_precision_confidence,
-        confusion=confusion_matrix(preds, gts, confusion_confidence, iou_threshold),
+        confusion=confusion_matrix(preds, gts, overlaps, confusion_confidence, iou_threshold),
     )

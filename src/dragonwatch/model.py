@@ -114,17 +114,11 @@ def check_frame_count(frame_count: int) -> None:
         raise ValueError(f"frame count must be <= {MAX_FRAME_COUNT}, got {frame_count}")
 
 
-@dataclass(frozen=True)
-class PixelBox:
-    """Corner box in pixel units: ``x_min <= x_max``, ``y_min <= y_max``."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+# A pixel box as its corners: (x_min, y_min, x_max, y_max), x_min <= x_max, y_min <= y_max
+Corners = tuple[float, float, float, float]
 
 
-def to_pixels(cx: float, cy: float, w: float, h: float, geom: FrameGeometry) -> PixelBox:
+def to_pixels(cx: float, cy: float, w: float, h: float, geom: FrameGeometry) -> Corners:
     """Scale a normalised centre/extent box into pixel corners. Exact arithmetic, no rounding.
 
     Centre and extent are scaled first, then halved about the centre.
@@ -133,10 +127,10 @@ def to_pixels(cx: float, cy: float, w: float, h: float, geom: FrameGeometry) -> 
     cy = cy * geom.height
     w = w * geom.width
     h = h * geom.height
-    return PixelBox(x_min=cx - w / 2, y_min=cy - h / 2, x_max=cx + w / 2, y_max=cy + h / 2)
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
 
 
-def iou(a: PixelBox, b: PixelBox) -> float:
+def iou(a: Corners, b: Corners) -> float:
     """Intersection over union of two positive-extent boxes; 0.0 when disjoint.
 
     Areas come from the same corner arithmetic as the intersection, which
@@ -144,15 +138,17 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     small that the union underflows to 0 have no measurable overlap: 0.0,
     as every 0/0 ratio of the toolkit.
     """
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ax_min, ay_min, ax_max, ay_max = a
+    bx_min, by_min, bx_max, by_max = b
+    ix = min(ax_max, bx_max) - max(ax_min, bx_min)
     if ix <= 0:
         return 0.0
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    iy = min(ay_max, by_max) - max(ay_min, by_min)
     if iy <= 0:
         return 0.0
     inter = ix * iy
-    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
-    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    area_a = (ax_max - ax_min) * (ay_max - ay_min)
+    area_b = (bx_max - bx_min) * (by_max - by_min)
     union = area_a + area_b - inter
     return min(1.0, inter / union) if union > 0 else 0.0
 

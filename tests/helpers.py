@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from dragonwatch.activity import ActivityReport, drift_slope, jitter, mean_vertical_diff
 from dragonwatch.behaviour import BehaviourKind, Episode, FrameStates, resolve_frame_states
+from dragonwatch.evaluation import Boxes
 from dragonwatch.ingest import RunConfig
 from dragonwatch.model import (
     ClassLabel,
     Columns,
+    Corners,
     FrameGeometry,
-    PixelBox,
     Provenance,
     Timeline,
     center_distance_px,
@@ -102,8 +103,23 @@ def centre(box: Row | Box | None) -> tuple[float, float] | None:
     return None if box is None else (box.cx, box.cy)
 
 
-def corner_box(x1: float, y1: float, x2: float, y2: float) -> PixelBox:
-    return PixelBox(x_min=x1, y_min=y1, x_max=x2, y_max=y2)
+def corner_box(x1: float, y1: float, x2: float, y2: float) -> Corners:
+    return x1, y1, x2, y2
+
+
+class BoxRow(NamedTuple):
+    """One evaluation box as a test writes it: image key, class, pixel corners, confidence."""
+
+    image: str | int
+    label: ClassLabel
+    corners: Corners
+    conf: float = 1.0
+
+
+def boxes_of(rows: Iterable[BoxRow]) -> Boxes:
+    """The evaluation columns of test rows, in their order."""
+    rows = list(rows)
+    return Boxes(*([getattr(row, name) for row in rows] for name in BoxRow._fields))
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,10 @@ class CentreBox:
     @property
     def y_max(self) -> float:
         return self.cy + self.h / 2
+
+    @property
+    def corners(self) -> Corners:
+        return self.x_min, self.y_min, self.x_max, self.y_max
 
 
 def reference_to_pixels(box: Box, geom: FrameGeometry) -> CentreBox:

@@ -16,19 +16,28 @@ import pytest
 from dragonwatch.activity import drift_slope, jitter
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
-from dragonwatch.evaluation import BoxRecord, average_precision, evaluate
+from dragonwatch.evaluation import average_precision, evaluate, match_ranked
 from dragonwatch.ingest import (
     ParseError,
     RunConfig,
     parse_detection_log,
     write_detection_log,
 )
-from dragonwatch.model import ClassLabel, FrameGeometry, PixelBox
+from dragonwatch.model import ClassLabel, FrameGeometry, iou
 from dragonwatch.pipeline import analyze_timeline
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.tracks import fill_gaps
 
-from helpers import Row, det, normal_equations_slope, records, timeline_of, track_of
+from helpers import (
+    BoxRow,
+    Row,
+    boxes_of,
+    det,
+    normal_equations_slope,
+    records,
+    timeline_of,
+    track_of,
+)
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -122,11 +131,6 @@ def oracle_exact_ap(preds, gts, threshold):
     return area
 
 
-def corners_to_pixelbox(corners):
-    x1, y1, x2, y2 = corners
-    return PixelBox(x_min=x1, y_min=y1, x_max=x2, y_max=y2)
-
-
 def random_micro_dataset(rng):
     """Per class up to 10 ground truths and predictions across up to 3 images."""
     preds = {label: [] for label in ClassLabel}
@@ -160,18 +164,27 @@ def random_micro_dataset(rng):
     return preds, gts
 
 
-def to_records(preds, gts):
-    pred_records = [
-        BoxRecord(image, label, corners_to_pixelbox(box), conf)
+def to_boxes(preds, gts):
+    pred_boxes = boxes_of(
+        BoxRow(image, label, box, conf)
         for label, items in preds.items()
         for image, box, conf in items
+    )
+    gt_boxes = boxes_of(
+        BoxRow(image, label, box) for label, items in gts.items() for image, box in items
+    )
+    return pred_boxes, gt_boxes
+
+
+def package_ap(preds, gts, threshold):
+    """One class's AP through the package: ``iou``, ``match_ranked``, ``average_precision``."""
+    ranked = sorted(preds, key=lambda p: -p[2])
+    candidates = [
+        [(j, iou(box, g_box)) for j, (g_image, g_box) in enumerate(gts) if g_image == image]
+        for image, box, _ in ranked
     ]
-    gt_records = [
-        BoxRecord(image, label, corners_to_pixelbox(box), 1.0)
-        for label, items in gts.items()
-        for image, box in items
-    ]
-    return pred_records, gt_records
+    tags = [j >= 0 for j in match_ranked(candidates, threshold)]
+    return average_precision(tags, len(gts))
 
 
 # --------------------------------------------------------------------------
@@ -183,19 +196,15 @@ def test_criterion_1_eval_matches_oracles():
         start = time.perf_counter()
         for _ in range(200):
             preds, gts = random_micro_dataset(rng)
-            pred_records, gt_records = to_records(preds, gts)
-            report = evaluate(pred_records, gt_records, iou_threshold=0.5)
+            report = evaluate(*to_boxes(preds, gts), iou_threshold=0.5)
             for label in ClassLabel:
                 expected = oracle_prf(preds[label], gts[label], 0.5)
                 metrics = report.per_class[label]
                 assert (metrics.precision, metrics.recall, metrics.f1) == expected
+                assert package_ap(preds[label], gts[label], 0.5) == metrics.ap_50
                 for threshold in (0.5, 0.75):
                     exact = oracle_exact_ap(preds[label], gts[label], threshold)
-                    approx = average_precision(
-                        [r for r in pred_records if r.label == label],
-                        [r for r in gt_records if r.label == label],
-                        threshold,
-                    )
+                    approx = package_ap(preds[label], gts[label], threshold)
                     if exact is None:
                         assert approx is None
                     else:
@@ -206,13 +215,13 @@ def test_criterion_1_eval_matches_oracles():
 
 def test_criterion_2_degenerate_conventions():
     with criterion(2, "perfect inputs score exactly 1.0, empty score 0, mAP range <= mAP@0.5"):
-        gts = []
+        rows = []
         for image in range(3):
             for label in ClassLabel:
                 x, y = 30.0 * int(label), 25.0 * image
-                gts.append(BoxRecord(image, label, corners_to_pixelbox((x, y, x + 12, y + 9)), 1.0))
-        perfect = [BoxRecord(g.image, g.label, g.box, 1.0) for g in gts]
-        report = evaluate(perfect, gts)
+                rows.append(BoxRow(image, label, (x, y, x + 12, y + 9), 1.0))
+        gts = boxes_of(rows)
+        report = evaluate(boxes_of(rows), gts)
         for metrics in report.per_class.values():
             assert metrics.precision == 1.0
             assert metrics.recall == 1.0
@@ -222,7 +231,7 @@ def test_criterion_2_degenerate_conventions():
         assert report.map_50 == 1.0
         assert report.map_range == 1.0
 
-        empty = evaluate([], gts)
+        empty = evaluate(boxes_of([]), gts)
         for metrics in empty.per_class.values():
             assert metrics.precision == 0.0
             assert metrics.recall == 0.0
@@ -235,8 +244,7 @@ def test_criterion_2_degenerate_conventions():
         rng = random.Random(416)
         for _ in range(200):
             preds, gt_map = random_micro_dataset(rng)
-            pred_records, gt_records = to_records(preds, gt_map)
-            report = evaluate(pred_records, gt_records)
+            report = evaluate(*to_boxes(preds, gt_map))
             if report.map_50 is None:
                 assert report.map_range is None
             else:

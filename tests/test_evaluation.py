@@ -4,22 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dragonwatch import evaluation
 from dragonwatch.evaluation import (
     MAP_IOU_THRESHOLDS,
-    BoxRecord,
+    Boxes,
     average_precision,
-    confusion_matrix,
     evaluate,
     match_ranked,
     mean_ap,
     precision_recall_f1,
-    rank_by_confidence,
     records_from_timeline,
 )
 from dragonwatch.ingest import parse_detection_log
-from dragonwatch.model import ClassLabel, PixelBox
+from dragonwatch.model import ClassLabel, Corners, iou
 
-from helpers import corner_box
+from helpers import BoxRow, boxes_of, corner_box
 
 DRAGON = ClassLabel.BEARDED_DRAGON
 LAMP = ClassLabel.HEATING_LAMP
@@ -27,23 +26,48 @@ CRICKET = ClassLabel.CRICKET
 
 
 def pred(image, label, box, conf):
-    return BoxRecord(image, label, box, conf)
+    return BoxRow(image, label, box, conf)
 
 
 def gt(image, label, box):
-    return BoxRecord(image, label, box, 1.0)
+    return BoxRow(image, label, box)
+
+
+def run(preds, gts, *thresholds):
+    """``evaluate`` on test rows; ``thresholds`` are its IoU threshold and confusion cut."""
+    return evaluate(boxes_of(preds), boxes_of(gts), *thresholds)
 
 
 def box_at(x, y, size=10.0):
     return corner_box(x, y, x + size, y + size)
 
 
-def box_with_iou(base: PixelBox, target_iou: float) -> PixelBox:
+def box_with_iou(base: Corners, target_iou: float) -> Corners:
     """A box nested inside ``base`` sharing its top-left corner with the given IoU."""
     # shrinking only the height keeps intersection == pred area, union == base area
-    return corner_box(
-        base.x_min, base.y_min, base.x_max, base.y_min + (base.y_max - base.y_min) * target_iou
-    )
+    x_min, y_min, x_max, y_max = base
+    return corner_box(x_min, y_min, x_max, y_min + (y_max - y_min) * target_iou)
+
+
+def ranked_matches(preds, gts, iou_threshold):
+    """One class's test rows ranked by descending confidence and matched by ``match_ranked``.
+
+    The candidates are built with ``iou``, zero overlaps included. Returns
+    the ranked predictions and, per prediction, the index of the ground
+    truth it took, or -1.
+    """
+    ranked = sorted(preds, key=lambda p: -p.conf)
+    candidates = [
+        [(j, iou(p.corners, g.corners)) for j, g in enumerate(gts) if g.image == p.image]
+        for p in ranked
+    ]
+    return ranked, match_ranked(candidates, iou_threshold)
+
+
+def class_ap(preds, gts, iou_threshold):
+    """AP of one class's test rows, from ``ranked_matches`` and ``average_precision``."""
+    _, matched = ranked_matches(preds, gts, iou_threshold)
+    return average_precision([g >= 0 for g in matched], len(gts))
 
 
 def match_one_image(pred_boxes, confidences, gt_boxes, iou_threshold):
@@ -52,14 +76,14 @@ def match_one_image(pred_boxes, confidences, gt_boxes, iou_threshold):
     Returns ``(confidence, gt index)`` per prediction in matching order (gt
     index -1 for a false positive) and the (tp, fp, fn) counts.
     """
-    ranked = rank_by_confidence(
-        [pred(0, DRAGON, b, c) for b, c in zip(pred_boxes, confidences)]
+    ranked, matched = ranked_matches(
+        [pred(0, DRAGON, b, c) for b, c in zip(pred_boxes, confidences)],
+        [gt(0, DRAGON, b) for b in gt_boxes],
+        iou_threshold,
     )
-    gts_by_image = {0: [gt(0, DRAGON, b) for b in gt_boxes]} if gt_boxes else {}
-    matched = match_ranked(ranked, gts_by_image, iou_threshold)
-    taken = [int(g) for g in matched if g >= 0]
+    taken = [g for g in matched if g >= 0]
     assert len(set(taken)) == len(taken)  # no ground truth is taken twice
-    pairs = [(p.confidence, int(g)) for p, g in zip(ranked, matched)]
+    pairs = [(p.conf, g) for p, g in zip(ranked, matched)]
     tp = len(taken)
     return pairs, (tp, len(ranked) - tp, len(gt_boxes) - tp)
 
@@ -104,19 +128,46 @@ class TestMatch:
         assert counts == (1, 0, 1)
 
     def test_deterministic_under_shuffle_with_distinct_confidences(self):
+        # evaluate ranks the rows itself: a shuffled batch gives the same report
         rng = random.Random(3)
         base_boxes = [box_at(20 * i, 0) for i in range(5)]
-        preds = [box_with_iou(b, 0.6 + 0.05 * i) for i, b in enumerate(base_boxes)]
-        confs = [0.9, 0.8, 0.7, 0.6, 0.5]
-        reference, reference_counts = match_one_image(preds, confs, base_boxes, 0.5)
+        gts = [gt(0, DRAGON, b) for b in base_boxes]
+        preds = [
+            pred(0, DRAGON, box_with_iou(b, 0.6 + 0.05 * i), conf)
+            for i, (b, conf) in enumerate(zip(base_boxes, [0.9, 0.8, 0.7, 0.6, 0.5]))
+        ]
+        preds.append(pred(0, DRAGON, box_with_iou(base_boxes[2], 0.9), 0.75))
+        reference = run(preds, gts, 0.5).to_json_dict()
         for _ in range(10):
-            order = list(range(5))
-            rng.shuffle(order)
-            shuffled, counts = match_one_image(
-                [preds[i] for i in order], [confs[i] for i in order], base_boxes, 0.5
-            )
-            assert shuffled == reference
-            assert counts == reference_counts
+            rng.shuffle(preds)
+            assert run(preds, gts, 0.5).to_json_dict() == reference
+
+
+def test_each_same_image_pair_overlaps_once(monkeypatch):
+    # several images and classes, tied confidences, wrong-class and far-off predictions
+    rng = random.Random(11)
+    preds, gts = [], []
+    for image in range(4):
+        for label in ClassLabel:
+            for i in range(1 + rng.randrange(3)):
+                base = box_at(12 * i, 15 * int(label))
+                gts.append(gt(image, label, base))
+                if rng.random() < 0.8:
+                    box = box_with_iou(base, rng.uniform(0.3, 1.0))
+                    label = rng.choice(list(ClassLabel))
+                    preds.append(pred(image, label, box, rng.choice((0.4, 0.7))))
+        preds.append(pred(image, DRAGON, box_at(500, 500), 0.7))
+    assert len({(p.label, p.conf) for p in preds}) < len(preds)
+    calls = []
+    original = evaluation.iou
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(evaluation, "iou", counting)
+    run(preds, gts, 0.5, 0.25)
+    assert len(calls) == sum(p.image == g.image for p in preds for g in gts)
 
 
 class TestPrecisionRecallF1:
@@ -141,13 +192,16 @@ class TestAveragePrecision:
             pred(0, DRAGON, box_at(0, 0), 0.9),
             pred(0, DRAGON, box_at(50, 0), 0.8),
         ]
-        assert average_precision(preds, gts, 0.5) == 1.0
+        assert class_ap(preds, gts, 0.5) == 1.0
+        assert run(preds, gts).per_class[DRAGON].ap_50 == 1.0
 
     def test_no_predictions(self):
-        assert average_precision([], [gt(0, DRAGON, box_at(0, 0))], 0.5) == 0.0
+        assert class_ap([], [gt(0, DRAGON, box_at(0, 0))], 0.5) == 0.0
+        assert average_precision([], 1) == 0.0
 
     def test_no_ground_truth_is_undefined(self):
-        assert average_precision([pred(0, DRAGON, box_at(0, 0), 0.9)], [], 0.5) is None
+        assert class_ap([pred(0, DRAGON, box_at(0, 0), 0.9)], [], 0.5) is None
+        assert average_precision([False], 0) is None
 
     def test_hand_computed_envelope(self):
         # points: (1.0, 0.5), (0.5, 0.5), (2/3, 1.0); 101-point AP = (51 + 50 * 2/3) / 101
@@ -158,7 +212,9 @@ class TestAveragePrecision:
             pred(0, DRAGON, box_at(50, 0), 0.7),  # TP
         ]
         expected = (51 * 1.0 + 50 * (2 / 3)) / 101
-        assert average_precision(preds, gts, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert class_ap(preds, gts, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert average_precision([True, False, True], 2) == class_ap(preds, gts, 0.5)
+        assert run(preds, gts).per_class[DRAGON].ap_50 == class_ap(preds, gts, 0.5)
         assert expected == pytest.approx(0.8350, abs=5e-5)
 
     @given(
@@ -176,10 +232,10 @@ class TestAveragePrecision:
         preds = [
             pred(0, DRAGON, box_at(30 * rng.randrange(6), 0), c) for c in confs
         ]
-        transformed = [
-            BoxRecord(p.image, p.label, p.box, (p.confidence + 1.0) / 2.0) for p in preds
-        ]
-        assert average_precision(preds, gts, 0.5) == average_precision(transformed, gts, 0.5)
+        transformed = [p._replace(conf=(p.conf + 1.0) / 2.0) for p in preds]
+        assert class_ap(preds, gts, 0.5) == class_ap(transformed, gts, 0.5)
+        ap_50 = run(preds, gts).per_class[DRAGON].ap_50
+        assert ap_50 == run(transformed, gts).per_class[DRAGON].ap_50
 
     @given(seed=st.integers(0, 2000))
     @settings(max_examples=60)
@@ -193,7 +249,7 @@ class TestAveragePrecision:
         ]
         previous = 1.1
         for threshold in (0.3, 0.5, 0.7, 0.9):
-            ap = average_precision(preds, gts, threshold)
+            ap = class_ap(preds, gts, threshold)
             assert ap <= previous + 1e-12
             previous = ap
 
@@ -210,7 +266,7 @@ class TestMeanAp:
         shrunk = box_with_iou(base, 0.72)  # passes 0.50 .. 0.70, fails 0.75 and above
         gts = [gt(0, DRAGON, base)]
         preds = [pred(0, DRAGON, shrunk, 0.9)]
-        assert evaluate(preds, gts).map_range == pytest.approx(0.5)
+        assert run(preds, gts).map_range == pytest.approx(0.5)
 
     def test_range_never_exceeds_single_threshold_map(self):
         rng = random.Random(5)
@@ -231,7 +287,7 @@ class TestMeanAp:
                                 )
                             )
             aps = {
-                label: average_precision(
+                label: class_ap(
                     [p for p in preds if p.label == label],
                     [g for g in gts if g.label == label],
                     0.5,
@@ -239,7 +295,7 @@ class TestMeanAp:
                 for label in ClassLabel
             }
             map50 = mean_ap(aps)
-            report = evaluate(preds, gts)
+            report = run(preds, gts)
             assert report.map_50 == map50
             full = report.map_range
             if map50 is None:
@@ -255,7 +311,7 @@ class TestF1Sweep:
             pred(0, DRAGON, box_at(0, 0), 0.9),
             pred(0, DRAGON, box_at(50, 0), 0.4),
         ]
-        report = evaluate(preds, gts, 0.5)
+        report = run(preds, gts, 0.5)
         assert report.max_f1 == 1.0
         assert report.max_f1_confidence == 0.4
         assert report.full_precision_confidence == 0.4
@@ -263,7 +319,7 @@ class TestF1Sweep:
     def test_all_wrong(self):
         gts = [gt(0, DRAGON, box_at(0, 0))]
         preds = [pred(0, DRAGON, box_at(500, 500), 0.9)]
-        report = evaluate(preds, gts, 0.5)
+        report = run(preds, gts, 0.5)
         assert report.max_f1 == 0.0
         assert report.full_precision_confidence is None
 
@@ -275,7 +331,7 @@ class TestF1Sweep:
             pred(0, DRAGON, box_at(500, 500), 0.6),
             pred(0, DRAGON, box_at(50, 0), 0.5),
         ]
-        report = evaluate(preds, gts, 0.5)
+        report = run(preds, gts, 0.5)
         assert report.max_f1 == pytest.approx(0.8)
         assert report.max_f1_confidence == 0.5
         assert report.full_precision_confidence == 0.9
@@ -289,15 +345,20 @@ class TestF1Sweep:
             pred(0, DRAGON, box_at(300, 300), 0.7),
             pred(0, DRAGON, box_at(50, 0), 0.6),
         ]
-        report = evaluate(preds, gts, 0.5)
+        report = run(preds, gts, 0.5)
         assert report.max_f1 == pytest.approx(2 / 3)
         assert report.max_f1_confidence == 0.6
 
     def test_no_predictions(self):
-        report = evaluate([], [gt(0, DRAGON, box_at(0, 0))], 0.5)
+        report = run([], [gt(0, DRAGON, box_at(0, 0))], 0.5)
         assert report.max_f1 == 0.0
         assert report.max_f1_confidence is None
         assert report.full_precision_confidence is None
+
+
+def confusion(preds, gts):
+    """The confusion matrix of ``evaluate`` at IoU 0.5 and confidence cut 0.25."""
+    return run(preds, gts, 0.5, 0.25).confusion
 
 
 class TestConfusionMatrix:
@@ -307,14 +368,14 @@ class TestConfusionMatrix:
             base = box_at(0, 20 * image)
             gts.append(gt(image, label, base))
             preds.append(pred(image, label, base, 0.9))
-        result = confusion_matrix(preds, gts, 0.25, 0.5)
+        result = confusion(preds, gts)
         for label in ClassLabel:
             assert result.normalized[int(label)][int(label)] == 1.0
         assert sum(result.normalized[3]) == 0.0  # nothing leaks to background row
 
     def test_no_predictions_all_background(self):
         gts = [gt(0, DRAGON, box_at(0, 0)), gt(0, LAMP, box_at(50, 0))]
-        result = confusion_matrix([], gts, 0.25, 0.5)
+        result = confusion([], gts)
         assert result.normalized[3][int(DRAGON)] == 1.0
         assert result.normalized[3][int(LAMP)] == 1.0
 
@@ -326,16 +387,14 @@ class TestConfusionMatrix:
             gts.append(gt(i, LAMP, base))
             label = DRAGON if i < 4 else LAMP
             preds.append(pred(i, label, base, 0.9))
-        result = confusion_matrix(preds, gts, 0.25, 0.5)
+        result = confusion(preds, gts)
         lamp_col = [row[int(LAMP)] for row in result.normalized]
         assert lamp_col[int(DRAGON)] == pytest.approx(0.4)
         assert lamp_col[int(LAMP)] == pytest.approx(0.6)
 
     def test_low_confidence_predictions_dropped(self):
         base = box_at(0, 0)
-        result = confusion_matrix(
-            [pred(0, DRAGON, base, 0.1)], [gt(0, DRAGON, base)], 0.25, 0.5
-        )
+        result = confusion([pred(0, DRAGON, base, 0.1)], [gt(0, DRAGON, base)])
         assert result.normalized[3][int(DRAGON)] == 1.0  # gt missed
         assert result.counts[int(DRAGON)][3] == 0.0  # dropped pred is not background noise
 
@@ -349,7 +408,7 @@ class TestConfusionMatrix:
                     gts.append(gt(image, label, base))
                 if rng.random() < 0.7:
                     preds.append(pred(image, label, box_at(rng.randrange(3) * 25, 0), rng.random()))
-        result = confusion_matrix(preds, gts, 0.25, 0.5)
+        result = confusion(preds, gts)
         for col in range(4):
             total = sum(row[col] for row in result.normalized)
             assert total == pytest.approx(1.0) or total == 0.0
@@ -367,7 +426,7 @@ class TestEvaluate:
 
     def test_perfect_report(self):
         preds, gts = self.perfect_inputs()
-        report = evaluate(preds, gts)
+        report = run(preds, gts)
         for metrics in report.per_class.values():
             assert metrics.precision == 1.0
             assert metrics.recall == 1.0
@@ -380,7 +439,7 @@ class TestEvaluate:
 
     def test_empty_predictions_all_zero(self):
         _, gts = self.perfect_inputs()
-        report = evaluate([], gts)
+        report = run([], gts)
         for metrics in report.per_class.values():
             assert metrics.precision == 0.0
             assert metrics.recall == 0.0
@@ -393,14 +452,14 @@ class TestEvaluate:
     def test_class_without_ground_truth_excluded_from_map(self):
         gts = [gt(0, DRAGON, box_at(0, 0))]
         preds = [pred(0, DRAGON, box_at(0, 0), 0.9)]
-        report = evaluate(preds, gts)
+        report = run(preds, gts)
         assert report.per_class[LAMP].ap_50 is None
         assert report.per_class[CRICKET].ap_50 is None
         assert report.map_50 == 1.0
 
     def test_table_renders(self):
         preds, gts = self.perfect_inputs()
-        table = evaluate(preds, gts).to_table()
+        table = run(preds, gts).to_table()
         assert "BeardedDragon" in table
         assert "mAP@0.5" in table
         assert "Max F1" in table
@@ -413,17 +472,17 @@ class TestEvaluate:
     def test_thresholds_out_of_range_rejected(self, iou_threshold, confusion_confidence):
         preds, gts = self.perfect_inputs()
         with pytest.raises(ValueError):
-            evaluate(preds, gts, iou_threshold, confusion_confidence)
+            run(preds, gts, iou_threshold, confusion_confidence)
 
     def test_threshold_bounds_accepted(self):
         preds, gts = self.perfect_inputs()
-        assert evaluate(preds, gts, 1.0, 0.0).map_50 == 1.0
+        assert run(preds, gts, 1.0, 0.0).map_50 == 1.0
 
     def test_json_dict_is_serialisable(self):
         import json
 
         preds, gts = self.perfect_inputs()
-        payload = evaluate(preds, gts).to_json_dict()
+        payload = run(preds, gts).to_json_dict()
         text = json.dumps(payload)
         assert "confusion_matrix" in text
 
@@ -431,13 +490,23 @@ class TestEvaluate:
 class TestRecordsFromTimeline:
     def test_boxes_scaled_and_keyed(self):
         tl = parse_detection_log("!geometry 100 200 30 10\n2 1 0.5 0.5 0.2 0.1 0.7\n")
-        records = records_from_timeline(tl, prefix="clip")
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.image == "clip:2"
-        assert rec.label is LAMP
-        assert rec.box == PixelBox(x_min=40.0, y_min=90.0, x_max=60.0, y_max=110.0)
-        assert rec.confidence == 0.7
+        boxes = records_from_timeline([("clip", tl)])
+        assert len(boxes) == 1
+        assert boxes.image == ["clip:2"]
+        assert boxes.label == [LAMP]
+        assert boxes.corners == [(40.0, 90.0, 60.0, 110.0)]
+        assert boxes.conf == [0.7]
+
+    def test_pairs_follow_one_another(self):
+        first = parse_detection_log("!geometry 100 200 30 10\n4 0 0.5 0.5 0.2 0.1 0.9\n")
+        second = parse_detection_log("!geometry 10 10 30 10\n1 2 0.5 0.5 0.2 0.2 0.4\n")
+        boxes = records_from_timeline([("b", first), ("a", second), ("b", second)])
+        assert boxes.image == ["b:4", "a:1", "b:1"]
+        assert boxes.label == [DRAGON, CRICKET, CRICKET]
+        small = (4.0, 4.0, 6.0, 6.0)
+        assert boxes.corners == [(40.0, 90.0, 60.0, 110.0), small, small]
+        assert boxes.conf == [0.9, 0.4, 0.4]
+        assert records_from_timeline([]) == Boxes([], [], [], [])
 
     def test_each_image_keeps_the_order_class_then_confidence(self):
         rng = random.Random(4)
@@ -446,10 +515,14 @@ class TestRecordsFromTimeline:
             for _ in range(60)
         ]
         tl = parse_detection_log("!geometry 100 200 30 6\n" + "\n".join(rows) + "\n")
-        records = records_from_timeline(tl)
-        assert [r.label for r in records] == sorted(r.label for r in records)
+        boxes = records_from_timeline([("clip", tl)])
+        assert boxes.label == sorted(boxes.label)
         for image in range(6):
-            mine = [(r.label, r.confidence) for r in records if r.image == image]
+            mine = [
+                (label, conf)
+                for key, label, conf in zip(boxes.image, boxes.label, boxes.conf)
+                if key == f"clip:{image}"
+            ]
             assert mine == [
                 (label, tl.by_class[label].conf[row])
                 for label, row in tl.rows()

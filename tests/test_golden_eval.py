@@ -28,12 +28,12 @@ import pytest
 from dragonwatch import evaluation
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
-from dragonwatch.evaluation import BoxRecord, evaluate
+from dragonwatch.evaluation import Boxes, evaluate
 from dragonwatch.ingest import parse_detection_log
-from dragonwatch.model import ClassLabel, PixelBox, iou
+from dragonwatch.model import ClassLabel, Corners, iou
 from dragonwatch.synth import Scenario, generate
 
-from helpers import write_ground_truth
+from helpers import BoxRow, boxes_of, write_ground_truth
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "eval"
 REPORTS = ("eval_report.json", "eval_report.txt")
@@ -85,9 +85,9 @@ def test_each_class_matched_once_per_threshold(inputs, iou, matcher_calls, tmp_p
     thresholds = []
     original = evaluation.match_ranked
 
-    def counting(ranked, gts_by_image, iou_threshold):
+    def counting(candidates, iou_threshold):
         thresholds.append(iou_threshold)
-        return original(ranked, gts_by_image, iou_threshold)
+        return original(candidates, iou_threshold)
 
     monkeypatch.setattr(evaluation, "match_ranked", counting)
     run_evaluate(inputs, iou, tmp_path)
@@ -95,24 +95,25 @@ def test_each_class_matched_once_per_threshold(inputs, iou, matcher_calls, tmp_p
     assert len(set(thresholds)) == matcher_calls // 3
 
 
-def _random_box(draw) -> PixelBox:
+def _random_box(draw) -> Corners:
     x, y = draw() * 100, draw() * 100
-    return PixelBox(x, y, x + 5 + draw() * 40, y + 5 + draw() * 40)
+    return x, y, x + 5 + draw() * 40, y + 5 + draw() * 40
 
 
-def _moved(box: PixelBox, draw) -> PixelBox:
+def _moved(box: Corners, draw) -> Corners:
     """``box`` with each corner moved by up to 15% of its side."""
-    dx = (box.x_max - box.x_min) * 0.3
-    dy = (box.y_max - box.y_min) * 0.3
-    return PixelBox(
-        box.x_min + (draw() - 0.5) * dx,
-        box.y_min + (draw() - 0.5) * dy,
-        box.x_max + (draw() - 0.5) * dx,
-        box.y_max + (draw() - 0.5) * dy,
+    x_min, y_min, x_max, y_max = box
+    dx = (x_max - x_min) * 0.3
+    dy = (y_max - y_min) * 0.3
+    return (
+        x_min + (draw() - 0.5) * dx,
+        y_min + (draw() - 0.5) * dy,
+        x_max + (draw() - 0.5) * dx,
+        y_max + (draw() - 0.5) * dy,
     )
 
 
-def random_batch(seed: int) -> tuple[list[BoxRecord], list[BoxRecord], float, float]:
+def random_batch(seed: int) -> tuple[Boxes, Boxes, float, float]:
     """Predictions, ground truth, IoU threshold and confusion cut of one seeded batch."""
     draw = random.Random(seed).random
     labels = list(ClassLabel)
@@ -125,12 +126,12 @@ def random_batch(seed: int) -> tuple[list[BoxRecord], list[BoxRecord], float, fl
     def confidence() -> float:
         return int(draw() * levels) / levels if levels else draw()
 
-    preds: list[BoxRecord] = []
-    gts: list[BoxRecord] = []
+    preds: list[BoxRow] = []
+    gts: list[BoxRow] = []
     for index in range(1 + int(draw() * 6)):
         image = f"clip:{index}"
         image_gts = [
-            BoxRecord(image, label, _random_box(draw))
+            BoxRow(image, label, _random_box(draw))
             for label in gt_labels
             for _ in range(int(draw() * 4))
         ]
@@ -140,12 +141,12 @@ def random_batch(seed: int) -> tuple[list[BoxRecord], list[BoxRecord], float, fl
         for target in image_gts:
             if draw() < 0.7:
                 label = target.label if draw() < 0.8 else labels[int(draw() * len(labels))]
-                box = target.box if draw() < 0.3 else _moved(target.box, draw)
-                preds.append(BoxRecord(image, label, box, confidence()))
+                box = target.corners if draw() < 0.3 else _moved(target.corners, draw)
+                preds.append(BoxRow(image, label, box, confidence()))
         for _ in range(int(draw() * 3)):
             label = labels[int(draw() * len(labels))]
-            preds.append(BoxRecord(image, label, _random_box(draw), confidence()))
-    return preds, gts, iou_threshold, cut
+            preds.append(BoxRow(image, label, _random_box(draw), confidence()))
+    return boxes_of(preds), boxes_of(gts), iou_threshold, cut
 
 
 def _sha256(text: str) -> str:
@@ -177,18 +178,18 @@ def test_random_batches_cover_the_edge_cases():
         preds, gts, iou_threshold, cut = random_batch(seed)
         seen.add(f"iou {iou_threshold}")
         seen.add(f"cut {cut}")
-        keys = [(p.label, p.confidence) for p in preds]
+        keys = list(zip(preds.label, preds.conf))
         if len(set(keys)) < len(keys):
             seen.add("confidence tie")
         if any(
-            p.image == g.image and p.label != g.label and iou(p.box, g.box) >= iou_threshold
-            for p in preds
-            for g in gts
+            p_image == g_image and p_label != g_label and iou(p_box, g_box) >= iou_threshold
+            for p_image, p_label, p_box in zip(preds.image, preds.label, preds.corners)
+            for g_image, g_label, g_box in zip(gts.image, gts.label, gts.corners)
         ):
             seen.add("wrong-class prediction")
-        if {p.label for p in preds} - {g.label for g in gts}:
+        if set(preds.label) - set(gts.label):
             seen.add("predicted class without ground truth")
-        if {g.image for g in gts} - {p.image for p in preds}:
+        if set(gts.image) - set(preds.image):
             seen.add("image without predictions")
     assert seen == {
         *(f"iou {t}" for t in RANDOM_IOUS),

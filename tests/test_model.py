@@ -7,8 +7,8 @@ from dragonwatch.model import (
     MAX_CLIP_SECONDS,
     MAX_FRAME_COUNT,
     ClassLabel,
+    Corners,
     FrameGeometry,
-    PixelBox,
     center_distance_px,
     check_clip_length,
     check_frame_count,
@@ -95,31 +95,31 @@ class TestFrameCount:
         assert str(err.value) == f"frame count must be <= 100000000, got {frame_count}"
 
 
-def pixels(box: Box, geom: FrameGeometry) -> PixelBox:
+def pixels(box: Box, geom: FrameGeometry) -> Corners:
     return to_pixels(box.cx, box.cy, box.w, box.h, geom)
 
 
-def bits(box) -> list[str]:
-    return [v.hex() for v in (box.x_min, box.y_min, box.x_max, box.y_max)]
+def bits(corners: Corners) -> list[str]:
+    return [v.hex() for v in corners]
 
 
 class TestToPixels:
     def test_midpoint_scaling(self):
         px = to_pixels(0.5, 0.5, 0.1, 0.1, FrameGeometry(640, 480, 30.0))
-        assert px == PixelBox(x_min=288.0, y_min=216.0, x_max=352.0, y_max=264.0)
+        assert px == (288.0, 216.0, 352.0, 264.0)
 
     def test_origin(self):
         px = to_pixels(0.0, 0.0, 0.2, 0.2, FrameGeometry(100, 100, 30.0))
-        assert px == PixelBox(x_min=-10.0, y_min=-10.0, x_max=10.0, y_max=10.0)
+        assert px == (-10.0, -10.0, 10.0, 10.0)
 
     def test_hand_multiplied(self):
         px = to_pixels(0.25, 0.75, 0.5, 0.5, FrameGeometry(100, 200, 30.0))
-        assert px == PixelBox(x_min=0.0, y_min=100.0, x_max=50.0, y_max=200.0)
+        assert px == (0.0, 100.0, 50.0, 200.0)
 
     @given(box=bboxes, geom=geometries)
     def test_corners_match_centre_extent_reference_bit_for_bit(self, box, geom):
         # each corner is c * size -/+ e * size / 2, as the centre/extent layout derived it
-        assert bits(pixels(box, geom)) == bits(reference_to_pixels(box, geom))
+        assert bits(pixels(box, geom)) == bits(reference_to_pixels(box, geom).corners)
 
 
 class TestIou:
@@ -150,7 +150,8 @@ class TestIou:
     def test_underflowing_union_is_no_overlap(self):
         # positive extents whose products underflow to 0: the ratio is 0/0
         box = pixels(Box(0.0, 0.0, 2.189413701196951e-46, 5.377463426376192e-307), FrameGeometry(1, 1, 1.0))
-        assert box.x_max > box.x_min and box.y_max > box.y_min
+        x_min, y_min, x_max, y_max = box
+        assert x_max > x_min and y_max > y_min
         assert iou(box, box) == 0.0
 
     @given(a=bboxes, b=bboxes, geom=geometries)
