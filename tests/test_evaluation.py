@@ -154,8 +154,8 @@ def test_each_same_image_pair_overlaps_once(monkeypatch):
                 gts.append(gt(image, label, base))
                 if rng.random() < 0.8:
                     box = box_with_iou(base, rng.uniform(0.3, 1.0))
-                    label = rng.choice(list(ClassLabel))
-                    preds.append(pred(image, label, box, rng.choice((0.4, 0.7))))
+                    pred_label = rng.choice(list(ClassLabel))
+                    preds.append(pred(image, pred_label, box, rng.choice((0.4, 0.7))))
         preds.append(pred(image, DRAGON, box_at(500, 500), 0.7))
     assert len({(p.label, p.conf) for p in preds}) < len(preds)
     calls = []
