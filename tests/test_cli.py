@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dragonwatch
+from dragonwatch import cli
 from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.synth import Scenario, generate
@@ -302,6 +303,80 @@ class TestEvaluateCommand:
         preds_dir, gts_dir = self.make_pair(tmp_path)
         (preds_dir / "clip.txt").write_text("garbage\n")
         assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(tmp_path)]) == 1
+
+
+# Which ground-truth file feeds which prediction stem, and from which frame. Each case:
+# prediction stems, ground-truth names, then (image, ground-truth name) per ground-truth
+# row in evaluation order, or the exact exit-3 message.
+PAIRINGS = [
+    pytest.param(
+        ["clip"], ["clip.txt", "clip_1.txt", "clip_2.txt"],
+        "ground-truth files without predictions: clip_1.txt, clip_2.txt",
+        id="stream-and-frame-files-leaves-the-frame-files-unclaimed",
+    ),
+    pytest.param(
+        ["a", "a_1"], ["a_1.txt", "a_2.txt"],
+        [("a:2", "a_2.txt"), ("a_1:0", "a_1.txt")],
+        id="a_1-is-a_1s-stream-not-frame-1-of-a",
+    ),
+    pytest.param(
+        ["a", "a_1"], ["a.txt", "a_1_2.txt"],
+        [("a:0", "a.txt"), ("a_1:2", "a_1_2.txt")],
+        id="a_1_2-is-frame-2-of-a_1",
+    ),
+    pytest.param(
+        ["clip"], ["clip_10.txt", "clip_2.txt", "clip_1.txt", "clip_01.txt"],
+        [("clip:1", "clip_01.txt"), ("clip:1", "clip_1.txt"), ("clip:2", "clip_2.txt"),
+         ("clip:10", "clip_10.txt")],
+        id="frame-files-in-frame-order-ties-by-name",
+    ),
+    pytest.param(
+        ["a", "b"], ["a.txt", "c_1.txt", "stray.txt"],
+        "predictions without ground truth: b; "
+        "ground-truth files without predictions: c_1.txt, stray.txt",
+        id="missing-and-unclaimed",
+    ),
+]
+
+
+class TestGroundTruthPairing:
+    @staticmethod
+    def write_inputs(preds_dir, gts_dir, stems, gt_names):
+        preds_dir.mkdir()
+        gts_dir.mkdir(exist_ok=True)
+        for stem in stems:
+            (preds_dir / f"{stem}.txt").write_text("!geometry 100 100 30.0 20\n")
+        # the box of the k-th ground-truth name is centred at x = k px
+        for k, name in enumerate(gt_names, start=1):
+            (gts_dir / name).write_text(f"0 {k / 100!r} 0.5 0.02 0.02\n")
+
+    @staticmethod
+    def sources(gts, gt_names):
+        """(image, ground-truth name) per ground-truth row; the name found by its box's centre."""
+        return [
+            (image, gt_names[round((x0 + x1) / 2) - 1])
+            for image, (x0, _, x1, _) in zip(gts.image, gts.corners)
+        ]
+
+    @pytest.mark.parametrize("stems, gt_names, expected", PAIRINGS)
+    def test_pairing_table(self, tmp_path, capsys, stems, gt_names, expected):
+        preds_dir, gts_dir = tmp_path / "preds", tmp_path / "gts"
+        self.write_inputs(preds_dir, gts_dir, stems, gt_names)
+        if isinstance(expected, str):
+            assert main(["evaluate", str(preds_dir), str(gts_dir), "--out", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == expected + "\n"
+            assert not (tmp_path / "out").exists()
+        else:
+            _, gts = cli._collect_eval_inputs(preds_dir, gts_dir)
+            assert self.sources(gts, gt_names) == expected
+
+    @pytest.mark.parametrize("pred_stem, start", [("clip", 5), ("other", 0)])
+    def test_file_pair_starts_at_the_frame_of_its_name(self, tmp_path, pred_stem, start):
+        """File/file mode: ``<stem>_<n>.txt`` starts at frame ``n`` when ``stem`` is the prediction's."""
+        preds_dir, gts_dir = tmp_path / "preds", tmp_path / "gts"
+        self.write_inputs(preds_dir, gts_dir, [pred_stem], ["clip_5.txt"])
+        _, gts = cli._collect_eval_inputs(preds_dir / f"{pred_stem}.txt", gts_dir / "clip_5.txt")
+        assert self.sources(gts, ["clip_5.txt"]) == [(f"{pred_stem}:{start}", "clip_5.txt")]
 
 
 class TestSimulateCommand:
