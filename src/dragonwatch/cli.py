@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import replace
 from itertools import chain, islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -192,35 +192,44 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 _FRAME_SUFFIX = re.compile(r"^(?P<stem>.+)_(?P<frame>\d+)$")
 
 
-def _ground_truth_sources(gts_path: Path, stems: list[str]) -> tuple[dict[str, list[Path]], set[Path]]:
-    """Map each prediction stem to its ground-truth file(s) inside a directory."""
+def _ground_truth_sources(
+    gts_path: Path, stems: list[str]
+) -> tuple[dict[str, list[tuple[int, Path]]], list[str]]:
+    """Each prediction stem's ground-truth files with their first frames, and the unclaimed names.
+
+    One pass over the sorted names, one match each. A stem's own
+    ``<stem>.txt`` is its stream, starting at frame 0; otherwise its frame
+    files ``<stem>_<n>.txt`` start at ``n``, in frame order. A name that is a
+    prediction stem is never another stem's frame file, and a stem with a
+    stream leaves its frame files unclaimed.
+    """
     named = set(stems)
-    available = sorted(p for p in gts_path.iterdir() if p.suffix == ".txt")
-    by_stem: dict[str, list[Path]] = {}
-    claimed: set[Path] = set()
-    for stem in stems:
-        combined = gts_path / f"{stem}.txt"
-        if combined in available:
-            by_stem[stem] = [combined]
-            claimed.add(combined)
-            continue
-        members = []
-        for path in available:
-            m = _FRAME_SUFFIX.match(path.stem)
-            # a prediction stem's own file is its combined file, never a frame file
-            if m and m.group("stem") == stem and path.stem not in named:
-                members.append(path)
-        if members:
-            members.sort(key=lambda p: int(_FRAME_SUFFIX.match(p.stem).group("frame")))  # type: ignore[union-attr]
-            by_stem[stem] = members
-            claimed.update(members)
-    return by_stem, set(available) - claimed
+    sources: dict[str, list[tuple[int, Path]]] = {}
+    frames: dict[str, list[tuple[int, Path]]] = {}
+    unclaimed: list[str] = []
+    txt_files = [p for p in gts_path.iterdir() if p.suffix == ".txt"]
+    for path in sorted(txt_files, key=attrgetter("name")):  # the order of the paths, faster
+        m = _FRAME_SUFFIX.match(path.stem)
+        if path.stem in named:
+            sources[path.stem] = [(0, path)]
+        elif m and m.group("stem") in named:
+            frames.setdefault(m.group("stem"), []).append((int(m.group("frame")), path))
+        else:
+            unclaimed.append(path.name)
+    for stem, members in frames.items():
+        if stem in sources:
+            unclaimed += (path.name for _, path in members)
+        else:
+            sources[stem] = sorted(members, key=itemgetter(0))  # stable: name order on a tie
+    return sources, sorted(unclaimed)
 
 
 def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[Boxes, Boxes]:
     """Build the prediction and ground-truth boxes; inputs that do not pair up exit 3."""
     if preds_path.is_file() and gts_path.is_file():
-        pairs = {preds_path.stem: (preds_path, [gts_path])}
+        m = _FRAME_SUFFIX.match(gts_path.stem)
+        start = int(m.group("frame")) if m and m.group("stem") == preds_path.stem else 0
+        pairs = {preds_path.stem: (preds_path, [(start, gts_path)])}
     elif preds_path.is_dir() and gts_path.is_dir():
         pred_files = sorted(p for p in preds_path.iterdir() if p.suffix == ".txt")
         if not pred_files:
@@ -233,10 +242,7 @@ def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[Boxes, Boxes
             if missing:
                 parts.append(f"predictions without ground truth: {', '.join(missing)}")
             if unclaimed:
-                parts.append(
-                    "ground-truth files without predictions: "
-                    + ", ".join(sorted(p.name for p in unclaimed))
-                )
+                parts.append(f"ground-truth files without predictions: {', '.join(unclaimed)}")
             raise _Exit(_EXIT_MISMATCH, "; ".join(parts))
         pairs = {stem: (preds_path / f"{stem}.txt", by_stem[stem]) for stem in stems}
     else:
@@ -250,9 +256,7 @@ def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[Boxes, Boxes
         timeline = _load(pred_file, parse_detection_log)
         preds.append((stem, timeline))
         geom = timeline.geometry
-        for gt_file in gt_files:
-            m = _FRAME_SUFFIX.match(gt_file.stem)
-            start = int(m.group("frame")) if m and m.group("stem") == stem else 0
+        for start, gt_file in gt_files:
             gts.append((stem, _load(gt_file, parse_ground_truth, geometry=geom, start_frame=start)))
     return records_from_timeline(preds), records_from_timeline(gts)
 

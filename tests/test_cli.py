@@ -370,6 +370,22 @@ class TestGroundTruthPairing:
             _, gts = cli._collect_eval_inputs(preds_dir, gts_dir)
             assert self.sources(gts, gt_names) == expected
 
+    def test_each_ground_truth_name_is_matched_once(self, tmp_path, monkeypatch):
+        matched = []
+        pattern = cli._FRAME_SUFFIX
+
+        class Counting:
+            def match(self, name):
+                matched.append(name)
+                return pattern.match(name)
+
+        monkeypatch.setattr(cli, "_FRAME_SUFFIX", Counting())
+        gt_names = ["a.txt", "a_1_2.txt", "a_1_3.txt", "clip_01.txt", "clip_1.txt", "clip_2.txt"]
+        self.write_inputs(tmp_path / "preds", tmp_path / "gts", ["a", "a_1", "clip"], gt_names)
+        _, gts = cli._collect_eval_inputs(tmp_path / "preds", tmp_path / "gts")
+        assert len(gts) == len(gt_names)
+        assert sorted(matched) == [Path(name).stem for name in gt_names]
+
     @pytest.mark.parametrize("pred_stem, start", [("clip", 5), ("other", 0)])
     def test_file_pair_starts_at_the_frame_of_its_name(self, tmp_path, pred_stem, start):
         """File/file mode: ``<stem>_<n>.txt`` starts at frame ``n`` when ``stem`` is the prediction's."""
