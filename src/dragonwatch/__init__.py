@@ -45,7 +45,6 @@ from .model import (
     ClassLabel,
     Columns,
     FrameGeometry,
-    Provenance,
     Timeline,
     iou,
     to_pixels,

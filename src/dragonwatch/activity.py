@@ -28,7 +28,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActivityReport:
-    behaviour: BehaviourKind
     coverage: float
     mean_vertical_diff: float | None
     jitter: float | None
@@ -110,7 +109,6 @@ def activity_reports(
             values.append(delta_y)
     return {
         kind: ActivityReport(
-            behaviour=kind,
             coverage=coverage(runs, kind, frame_count),
             mean_vertical_diff=mean_vertical_diff(values),
             jitter=jitter(list(zip(frames, values))),

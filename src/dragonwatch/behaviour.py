@@ -161,10 +161,9 @@ def detect_hunting(
     events: list[int] = []
     near = dragon.columns
     for track in cricket_tracks:
-        if track.is_empty:
+        if not track.columns.frame:
             continue
-        t_last = track.last_frame
-        assert t_last is not None
+        t_last = track.columns.frame[-1]
         if frame_count - 1 - t_last < cfg.disappearance_window:
             continue
         row = _nearest_dragon(dragon, t_last, cfg.max_gap)

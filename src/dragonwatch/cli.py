@@ -37,7 +37,7 @@ from .ingest import (
     parse_detection_log,
     parse_ground_truth,
 )
-from .model import Provenance, Timeline
+from .model import Timeline
 from .pipeline import AnalysisResult, analyze_timeline
 from .synth import _DEFAULT_GEOMETRY, Scenario, generate
 
@@ -134,9 +134,7 @@ _FRAME = (
 # the record of a frame with no state: idle, nothing measured, no box
 _EMPTY_FRAME = _FRAME % ("%d", "idle", "null", "null", "null", "null")
 # a box's interpolated flag as its provenance; None: no box
-_JSON_PROVENANCE = {
-    None: "null", False: f'"{Provenance.OBSERVED.value}"', True: f'"{Provenance.INTERPOLATED.value}"'
-}
+_JSON_PROVENANCE = {None: "null", False: '"observed"', True: '"interpolated"'}
 _CHUNK_LINES = 4096
 
 

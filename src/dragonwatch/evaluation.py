@@ -253,7 +253,6 @@ def confusion_matrix(
 
 @dataclass(frozen=True)
 class ClassMetrics:
-    label: ClassLabel
     ground_truths: int
     predictions: int
     precision: float
@@ -269,7 +268,7 @@ class EvalReport:
 
     iou_threshold: float
     confusion_confidence: float
-    per_class: dict[ClassLabel, ClassMetrics]
+    per_class: dict[ClassLabel, ClassMetrics]  # the class is the key, not a field
     map_50: float | None
     map_range: float | None
     max_f1: float
@@ -285,7 +284,7 @@ class EvalReport:
                 "map_iou_thresholds": list(MAP_IOU_THRESHOLDS),
             },
             "classes": {
-                metrics.label.display_name: {
+                label.display_name: {
                     "ground_truths": metrics.ground_truths,
                     "predictions": metrics.predictions,
                     "precision": metrics.precision,
@@ -294,7 +293,7 @@ class EvalReport:
                     "ap_50": metrics.ap_50,
                     "ap_50_95": metrics.ap_range,
                 }
-                for metrics in self.per_class.values()
+                for label, metrics in self.per_class.items()
             },
             "map_50": self.map_50,
             "map_50_95": self.map_range,
@@ -314,9 +313,9 @@ class EvalReport:
             return "–" if value is None else f"{value:.3f}"
 
         rows = [f"{'Class':<15} {'P':>7} {'R':>7} {'F1':>7} {'mAP@0.5':>9} {'mAP@0.5:0.95':>13}"]
-        for metrics in self.per_class.values():
+        for label, metrics in self.per_class.items():
             rows.append(
-                f"{metrics.label.display_name:<15} {metrics.precision:>7.3f}"
+                f"{label.display_name:<15} {metrics.precision:>7.3f}"
                 f" {metrics.recall:>7.3f} {metrics.f1:>7.3f}"
                 f" {fmt(metrics.ap_50):>9} {fmt(metrics.ap_range):>13}"
             )
@@ -381,7 +380,6 @@ def evaluate(
         tp = sum(tags[iou_threshold])
         precision, recall, f1 = precision_recall_f1(tp, len(mine) - tp, ground_truths - tp)
         per_class[label] = ClassMetrics(
-            label=label,
             ground_truths=ground_truths,
             predictions=len(mine),
             precision=precision,

@@ -1,7 +1,9 @@
 """Parsing of detection logs, ground-truth labels and run configuration.
 
-The toolkit defines three plain-text formats, all UTF-8, all with ``#``
-comments and blank lines ignored:
+The toolkit defines three plain-text formats, all UTF-8. Each reader skips
+a line that is blank or whose first non-blank character is ``#``, by one
+rule (``_content``), and counts every line, skipped ones too, in the line
+numbers of its errors:
 
 Detection log (one file per clip)::
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     ClassLabel,
@@ -156,6 +158,17 @@ def _lines(source: str | Iterable[str]) -> list[str]:
     return source.splitlines() if isinstance(source, str) else list(source)
 
 
+def _content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each line that is neither blank nor a ``#`` comment.
+
+    Line numbers start at 1 and count every line, skipped ones too.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def _number(cast: type, token: str) -> int | float:
     """``cast(token)`` for an ASCII token without ``_``; ValueError otherwise.
 
@@ -201,7 +214,7 @@ def _class_field(token: str, line_no: int) -> ClassLabel:
 
 
 def parse_detection_log(source: str | Iterable[str]) -> Timeline:
-    """Parse a detection log into a Timeline with Observed provenance.
+    """Parse a detection log into a Timeline.
 
     Raises MissingGeometry / MalformedLine / UnknownClass / OutOfRange with
     the offending line number.
@@ -230,22 +243,17 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
     text as in :func:`_strict_detection_log`, and ``Timeline.build`` checks
     the same ranges.
     """
-    for head, raw in enumerate(lines):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
-        return None
+    head, line = next(_content(lines), (0, "!"))  # the header's line; "!": none
     parts = line.split()
     if parts[0] != "!geometry":
         return None
     try:
-        geometry, frame_count = _geometry_header(parts, head + 1)
+        geometry, frame_count = _geometry_header(parts, head)
     except ParseError:
         return None
-    rows = lines[head + 1 :]
+    rows = lines[head:]
     if None in map(_ROW.fullmatch, rows):
-        rows = [raw for raw in rows if (text := raw.strip()) and not text.startswith("#")]
+        rows = [text for _, text in _content(rows)]
         if None in map(_ROW.fullmatch, rows):
             return None
     code: list[int] = []
@@ -286,10 +294,7 @@ def _strict_detection_log(lines: list[str]) -> Timeline:
     frame_count = 0
     code: list[int] = []
     columns = Columns([], [], [], [], [], [])
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content(lines):
         parts = line.split()
         if line.startswith("!"):
             if parts[0] != "!geometry":
@@ -333,10 +338,7 @@ def parse_ground_truth(
     current = start_frame
     code: list[int] = []
     columns = Columns([], [], [], [], [], [])
-    for line_no, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content(_lines(source)):
         parts = line.split()
         if line.startswith("!"):
             if parts[0] != "!frame":
@@ -369,18 +371,15 @@ _CONFIG_KEYS: dict[str, type] = {
 }
 
 
-def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> RunConfig:
+def parse_config(source: str | Iterable[str]) -> RunConfig:
     """Parse ``key = value`` lines into a RunConfig, defaults applied for absent keys.
 
     ``width``, ``height`` and ``fps`` must be given together and set the
     geometry override. Unknown keys and out-of-range values are rejected.
     """
-    base = base if base is not None else RunConfig()
+    defaults = RunConfig()
     seen: dict[str, tuple[float | int, int]] = {}
-    for line_no, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content(_lines(source)):
         key, sep, value = line.partition("=")
         if not sep:
             raise MalformedLine(line_no, "expected 'key = value'")
@@ -396,12 +395,12 @@ def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> 
         except ValueError:
             raise InvalidValue(line_no, f"{key} is not a valid {caster.__name__}: {value!r}") from None
         try:
-            replace(_ANY_GEOMETRY if key in _GEOMETRY_KEYS else base, **{key: parsed})
+            replace(_ANY_GEOMETRY if key in _GEOMETRY_KEYS else defaults, **{key: parsed})
         except ValueError as exc:
             raise InvalidValue(line_no, str(exc)) from None
         seen[key] = (parsed, line_no)
 
-    geometry = base.geometry
+    geometry = None
     geom_present = [k for k in _GEOMETRY_KEYS if k in seen]
     if geom_present:
         if len(geom_present) != len(_GEOMETRY_KEYS):
@@ -413,15 +412,15 @@ def parse_config(source: str | Iterable[str], base: RunConfig | None = None) -> 
         geometry = FrameGeometry(*(seen[k][0] for k in _GEOMETRY_KEYS))
 
     overrides = {k: v for k, (v, _) in seen.items() if k not in _GEOMETRY_KEYS}
-    return replace(base, geometry=geometry, **overrides)
+    return replace(defaults, geometry=geometry, **overrides)
 
 
 def write_detection_log(timeline: Timeline) -> str:
     """Serialise a Timeline to the detection-log format.
 
     Floats use shortest round-trip notation, so parsing the output yields a
-    bit-exact Timeline. Provenance is not encoded; every line re-parses as
-    Observed.
+    bit-exact Timeline. A Timeline holds read boxes only, so no line marks
+    a box as interpolated.
     """
     geom = timeline.geometry
     rows = [f"!geometry {geom.width} {geom.height} {geom.fps!r} {timeline.frame_count}"]

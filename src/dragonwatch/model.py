@@ -43,13 +43,6 @@ _DISPLAY_NAMES = {
 }
 
 
-class Provenance(enum.Enum):
-    """Whether a detection was read from a log or synthesised by gap filling."""
-
-    OBSERVED = "observed"
-    INTERPOLATED = "interpolated"
-
-
 def sequential_sum(values: Iterable[float]) -> float:
     """``values`` added one by one, starting from int 0, as the builtin ``sum`` does up to Python 3.11.
 

@@ -235,7 +235,6 @@ def _expected_report(
     lengths = [end - start + 1 for start, end, k in runs if k is kind]
     used = sum(lengths)
     return ActivityReport(
-        behaviour=kind,
         coverage=100.0 * used / frame_count,
         mean_vertical_diff=delta_px if used else None,
         # jitter needs two adjacent frames of the kind, so two frames of one run

@@ -46,18 +46,6 @@ class Track:
     def __len__(self) -> int:
         return len(self.columns)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.columns.frame
-
-    @property
-    def first_frame(self) -> int | None:
-        return self.columns.frame[0] if self.columns.frame else None
-
-    @property
-    def last_frame(self) -> int | None:
-        return self.columns.frame[-1] if self.columns.frame else None
-
 
 def _observed(label: ClassLabel, columns: Columns) -> Track:
     return Track(label, columns, [False] * len(columns))
@@ -93,11 +81,7 @@ def reduce_per_frame(timeline: Timeline) -> tuple[Track, Track]:
     return tracks[0], tracks[1]
 
 
-def associate_crickets(
-    timeline: Timeline,
-    gate_fraction: float = 0.05,
-    max_gap: int = 15,
-) -> list[Track]:
+def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -> list[Track]:
     """Group cricket detections into tracks by greedy nearest-neighbour linking.
 
     A detection may join a track when the pixel distance to the track's last
@@ -225,7 +209,7 @@ def continuity(track: Track) -> float | None:
     None for an empty track; 1.0 for a gapless one. This is the toolkit's
     own operational definition of tracking continuity.
     """
-    if track.is_empty:
+    frame = track.columns.frame
+    if not frame:
         return None
-    span = track.last_frame - track.first_frame + 1  # type: ignore[operator]
-    return len(track) / span
+    return len(frame) / (frame[-1] - frame[0] + 1)

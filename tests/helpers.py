@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from bisect import bisect_right
@@ -20,12 +21,22 @@ from dragonwatch.model import (
     Columns,
     Corners,
     FrameGeometry,
-    Provenance,
     Timeline,
     center_distance_px,
 )
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
 from dragonwatch.tracks import Track, fill_gaps, reduce_per_frame
+
+
+class Provenance(enum.Enum):
+    """Whether a box was read or blended by gap filling, as ``frames.jsonl`` names it.
+
+    The package holds this as one interpolated flag per box; the references
+    keep their own vocabulary, so they do not borrow the package's.
+    """
+
+    OBSERVED = "observed"
+    INTERPOLATED = "interpolated"
 
 
 class Box(NamedTuple):
@@ -249,7 +260,7 @@ def write_ground_truth(timeline: Timeline) -> str:
 
 
 def reference_associate_crickets(
-    timeline: Timeline, gate_fraction: float = 0.05, max_gap: int = 15
+    timeline: Timeline, gate_fraction: float, max_gap: int
 ) -> list[Track]:
     """Reference: cricket association measuring every open track against every row of a frame.
 
@@ -504,7 +515,6 @@ def reference_activity_reports(
     for kind in BehaviourKind:
         measured = [(s.frame, s.delta_y) for s in states if s.kind is kind and s.delta_y is not None]
         reports[kind] = ActivityReport(
-            behaviour=kind,
             coverage=100.0 * sum(1 for s in states if s.kind is kind) / frame_count,
             mean_vertical_diff=mean_vertical_diff([v for _, v in measured]),
             jitter=jitter(measured),

@@ -233,6 +233,16 @@ class TestDetectHunting:
         dragon = dragon_track(range(200), cx=0.7)
         assert detect_hunting(crickets, dragon, geom, 200, config) == [184]
 
+    def test_empty_cricket_track_is_skipped(self, config, geom):
+        crickets = [cricket_track([]), cricket_track(range(41), cx=0.6)]
+        dragon = dragon_track(range(200), cx=0.7)
+        assert detect_hunting(crickets, dragon, geom, 200, config) == [40]
+        assert detect_hunting(crickets[:1], dragon, geom, 200, config) == []
+
+    def test_empty_dragon_track_yields_nothing(self, config, geom):
+        crickets = [cricket_track(range(41), cx=0.6)]
+        assert detect_hunting(crickets, dragon_track([]), geom, 200, config) == []
+
     def test_dragon_found_within_max_gap(self, config, geom):
         crickets = [cricket_track(range(41), cx=0.6)]
         dragon = dragon_track([30])  # 10 frames before the vanish, within max_gap 15

@@ -123,6 +123,36 @@ class TestParseDetectionLog:
         assert err.value.line_no == 5
 
 
+# blank, whitespace-only, comment and indented-comment lines: skipped by every reader, and counted
+SKIPPED = "\n \t \n# comment\n   # indented comment\n"
+
+
+class TestLineRule:
+    @pytest.mark.parametrize(
+        "parse, text, exc, line_no",
+        [
+            (parse_detection_log, f"{SKIPPED}!geometry 640 480 30\n", MalformedLine, 5),
+            (parse_detection_log, f"{SKIPPED}0 0 0.5 0.5 0.2 0.2 0.9\n", MissingGeometry, 5),
+            (parse_detection_log, f"{SKIPPED}{HEADER}\n{SKIPPED}0 0 0.5 0.5 0.2 0.2 1.5\n", OutOfRange, 10),
+            (parse_ground_truth, f"{SKIPPED}0 0.5 0.5 0.2\n", MalformedLine, 5),
+            (parse_config, f"{SKIPPED}beta 0.3\n", MalformedLine, 5),
+        ],
+    )
+    def test_fault_after_skipped_lines_has_its_own_line_number(self, parse, text, exc, line_no):
+        with pytest.raises(exc) as err:
+            parse(text)
+        assert err.value.line_no == line_no
+
+    def test_skipped_lines_change_no_parse(self):
+        rows = "0 0 0.5 0.5 0.2 0.2 0.9\n2 2 0.1 0.1 0.1 0.1 0.5\n"
+        plain = parse_detection_log(f"{HEADER}\n{rows}")
+        assert parse_detection_log(f"{SKIPPED}{HEADER}\n{SKIPPED}{rows}{SKIPPED}") == plain
+        assert parse_ground_truth(f"{SKIPPED}0 0.5 0.5 0.2 0.2\n{SKIPPED}") == parse_ground_truth(
+            "0 0.5 0.5 0.2 0.2\n"
+        )
+        assert parse_config(f"{SKIPPED}beta = 0.3\n{SKIPPED}") == RunConfig(beta=0.3)
+
+
 class TestRoundTrip:
     @given(tl=timelines())
     @settings(max_examples=60)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dragonwatch.tracks as tracks_module
-from dragonwatch.model import ClassLabel, FrameGeometry, Provenance, center_distance_px
+from dragonwatch.ingest import RunConfig
+from dragonwatch.model import ClassLabel, FrameGeometry, center_distance_px
 from dragonwatch.tracks import (
     Track,
     associate_crickets,
@@ -16,6 +17,7 @@ from dragonwatch.tracks import (
 )
 
 from helpers import (
+    Provenance,
     by_frame,
     crowded_cricket_clips,
     det,
@@ -26,6 +28,8 @@ from helpers import (
 )
 
 GEOM = FrameGeometry(640, 480, 30.0)
+# the run defaults: a 0.05 * 640 = 32 px gate per elapsed frame, gaps up to 15 frames
+GATE, MAX_GAP = RunConfig().cricket_gate, RunConfig().max_gap
 
 
 def timeline(*detections, frame_count=200):
@@ -46,7 +50,7 @@ class TestTrack:
     def test_producers_return_well_formed_tracks(self, tl, max_gap):
         dragon, lamp = reduce_per_frame(tl)
         labelled = [(dragon, ClassLabel.BEARDED_DRAGON), (lamp, ClassLabel.HEATING_LAMP)]
-        labelled += [(t, ClassLabel.CRICKET) for t in associate_crickets(tl, max_gap=max_gap)]
+        labelled += [(t, ClassLabel.CRICKET) for t in associate_crickets(tl, GATE, max_gap)]
         for track, label in labelled:
             assert_well_formed(track, label)
             assert_well_formed(fill_gaps(track, max_gap), label)
@@ -55,8 +59,8 @@ class TestTrack:
         track = track_of(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
         assert by_frame(track)[4].frame == 4
         assert 2 not in by_frame(track)
-        assert track.first_frame == 1
-        assert track.last_frame == 4
+        assert track.columns.frame[0] == 1
+        assert track.columns.frame[-1] == 4
 
 
 class TestReducePerFrame:
@@ -69,7 +73,7 @@ class TestReducePerFrame:
     def test_empty_lamp_track(self):
         tl = timeline(det(0))
         _, lamp = reduce_per_frame(tl)
-        assert lamp.is_empty
+        assert lamp.columns.frame == []
 
     def test_confidence_tie_breaks_on_area(self):
         tl = timeline(
@@ -96,7 +100,7 @@ class TestAssociateCrickets:
             det(t, ClassLabel.CRICKET, cx=0.1 + 2 * t / 640, cy=0.5, w=0.03, h=0.02)
             for t in range(50)
         ]
-        tracks = associate_crickets(timeline(*dets))
+        tracks = associate_crickets(timeline(*dets), GATE, MAX_GAP)
         assert len(tracks) == 1
         assert len(tracks[0]) == 50
 
@@ -105,7 +109,7 @@ class TestAssociateCrickets:
         for t in range(30):
             dets.append(det(t, ClassLabel.CRICKET, cx=0.1, cy=0.5, w=0.03, h=0.02))
             dets.append(det(t, ClassLabel.CRICKET, cx=0.9, cy=0.5, w=0.03, h=0.02))
-        tracks = associate_crickets(timeline(*dets))
+        tracks = associate_crickets(timeline(*dets), GATE, MAX_GAP)
         assert len(tracks) == 2
         assert all(len(t) == 30 for t in tracks)
 
@@ -115,7 +119,7 @@ class TestAssociateCrickets:
             for t in range(40)
             if t not in (10, 11, 12)
         ]
-        tracks = associate_crickets(timeline(*dets), max_gap=15)
+        tracks = associate_crickets(timeline(*dets), GATE, max_gap=15)
         assert len(tracks) == 1
         assert len(tracks[0]) == 37
 
@@ -125,7 +129,7 @@ class TestAssociateCrickets:
             for t in range(40)
             if not 10 <= t <= 26  # 17 missing frames > max_gap 15
         ]
-        tracks = associate_crickets(timeline(*dets), max_gap=15)
+        tracks = associate_crickets(timeline(*dets), GATE, max_gap=15)
         assert len(tracks) == 2
 
     def test_distance_gate_scales_with_elapsed(self):
@@ -134,7 +138,7 @@ class TestAssociateCrickets:
             det(0, ClassLabel.CRICKET, cx=0.1, cy=0.5, w=0.03, h=0.02),
             det(4, ClassLabel.CRICKET, cx=0.1 + 100 / 640, cy=0.5, w=0.03, h=0.02),
         ]
-        tracks = associate_crickets(timeline(*dets))
+        tracks = associate_crickets(timeline(*dets), GATE, MAX_GAP)
         assert len(tracks) == 1
 
     def test_jump_beyond_gate_starts_new_track(self):
@@ -142,7 +146,7 @@ class TestAssociateCrickets:
             det(0, ClassLabel.CRICKET, cx=0.1, cy=0.5, w=0.03, h=0.02),
             det(1, ClassLabel.CRICKET, cx=0.9, cy=0.5, w=0.03, h=0.02),
         ]
-        tracks = associate_crickets(timeline(*dets))
+        tracks = associate_crickets(timeline(*dets), GATE, MAX_GAP)
         assert len(tracks) == 2
 
     @given(clip=crowded_cricket_clips())
@@ -184,7 +188,7 @@ class TestGateWindow:
         ]
         tl = timeline(*dets, frame_count=60)
         calls = self.count_distances(monkeypatch)
-        assert [len(track) for track in associate_crickets(tl)] == [60] * 30
+        assert [len(track) for track in associate_crickets(tl, GATE, MAX_GAP)] == [60] * 30
         all_pairs = 59 * 30 * 30  # every frame after the first: 30 open tracks, 30 rows
         assert len(calls) <= all_pairs / 4
 
@@ -195,7 +199,7 @@ class TestGateWindow:
             for t in range(40)
         ]
         calls = self.count_distances(monkeypatch)
-        assert len(associate_crickets(timeline(*dets))) == 2
+        assert len(associate_crickets(timeline(*dets), GATE, MAX_GAP)) == 2
         # frame 0 meets no open track, frame 1 one, every later frame two
         assert len(calls) == 0 + 1 + 2 * 38
 
@@ -244,8 +248,8 @@ class TestFillGaps:
     def test_no_extrapolation(self):
         track = track_of(ClassLabel.BEARDED_DRAGON, (det(5), det(6)))
         filled = fill_gaps(track, max_gap=15)
-        assert filled.first_frame == 5
-        assert filled.last_frame == 6
+        assert filled.columns.frame[0] == 5
+        assert filled.columns.frame[-1] == 6
 
 
 def random_track(rng: random.Random) -> Track:
