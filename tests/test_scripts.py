@@ -2,6 +2,7 @@
 
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,33 @@ def test_run_scenarios_writes_every_output(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("hunting events:") == 3
 
 
-def test_run_goldens_passes_under_this_interpreter():
-    """The stdlib-only golden runner, which other Pythons use, runs every golden file here."""
-    done = subprocess.run([sys.executable, str(GOLDENS)], capture_output=True, text=True, timeout=600)
+def assert_goldens_pass(python: str) -> None:
+    done = subprocess.run([python, str(GOLDENS)], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     counts = dict(re.findall(r"^(test_golden_\w+): (\d+ passed, \d+ failed)$", done.stdout, re.M))
     assert set(counts) == {"test_golden_eval", "test_golden_analyze", "test_golden_parse_errors"}
     for name, count in counts.items():
         assert re.fullmatch(r"[1-9]\d* passed, 0 failed", count), (name, count)
+
+
+def test_run_goldens_passes_under_this_interpreter():
+    """The stdlib-only golden runner, which other Pythons use, runs every golden file here."""
+    assert_goldens_pass(sys.executable)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_run_goldens_passes_under_other_pythons(version):
+    """The pinned outputs are the same bytes under each ``python3.X`` on PATH that starts."""
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"python{version} is not on PATH")
+    try:
+        probe = subprocess.run(
+            [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        pytest.skip(f"python{version} does not start: {exc}")
+    if probe.returncode != 0 or probe.stdout.strip() != version:
+        pytest.skip(f"python{version} does not start or is another version: {probe.stdout.strip()!r}")
+    assert_goldens_pass(python)
