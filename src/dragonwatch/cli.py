@@ -195,18 +195,17 @@ def _ground_truth_sources(
 ) -> tuple[dict[str, list[tuple[int, Path]]], list[str]]:
     """Each prediction stem's ground-truth files with their first frames, and the unclaimed names.
 
-    One pass over the sorted names, one match each. A stem's own
-    ``<stem>.txt`` is its stream, starting at frame 0; otherwise its frame
-    files ``<stem>_<n>.txt`` start at ``n``, in frame order. A name that is a
-    prediction stem is never another stem's frame file, and a stem with a
-    stream leaves its frame files unclaimed.
+    One pass over the sorted names, one match each. ``<stem>.txt`` is that
+    stem's stream, from frame 0, and never a frame file of another stem;
+    else the stem's files ``<stem>_<n>.txt`` start at ``n``, in frame order.
+    A stem with a stream leaves its frame files unclaimed.
     """
     named = set(stems)
     sources: dict[str, list[tuple[int, Path]]] = {}
     frames: dict[str, list[tuple[int, Path]]] = {}
     unclaimed: list[str] = []
     txt_files = [p for p in gts_path.iterdir() if p.suffix == ".txt"]
-    for path in sorted(txt_files, key=attrgetter("name")):  # the order of the paths, faster
+    for path in sorted(txt_files, key=attrgetter("name")):  # the paths' order, compared faster
         m = _FRAME_SUFFIX.match(path.stem)
         if path.stem in named:
             sources[path.stem] = [(0, path)]

@@ -1,9 +1,8 @@
 """Parsing of detection logs, ground-truth labels and run configuration.
 
-The toolkit defines three plain-text formats, all UTF-8. Each reader skips
-a line that is blank or whose first non-blank character is ``#``, by one
-rule (``_content``), and counts every line, skipped ones too, in the line
-numbers of its errors:
+The toolkit defines three plain-text formats, all UTF-8. Every reader skips
+the lines that are blank or start with ``#`` after any blanks (``_content``);
+its error line numbers count every line, skipped ones too:
 
 Detection log (one file per clip)::
 
@@ -150,7 +149,7 @@ class RunConfig:
 # The config keys, flags and report.json echo of the thresholds, in echo order. A
 # threshold's text is cast by its default's type.
 THRESHOLDS = tuple(f for f in fields(RunConfig) if type(f.default) in (int, float))
-# any valid geometry: ground truth's placeholder, and the base parse_config checks a width, height or fps on
+# any valid geometry: ground truth's placeholder, and the record parse_config checks a width, height or fps in
 _ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
@@ -159,10 +158,7 @@ def _lines(source: str | Iterable[str]) -> list[str]:
 
 
 def _content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped text)`` of each line that is neither blank nor a ``#`` comment.
-
-    Line numbers start at 1 and count every line, skipped ones too.
-    """
+    """``(1-based line number, stripped text)`` of each line neither blank nor a ``#`` comment."""
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -243,7 +239,7 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
     text as in :func:`_strict_detection_log`, and ``Timeline.build`` checks
     the same ranges.
     """
-    head, line = next(_content(lines), (0, "!"))  # the header's line; "!": none
+    head, line = next(_content(lines), (0, "!"))  # the first content line; "!" if none
     parts = line.split()
     if parts[0] != "!geometry":
         return None
