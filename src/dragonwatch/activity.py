@@ -10,11 +10,10 @@ render it as "-".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .behaviour import BehaviourKind, FrameStates, Run
-from .model import sequential_sum
+from .model import Record, sequential_sum
 
 __all__ = [
     "ActivityReport",
@@ -26,8 +25,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActivityReport:
+class ActivityReport(Record):
+    __slots__ = ("coverage", "mean_vertical_diff", "jitter", "drift_slope", "frames_used")
     coverage: float
     mean_vertical_diff: float | None
     jitter: float | None

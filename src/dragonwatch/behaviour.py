@@ -20,12 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import Columns, FrameGeometry, center_distance_px
+from .model import Columns, FrameGeometry, Record, center_distance_px
 from .tracks import Track
 
 __all__ = [
@@ -49,8 +48,7 @@ class BehaviourKind(enum.Enum):
     HUNTING = "hunting"
 
 
-@dataclass(slots=True)
-class FrameStates:
+class FrameStates(Record):
     """The frames with a dragon or lamp box or a hunt, as parallel columns in frame order.
 
     State ``i`` is frame ``frame[i]`` (increasing), with behaviour
@@ -61,6 +59,7 @@ class FrameStates:
     ``len()`` counts the states.
     """
 
+    __slots__ = ("frame", "kind", "delta_y", "theta", "dragon", "lamp")
     frame: list[int]
     kind: list[BehaviourKind]
     delta_y: list[float | None]
@@ -76,10 +75,10 @@ class FrameStates:
 Run = tuple[int, int, BehaviourKind]
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(Record):
     """Maximal run of consecutive frames sharing one behaviour."""
 
+    __slots__ = ("kind", "start_frame", "end_frame", "duration_s")
     kind: BehaviourKind
     start_frame: int
     end_frame: int
@@ -256,7 +255,7 @@ def relabel(states: FrameStates, runs: Sequence[Run]) -> FrameStates:
         hi = bisect_right(frame, end, lo)
         kind += [run_kind] * (hi - lo)
         lo = hi
-    return replace(states, kind=kind)
+    return states._replace(kind=kind)
 
 
 def demote_short_basking(runs: Sequence[Run], min_episode: int) -> list[Run]:

@@ -7,9 +7,18 @@ Subcommands:
     report     render a report.json as a plain-text activity table
 
 Exit codes: 0 success, 1 parse or flag error, 2 I/O error, 3 prediction /
-ground-truth file mismatch. Data files never contain wall-clock values;
-run metadata goes to a separate run_meta.json so repeated runs stay
-byte-identical.
+ground-truth file mismatch, 4 stopped by SIGTERM or SIGHUP. Data files never
+contain wall-clock values; run metadata goes to a separate run_meta.json so
+repeated runs stay byte-identical.
+
+A command writes its output set through temp files in the output directory,
+renamed into place once all are written. A run stopped by SIGTERM or SIGHUP
+removes them and keeps the previous outputs. SIGKILL cannot be caught: a
+killed run leaves its ``.<name>.<hex>.tmp`` files beside the previous
+outputs, for the user to delete.
+
+Only the modules a subcommand runs are imported for it: ``synth`` is loaded
+by ``simulate`` alone.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
 import time
-from dataclasses import replace
+from functools import cache
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -39,12 +49,14 @@ from .ingest import (
 )
 from .model import Timeline
 from .pipeline import AnalysisResult, analyze_timeline
-from .synth import _DEFAULT_GEOMETRY, Scenario, generate
 
 _EXIT_OK = 0
 _EXIT_PARSE = 1
 _EXIT_IO = 2
 _EXIT_MISMATCH = 3
+_EXIT_STOPPED = 4
+# the signals whose default action ends the process before any ``finally`` can run
+_STOP_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,8 +125,8 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = _load(args.config, parse_config) if args.config else RunConfig()
     flags = vars(args)
-    overrides = {f.name: flags[f.name] for f in THRESHOLDS if flags.get(f.name) is not None}
-    return _checked(replace, cfg, **overrides) if overrides else cfg
+    overrides = {t.name: flags[t.name] for t in THRESHOLDS if flags.get(t.name) is not None}
+    return _checked(cfg._replace, **overrides) if overrides else cfg
 
 
 def _events_text(result: AnalysisResult) -> str:
@@ -187,7 +199,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-_FRAME_SUFFIX = re.compile(r"^(?P<stem>.+)_(?P<frame>\d+)$")
+# ASCII digits only, as every number in the files: \d would also take "٣" or "５"
+_FRAME_SUFFIX = re.compile(r"^(?P<stem>.+)_(?P<frame>[0-9]+)$")
 
 
 def _ground_truth_sources(
@@ -278,6 +291,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .synth import _DEFAULT_GEOMETRY, Scenario, generate
+
     cfg = _load_config(args)
     geometry = cfg.geometry if cfg.geometry is not None else _DEFAULT_GEOMETRY
     scenario = _checked(
@@ -289,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         position_noise=args.noise,
         seed=args.seed,
     )
-    generated = generate(scenario, replace(cfg, geometry=geometry))
+    generated = generate(scenario, cfg._replace(geometry=geometry))
     outputs = {
         f"{args.kind}.log": generated.log_text,
         f"{args.kind}.expected.json": generated.expected_json(),
@@ -352,10 +367,10 @@ def _number_flag(cast: type) -> Callable[[str], int | float]:
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    for f in THRESHOLDS:
-        if "help" in f.metadata:
-            flag = "--" + f.name.replace("_", "-")
-            parser.add_argument(flag, dest=f.name, type=_number_flag(type(f.default)), help=f.metadata["help"])
+    for t in THRESHOLDS:
+        if t.help is not None:
+            flag = "--" + t.name.replace("_", "-")
+            parser.add_argument(flag, dest=t.name, type=_number_flag(type(t.default)), help=t.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--config", help="key = value config file")
     p_analyze.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
     p_eval.add_argument("predictions", help="detection log file or directory of logs")
@@ -378,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--conf", type=real, default=0.25, help="confusion-matrix confidence cut (default 0.25)"
     )
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scenario log")
     p_sim.add_argument(
@@ -390,25 +403,55 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--noise", type=real, default=0.0, help="centre noise stddev, normalised")
     p_sim.add_argument("--config", help="config file supplying thresholds and geometry")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_report = sub.add_parser("report", help="summarise a report.json")
     p_report.add_argument("report", help="path to report.json")
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built by the first: a build takes far longer than a parse."""
+    return build_parser()
+
+
+def _stop(signum: int, frame: object) -> None:
+    raise _Exit(_EXIT_STOPPED, f"stopped by {signal.Signals(signum).name}")
+
+
+def _catch_stop_signals() -> dict[int, Any]:
+    """Make each stop signal at its default action raise an exit in the running command.
+
+    Returns the handlers replaced, by signal. Leaves alone a signal the
+    process handles or ignores (``nohup`` ignores SIGHUP), and every signal
+    off the main thread, where Python cannot set a handler.
+    """
+    replaced = {}
+    for signum in _STOP_SIGNALS:
+        if signal.getsignal(signum) is signal.SIG_DFL:
+            try:
+                replaced[signum] = signal.signal(signum, _stop)
+            except ValueError:  # not the main thread
+                break
+    return replaced
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; the only place an input failure becomes an exit code."""
+    """Run one subcommand; the only place an input failure or a stop signal becomes an exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a flag error _Parser.error has reported
         return int(exc.code or 0)
+    replaced = _catch_stop_signals()
     try:
-        return args.func(args)
+        # the module's cmd_<command> at call time: the parser, built once, holds no function
+        return globals()[f"cmd_{args.command}"](args)
     except _Exit as exc:
         sys.stderr.write(str(exc).rstrip() + "\n")
         return exc.code
+    finally:
+        for signum, handler in replaced.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,12 @@ truth. mAP@0.5:0.95 averages over IoU thresholds 0.50 to 0.95 in steps of
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, compress, count, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .model import ClassLabel, Corners, Timeline, iou, sequential_sum, to_pixels
+from .model import ClassLabel, Corners, Record, Timeline, iou, sequential_sum, to_pixels
 
 __all__ = [
     "Boxes",
@@ -49,8 +48,7 @@ _RECALL_SAMPLES = (*(i * 0.01 for i in range(100)), 1.0)
 _BACKGROUND = len(ClassLabel)
 
 
-@dataclass(frozen=True)
-class Boxes:
+class Boxes(Record):
     """Predicted or ground-truth boxes as parallel columns: row ``i`` is one box.
 
     ``image`` keys the image a box lies in (clip stem and frame), ``label``
@@ -58,6 +56,7 @@ class Boxes:
     y_max)`` and ``conf`` its confidence (1.0 for ground truth).
     """
 
+    __slots__ = ("image", "label", "corners", "conf")
     image: list[str]
     label: list[ClassLabel]
     corners: list[Corners]
@@ -198,8 +197,7 @@ def _f1_sweep(
     return best_f1, best_conf, full_precision
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Record):
     """Column-normalised confusion over the classes plus a background bucket.
 
     Rows are predicted classes, columns ground-truth classes; each column
@@ -207,6 +205,7 @@ class ConfusionMatrix:
     tallies.
     """
 
+    __slots__ = ("order", "counts", "normalized")
     order: tuple[str, ...]
     counts: tuple[tuple[float, ...], ...]
     normalized: tuple[tuple[float, ...], ...]
@@ -251,8 +250,8 @@ def confusion_matrix(
     return ConfusionMatrix(order, tuple(map(tuple, counts)), tuple(normalized))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(Record):
+    __slots__ = ("ground_truths", "predictions", "precision", "recall", "f1", "ap_50", "ap_range")
     ground_truths: int
     predictions: int
     precision: float
@@ -262,10 +261,13 @@ class ClassMetrics:
     ap_range: float | None
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Full evaluation: per-class metrics, aggregates and the confusion matrix."""
 
+    __slots__ = (
+        "iou_threshold", "confusion_confidence", "per_class", "map_50", "map_range",
+        "max_f1", "max_f1_confidence", "full_precision_confidence", "confusion",
+    )
     iou_threshold: float
     confusion_confidence: float
     per_class: dict[ClassLabel, ClassMetrics]  # the class is the key, not a field

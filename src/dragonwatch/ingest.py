@@ -42,13 +42,13 @@ fault; so the errors are the strict parser's, line number and text.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 from .model import (
     ClassLabel,
     Columns,
     FrameGeometry,
+    Record,
     Timeline,
     check_frame_count,
     in_extent_range,
@@ -64,6 +64,7 @@ __all__ = [
     "InvalidValue",
     "UnknownKey",
     "RunConfig",
+    "Threshold",
     "THRESHOLDS",
     "parse_detection_log",
     "parse_ground_truth",
@@ -104,8 +105,32 @@ class UnknownKey(ParseError):
     """A config key this toolkit does not define."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class Threshold(Record):
+    """One threshold: its config key, its default, whose type casts its text, and its flag's help.
+
+    A threshold with ``help`` None is set in the config file only.
+    """
+
+    __slots__ = ("name", "default", "help")
+    name: str
+    default: int | float
+    help: str | None
+
+
+# The thresholds: config keys, ``analyze`` flags, :class:`RunConfig` fields and defaults, and
+# the report.json echo, in echo order.
+THRESHOLDS = (
+    Threshold("beta", 0.33, "basking vertical threshold fraction"),
+    Threshold("theta_max", 45.0, "basking angle limit, degrees"),
+    Threshold("gamma", 0.25, "hunting distance fraction of frame width"),
+    Threshold("max_gap", 15, "largest interpolatable gap, frames"),
+    Threshold("disappearance_window", 15, "frames a cricket must stay gone to confirm a hunt"),
+    Threshold("min_episode", 3, "shortest basking episode kept, frames"),
+    Threshold("cricket_gate", 0.05, None),
+)
+
+
+class RunConfig(Record):
     """Thresholds steering classification, tracking and episode aggregation.
 
     ``beta`` bounds the dragon-lamp vertical separation as a fraction of the
@@ -113,23 +138,22 @@ class RunConfig:
     ``gamma`` the dragon-cricket distance as a fraction of the frame width.
     ``geometry`` is optional; when None the clip's own log header is used.
 
-    The numeric fields are the thresholds (:data:`THRESHOLDS`). A ``help``
-    in a field's metadata gives it an ``analyze`` flag; the others are set
-    in the config file only.
+    The fields are the thresholds (:data:`THRESHOLDS`), with their
+    defaults, then ``geometry``.
     """
 
-    beta: float = field(default=0.33, metadata={"help": "basking vertical threshold fraction"})
-    theta_max: float = field(default=45.0, metadata={"help": "basking angle limit, degrees"})
-    gamma: float = field(default=0.25, metadata={"help": "hunting distance fraction of frame width"})
-    max_gap: int = field(default=15, metadata={"help": "largest interpolatable gap, frames"})
-    disappearance_window: int = field(
-        default=15, metadata={"help": "frames a cricket must stay gone to confirm a hunt"}
-    )
-    min_episode: int = field(default=3, metadata={"help": "shortest basking episode kept, frames"})
-    cricket_gate: float = 0.05
-    geometry: FrameGeometry | None = None
+    __slots__ = (*(t.name for t in THRESHOLDS), "geometry")
+    _defaults = {**{t.name: t.default for t in THRESHOLDS}, "geometry": None}
+    beta: float
+    theta_max: float
+    gamma: float
+    max_gap: int
+    disappearance_window: int
+    min_episode: int
+    cricket_gate: float
+    geometry: FrameGeometry | None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if not 0 < self.theta_max <= 90:
@@ -146,9 +170,6 @@ class RunConfig:
             raise ValueError(f"cricket_gate must be in (0, 1], got {self.cricket_gate}")
 
 
-# The config keys, flags and report.json echo of the thresholds, in echo order. A
-# threshold's text is cast by its default's type.
-THRESHOLDS = tuple(f for f in fields(RunConfig) if type(f.default) in (int, float))
 # any valid geometry: ground truth's placeholder, and the record parse_config checks a width, height or fps in
 _ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
@@ -358,12 +379,12 @@ def parse_ground_truth(
     )
 
 
-_GEOMETRY_KEYS = tuple(asdict(_ANY_GEOMETRY))
+_GEOMETRY_KEYS = FrameGeometry.__slots__
 # key -> caster, the type of the key's value in RunConfig() or _ANY_GEOMETRY; ranges are
 # checked by building the value's owner (RunConfig or FrameGeometry)
 _CONFIG_KEYS: dict[str, type] = {
-    **{f.name: type(f.default) for f in THRESHOLDS},
-    **{k: type(v) for k, v in asdict(_ANY_GEOMETRY).items()},
+    **{t.name: type(t.default) for t in THRESHOLDS},
+    **{k: type(v) for k, v in _ANY_GEOMETRY._asdict().items()},
 }
 
 
@@ -391,7 +412,7 @@ def parse_config(source: str | Iterable[str]) -> RunConfig:
         except ValueError:
             raise InvalidValue(line_no, f"{key} is not a valid {caster.__name__}: {value!r}") from None
         try:
-            replace(_ANY_GEOMETRY if key in _GEOMETRY_KEYS else defaults, **{key: parsed})
+            (_ANY_GEOMETRY if key in _GEOMETRY_KEYS else defaults)._replace(**{key: parsed})
         except ValueError as exc:
             raise InvalidValue(line_no, str(exc)) from None
         seen[key] = (parsed, line_no)
@@ -408,7 +429,7 @@ def parse_config(source: str | Iterable[str]) -> RunConfig:
         geometry = FrameGeometry(*(seen[k][0] for k in _GEOMETRY_KEYS))
 
     overrides = {k: v for k, (v, _) in seen.items() if k not in _GEOMETRY_KEYS}
-    return replace(defaults, geometry=geometry, **overrides)
+    return defaults._replace(geometry=geometry, **overrides)
 
 
 def write_detection_log(timeline: Timeline) -> str:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice, repeat
 from operator import add, eq, lt
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ClassLabel(enum.IntEnum):
@@ -65,15 +64,77 @@ def in_extent_range(value: float) -> bool:
     return 0.0 < value <= 1.0
 
 
-@dataclass(frozen=True)
-class FrameGeometry:
-    """Pixel dimensions and frame rate of a clip."""
+class Record:
+    """Base of the package's records: the fields a class names in ``__slots__``, read-only.
 
+    A record is built from its fields in order or by name, each field left
+    out taking its class's ``_defaults`` entry; ``_check`` then validates
+    the values. ``_replace`` copies a record with some fields changed by
+    building the copy the same way, so one path validates every record. A
+    record equals only a record of its own class with equal fields, never a
+    plain tuple.
+    """
+
+    __slots__ = ()
+    _defaults: Mapping[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls = type(self)
+        fields = cls.__slots__
+        values = {**cls._defaults, **kwargs, **dict(zip(fields, args))}
+        unknown = set(kwargs).difference(fields[len(args) :])  # also a field given twice
+        missing = set(fields).difference(values)
+        if len(args) > len(fields) or unknown or missing:
+            raise TypeError(
+                f"{cls.__name__} takes the fields {', '.join(fields)}; got {len(args)} "
+                f"in order and {', '.join(kwargs) or 'none'} by name"
+            )
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError unless the fields hold valid values; every value is valid by default."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _asdict(self) -> dict[str, Any]:
+        """The fields by name, in order."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def _replace(self, **changes: Any) -> Any:
+        """A record of the same class with the given fields changed, validated as a new one is."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class FrameGeometry(Record):
+    """Pixel dimensions and frame rate of a clip: ``width`` and ``height`` (int), ``fps`` (float)."""
+
+    __slots__ = ("width", "height", "fps")
     width: int
     height: int
     fps: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name, size in (("width", self.width), ("height", self.height)):
             if size < 1:
                 raise ValueError(f"{name} must be >= 1, got {size}")
@@ -153,8 +214,7 @@ def center_distance_px(ax: float, ay: float, bx: float, by: float, geom: FrameGe
     return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True)
-class Columns:
+class Columns(Record):
     """Boxes of one class as parallel columns: row ``i`` is one box.
 
     ``frame`` holds clip frame indices, ``cx, cy, w, h`` the normalised box
@@ -163,6 +223,7 @@ class Columns:
     modified, once a :class:`Timeline` holds them.
     """
 
+    __slots__ = ("frame", "cx", "cy", "w", "h", "conf")
     frame: list[int]
     cx: list[float]
     cy: list[float]
@@ -197,8 +258,7 @@ _CLASS_CODES = frozenset(label.value for label in ClassLabel)
 _RANGES = (in_unit_range, in_unit_range, in_extent_range, in_extent_range, in_unit_range)
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(Record):
     """All boxes of one clip, as one :class:`Columns` per class.
 
     Each class's rows are sorted by frame, then by descending confidence,
@@ -206,6 +266,7 @@ class Timeline:
     ``[0, frame_count)``.
     """
 
+    __slots__ = ("geometry", "frame_count", "by_class")
     geometry: FrameGeometry
     frame_count: int
     by_class: Mapping[ClassLabel, Columns]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-
 from .activity import ActivityReport, activity_reports
 from .behaviour import (
     BehaviourKind,
@@ -17,7 +15,7 @@ from .behaviour import (
     run_length_episodes,
 )
 from .ingest import THRESHOLDS, RunConfig
-from .model import Timeline, check_clip_length, check_frame_count
+from .model import Record, Timeline, check_clip_length, check_frame_count
 from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
 
 __all__ = ["TrackContinuity", "AnalysisResult", "analyze_timeline"]
@@ -28,22 +26,25 @@ CONTINUITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class TrackContinuity:
+class TrackContinuity(Record):
     """Continuity of one track before and after gap filling."""
 
+    __slots__ = ("observed", "interpolated")
     observed: float | None
     interpolated: float | None
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(Record):
     """Everything one clip analysis produces, ready for serialisation.
 
     ``states`` holds only the frames with a dragon or lamp box or a hunt, in
     frame order; every other frame is idle, with nothing measured.
     """
 
+    __slots__ = (
+        "config", "frame_count", "states", "episodes", "hunting_event_frames", "activity",
+        "dragon_continuity", "lamp_continuity", "cricket_continuity",
+    )
     config: RunConfig  # effective config, geometry resolved
     frame_count: int
     states: FrameStates
@@ -63,8 +64,8 @@ class AnalysisResult:
 
         return {
             "config": {
-                **{f.name: getattr(self.config, f.name) for f in THRESHOLDS},
-                "geometry": asdict(geom),
+                **{t.name: getattr(self.config, t.name) for t in THRESHOLDS},
+                "geometry": geom._asdict(),
             },
             "frame_count": self.frame_count,
             "hunting_event_frames": list(self.hunting_event_frames),
@@ -97,7 +98,7 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
     geom = cfg.geometry if cfg.geometry is not None else timeline.geometry
     check_frame_count(timeline.frame_count)
     check_clip_length(timeline.frame_count, geom.fps)
-    effective = replace(cfg, geometry=geom)
+    effective = cfg._replace(geometry=geom)
 
     dragon_raw, lamp_raw = reduce_per_frame(timeline)
     dragon, dragon_cont = _filled_with_continuity(dragon_raw, effective.max_gap)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .activity import ActivityReport
@@ -33,6 +32,7 @@ from .model import (
     ClassLabel,
     Columns,
     FrameGeometry,
+    Record,
     Timeline,
     check_clip_length,
     check_frame_count,
@@ -102,20 +102,31 @@ _POSES = {
 _HUNT_CRICKET_START = (0.08, 0.70)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Fully determines one synthetic clip; generation is a pure function of it."""
 
+    __slots__ = (
+        "kind", "frames", "geometry", "dropout_rate", "position_noise", "seed", "vanish_frame",
+        "vanish_distance_fraction",
+    )
+    _defaults = {
+        "geometry": _DEFAULT_GEOMETRY,
+        "dropout_rate": 0.0,
+        "position_noise": 0.0,
+        "seed": 0,
+        "vanish_frame": None,
+        "vanish_distance_fraction": 0.04,
+    }
     kind: BehaviourKind
     frames: int
-    geometry: FrameGeometry = _DEFAULT_GEOMETRY
-    dropout_rate: float = 0.0
-    position_noise: float = 0.0
-    seed: int = 0
-    vanish_frame: int | None = None
-    vanish_distance_fraction: float = 0.04
+    geometry: FrameGeometry
+    dropout_rate: float
+    position_noise: float
+    seed: int
+    vanish_frame: int | None
+    vanish_distance_fraction: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.frames < 1:
             raise InvalidScenario(f"frames must be >= 1, got {self.frames}")
         try:
@@ -146,13 +157,14 @@ class Scenario:
         return self.vanish_frame if self.vanish_frame is not None else self.frames * 3 // 5
 
 
-@dataclass(frozen=True)
-class _Body:
+class _Body(Record):
+    __slots__ = ("label", "size", "confidence", "position", "last_frame")
+    _defaults = {"last_frame": None}  # None means present for the whole clip
     label: ClassLabel
     size: tuple[float, float]
     confidence: float
     position: Callable[[int], tuple[float, float]]
-    last_frame: int | None = None  # None means present for the whole clip
+    last_frame: int | None
 
     def present(self, frame: int) -> bool:
         return self.last_frame is None or frame <= self.last_frame
@@ -188,10 +200,13 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
-class GeneratedScenario:
+class GeneratedScenario(Record):
     """Detection log text plus the outcomes the pipeline should reproduce."""
 
+    __slots__ = (
+        "scenario", "config", "log_text", "expected_episodes", "expected_hunting_frames",
+        "expected_activity",
+    )
     scenario: Scenario
     config: RunConfig
     log_text: str
@@ -205,7 +220,7 @@ class GeneratedScenario:
             "scenario": {
                 "kind": scenario.kind.value,
                 "frames": scenario.frames,
-                "geometry": asdict(scenario.geometry),
+                "geometry": scenario.geometry._asdict(),
                 "dropout_rate": scenario.dropout_rate,
                 "position_noise": scenario.position_noise,
                 "seed": scenario.seed,
@@ -216,7 +231,7 @@ class GeneratedScenario:
             },
             # the sidecar has never echoed cricket_gate, and the golden sidecars pin these six keys
             "thresholds": {
-                f.name: getattr(self.config, f.name) for f in THRESHOLDS if f.name != "cricket_gate"
+                t.name: getattr(self.config, t.name) for t in THRESHOLDS if t.name != "cricket_gate"
             },
             "note": "expected values computed from the noiseless script",
             "hunting_event_frames": self.expected_hunting_frames,

@@ -16,11 +16,10 @@ tracks are those of measuring every pair.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 
-from .model import ClassLabel, Columns, Timeline, center_distance_px
+from .model import ClassLabel, Columns, Record, Timeline, center_distance_px
 
 __all__ = [
     "Track",
@@ -31,14 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Track:
+class Track(Record):
     """Boxes of one object, at most one per frame, in increasing frame order.
 
     ``interpolated[i]`` is True when row ``i`` of ``columns`` was blended by
     :func:`fill_gaps` rather than observed.
     """
 
+    __slots__ = ("label", "columns", "interpolated")
     label: ClassLabel
     columns: Columns
     interpolated: list[bool]

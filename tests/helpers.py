@@ -6,7 +6,7 @@ import enum
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -577,7 +577,7 @@ def reference_outputs(timeline: Timeline, cfg: RunConfig) -> dict[str, bytes]:
         if timeline.frame_count > 0
         else {}
     )
-    dense = replace(result, episodes=episodes, activity=activity)
+    dense = result._replace(episodes=episodes, activity=activity)
     events = "".join(
         f"{ep.kind.value} {ep.start_frame} {ep.end_frame} {ep.duration_s:.3f}\n" for ep in episodes
     )

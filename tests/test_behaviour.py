@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -273,8 +272,8 @@ class TestDetectHunting:
 
         crickets = [cricket_track(range(41), cx=0.6)]
         dragon = dragon_track(dragon_frames)
-        columns = replace(dragon.columns, frame=CountedFrames(dragon.columns.frame))
-        dragon = replace(dragon, columns=columns)
+        columns = dragon.columns._replace(frame=CountedFrames(dragon.columns.frame))
+        dragon = dragon._replace(columns=columns)
         cfg = RunConfig(max_gap=10**9)
         assert detect_hunting(crickets, dragon, geom, 100, cfg) == expected
 

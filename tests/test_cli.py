@@ -1,9 +1,11 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import dragonwatch
 from dragonwatch import cli
 from dragonwatch.cli import main
-from dragonwatch.ingest import RunConfig, parse_detection_log
+from dragonwatch.ingest import THRESHOLDS, RunConfig, parse_detection_log
 from dragonwatch.synth import Scenario, generate
 from dragonwatch.behaviour import BehaviourKind
 
@@ -150,7 +152,7 @@ class TestAnalyze:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-THRESHOLD_FIELDS = [f for f in fields(RunConfig) if f.name != "geometry"]
+THRESHOLD_FIELDS = [f for f in THRESHOLDS if f.name in RunConfig.__slots__]
 
 
 def changed(value: int | float) -> int | float:
@@ -175,7 +177,7 @@ class TestThresholdTable:
         return json.loads((out / "report.json").read_text())["config"]
 
     def test_flags_are_every_threshold_but_cricket_gate(self):
-        with_help = [f.name for f in THRESHOLD_FIELDS if "help" in f.metadata]
+        with_help = [f.name for f in THRESHOLD_FIELDS if f.help is not None]
         assert with_help == ["beta", "theta_max", "gamma", "max_gap", "disappearance_window", "min_episode"]
 
     @pytest.mark.parametrize("field", THRESHOLD_FIELDS, ids=lambda f: f.name)
@@ -189,7 +191,7 @@ class TestThresholdTable:
         assert type(echo[field.name]) is type(field.default)
 
     @pytest.mark.parametrize(
-        "field", [f for f in THRESHOLD_FIELDS if "help" in f.metadata], ids=lambda f: f.name
+        "field", [f for f in THRESHOLD_FIELDS if f.help is not None], ids=lambda f: f.name
     )
     def test_flag_sets_its_threshold(self, tmp_path, field):
         value = changed(field.default)
@@ -335,6 +337,16 @@ PAIRINGS = [
         "predictions without ground truth: b; "
         "ground-truth files without predictions: c_1.txt, stray.txt",
         id="missing-and-unclaimed",
+    ),
+    pytest.param(
+        ["clip"], ["clip_3.txt", "clip_٣.txt"],
+        "ground-truth files without predictions: clip_٣.txt",
+        id="arabic-indic-digit-is-no-frame-number",
+    ),
+    pytest.param(
+        ["clip"], ["clip_5.txt", "clip_５.txt"],
+        "ground-truth files without predictions: clip_５.txt",
+        id="fullwidth-digit-is-no-frame-number",
     ),
 ]
 
@@ -534,6 +546,83 @@ class TestOutputSets:
         assert 0 < size_at_fault < len(before["frames.jsonl"])
         assert not tmp.exists()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestStopSignals:
+    """A run stopped by SIGTERM or SIGHUP exits 4 and leaves no temp file; handlers are restored."""
+
+    @pytest.mark.parametrize("signum", cli._STOP_SIGNALS, ids=lambda s: signal.Signals(s).name)
+    def test_stopped_analyze_leaves_no_temp_files(self, tmp_path, signum):
+        log, out = tmp_path / "clip.log", tmp_path / "out"
+        log.write_text("!geometry 640 480 30 100000000\n", encoding="utf-8")  # ~6 GB of frames.jsonl
+        src = Path(dragonwatch.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dragonwatch.cli", "analyze", "--log", str(log), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not list(out.glob(".frames.jsonl.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline, "no frames.jsonl temp file"
+                time.sleep(0.01)
+            proc.send_signal(signum)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 4
+        assert stderr == f"stopped by {signal.Signals(signum).name}\n"
+        assert list(out.iterdir()) == []
+
+    def test_handlers_are_restored(self, tmp_path):
+        before = [signal.getsignal(signum) for signum in cli._STOP_SIGNALS]
+        log = tmp_path / "clip.log"
+        write_basking_log(log, frames=20)
+        assert main(["analyze", "--log", str(log), "--out", str(tmp_path / "out")]) == 0
+        assert [signal.getsignal(signum) for signum in cli._STOP_SIGNALS] == before
+
+    def test_a_handled_or_ignored_signal_is_left_alone(self):
+        signum = cli._STOP_SIGNALS[0]
+        previous = signal.signal(signum, signal.SIG_IGN)
+        try:
+            assert signum not in cli._catch_stop_signals()
+            assert signal.getsignal(signum) is signal.SIG_IGN
+        finally:
+            signal.signal(signum, previous)
+
+    def test_main_runs_off_the_main_thread(self, tmp_path):
+        log = tmp_path / "clip.log"
+        write_basking_log(log, frames=20)
+        codes = []
+        argv = ["analyze", "--log", str(log), "--out", str(tmp_path / "out")]
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes == [0]
+        assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    cli._parser()
+
+    def build_again():
+        raise AssertionError("main built the parser again")
+
+    monkeypatch.setattr(cli, "build_parser", build_again)
+    assert main(["report", str(tmp_path / "missing.json")]) == 2
+
+
+def test_command_is_looked_up_when_it_runs(monkeypatch):
+    """A wrapper set on ``cli.cmd_<command>`` after the parser is built is the one called."""
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.report) or 0)
+    assert main(["report", "report.json"]) == 0
+    assert calls == ["report.json"]
 
 
 # Runs the command given in argv in a child process and prints the child's peak RSS (KiB).

@@ -35,13 +35,12 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_cli_import_loads_only_the_standard_library():
-    """Every CLI call pays the package's import, which loads nothing beyond the standard library."""
+def modules_loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads to run ``statement``."""
     src = Path(dragonwatch.__file__).resolve().parents[1]
     code = (
-        "import sys; before = set(sys.modules); import dragonwatch.cli; "
-        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
-        "- set(sys.stdlib_module_names) - {'dragonwatch'}))"
+        "import sys; before = set(sys.modules); " + statement + "; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -50,4 +49,30 @@ def test_cli_import_loads_only_the_standard_library():
         text=True,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_only_the_standard_library():
+    """Every CLI call pays the package's import, which loads nothing beyond the standard library."""
+    loaded = modules_loaded_by("import dragonwatch.cli")
+    assert {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names) - {"dragonwatch"} == set()
+
+
+def test_cli_import_loads_no_module_analyze_does_not_run():
+    """No ``dataclasses`` (nor the ``inspect`` it brings), and ``synth`` only for ``simulate``."""
+    loaded = modules_loaded_by("import dragonwatch.cli")
+    assert loaded & {"dataclasses", "inspect", "dragonwatch.synth"} == set()
+
+
+def test_package_import_loads_no_module_of_its_own():
+    loaded = modules_loaded_by("import dragonwatch")
+    assert {m for m in loaded if m.startswith("dragonwatch")} == {"dragonwatch"}
+
+
+def test_package_exports_resolve_to_their_modules():
+    assert len(set(dragonwatch.__all__)) == len(dragonwatch.__all__) == 51
+    for name in dragonwatch.__all__:
+        value = getattr(dragonwatch, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError):
+        dragonwatch.no_such_name
