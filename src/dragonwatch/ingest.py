@@ -352,10 +352,17 @@ def parse_ground_truth(
     1x1 placeholder is used unless ``geometry`` is given. ``!frame <n>``
     switches the current frame, which starts at ``start_frame``.
     """
+    return _strict_ground_truth(
+        _lines(source), geometry if geometry is not None else _ANY_GEOMETRY, start_frame
+    )
+
+
+def _strict_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline:
+    """The reference parser: one line at a time, the first fault raised with its line number."""
     current = start_frame
     code: list[int] = []
     columns = Columns([], [], [], [], [], [])
-    for line_no, line in _content(_lines(source)):
+    for line_no, line in _content(lines):
         parts = line.split()
         if line.startswith("!"):
             if parts[0] != "!frame":
@@ -374,9 +381,7 @@ def parse_ground_truth(
         for column, value in zip(columns.fields(), (current, *box, 1.0)):
             column.append(value)
     frame_count = max(columns.frame, default=-1) + 1
-    return Timeline.build(
-        geometry if geometry is not None else _ANY_GEOMETRY, frame_count, code, columns
-    )
+    return Timeline.build(geometry, frame_count, code, columns)
 
 
 _GEOMETRY_KEYS = FrameGeometry.__slots__

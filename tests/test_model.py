@@ -2,16 +2,21 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dragonwatch.model import (
     MAX_CLIP_SECONDS,
     MAX_FRAME_COUNT,
     ClassLabel,
+    Columns,
     Corners,
     FrameGeometry,
+    Timeline,
     center_distance_px,
     check_clip_length,
     check_frame_count,
+    in_extent_range,
+    in_unit_range,
     iou,
     to_pixels,
 )
@@ -208,6 +213,53 @@ class TestTimeline:
         rows = [det(0), det(1)._replace(**{field: value}), det(2)]
         with pytest.raises(ValueError):
             timeline_of(FrameGeometry(640, 480, 30.0), 3, rows)
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "conf"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_build_rejects_nan_anywhere_in_a_column(self, field, position):
+        rows = [det(0), det(1), det(2)]
+        rows[position] = rows[position]._replace(**{field: math.nan})
+        with pytest.raises(ValueError, match="^box or confidence outside its range$"):
+            timeline_of(FrameGeometry(640, 480, 30.0), 3, rows)
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "conf"])
+    def test_build_accepts_a_negative_zero_centre_or_confidence(self, field):
+        tl = timeline_of(FrameGeometry(640, 480, 30.0), 3, [det(0), det(1)._replace(**{field: -0.0})])
+        assert math.copysign(1.0, getattr(tl.detections_for(ClassLabel.BEARDED_DRAGON), field)[1]) == -1.0
+
+    @pytest.mark.parametrize("field", ["w", "h"])
+    def test_build_rejects_a_zero_extent_and_accepts_a_full_one(self, field):
+        with pytest.raises(ValueError, match="^box or confidence outside its range$"):
+            timeline_of(FrameGeometry(640, 480, 30.0), 3, [det(0), det(1)._replace(**{field: 0.0})])
+        tl = timeline_of(FrameGeometry(640, 480, 30.0), 3, [det(0), det(1)._replace(**{field: 1.0})])
+        assert getattr(tl.detections_for(ClassLabel.BEARDED_DRAGON), field) == [0.1, 1.0]
+
+    @given(data=st.data())
+    def test_build_range_check_is_the_range_functions(self, data):
+        """``build`` accepts a box or confidence column exactly when its range function holds for every value."""
+        ranges = (in_unit_range, in_unit_range, in_extent_range, in_extent_range, in_unit_range)
+        n = data.draw(st.integers(0, 5))
+        odd = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf]),
+            st.floats(),
+        )
+        columns = []
+        for in_range in ranges:
+            valid = st.floats(0.0, 1.0, exclude_min=in_range is in_extent_range)
+            column = data.draw(st.lists(valid, min_size=n, max_size=n))
+            for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+                column[data.draw(st.integers(0, n - 1))] = data.draw(odd)
+            columns.append(column)
+        expected = all(all(map(in_range, column)) for in_range, column in zip(ranges, columns))
+
+        def build():
+            return Timeline.build(FrameGeometry(640, 480, 30.0), 1, [0] * n, Columns([0] * n, *columns))
+
+        if expected:
+            assert build().detections_for(ClassLabel.BEARDED_DRAGON).conf == sorted(columns[4], reverse=True)
+        else:
+            with pytest.raises(ValueError, match="^box or confidence outside its range$"):
+                build()
 
     def test_rows_order(self):
         detections = [

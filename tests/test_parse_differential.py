@@ -1,10 +1,12 @@
-"""``parse_detection_log``'s columnar fast path against the strict reference parser.
+"""The public parsers against the strict reference parsers, for logs and ground truth.
 
-``ingest._strict_detection_log`` reads one line at a time and raises the
-first fault with its line number; it is the specification. The public
-parser must give equal columns, bit for bit, or the same exception class,
-line number and message, on valid logs and on logs with one token or one
-line changed. Logs the toolkit writes must not need the strict parser at
+``ingest._strict_detection_log`` and ``ingest._strict_ground_truth`` read
+one line at a time and raise the first fault with its line number; they
+are the specification. ``parse_detection_log`` and ``parse_ground_truth``
+must give equal columns, bit for bit, or the same exception class, line
+number and message, on valid input and on input with one token or one line
+changed, whether the source is a string, a list of lines, a file object or
+a generator. Input the toolkit writes must not need the strict parser at
 all, and hostile input must end in its typed error in bounded time.
 """
 
@@ -24,11 +26,19 @@ from hypothesis import strategies as st
 import dragonwatch
 from dragonwatch import ingest
 from dragonwatch.behaviour import BehaviourKind
-from dragonwatch.ingest import ParseError, _lines, _strict_detection_log, parse_detection_log, write_detection_log
+from dragonwatch.ingest import (
+    ParseError,
+    _lines,
+    _strict_detection_log,
+    _strict_ground_truth,
+    parse_detection_log,
+    parse_ground_truth,
+    write_detection_log,
+)
 from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.synth import Scenario, generate
 
-from helpers import Row, timeline_of
+from helpers import Row, timeline_of, write_ground_truth
 
 HEADER = "!geometry 640 480 30 100"
 ROW = "3 0 0.5 0.25 0.1 0.2 0.9"
@@ -56,9 +66,18 @@ def strict(source) -> object:
     return _strict_detection_log(_lines(source))
 
 
+# the forms a source may take: a string, a list of lines, a file object, a generator
+SOURCES = {
+    "str": lambda text: text,
+    "list": lambda text: text.splitlines(keepends=True),
+    "file": lambda text: io.StringIO(text, newline=""),
+    "generator": lambda text: (line for line in text.splitlines(keepends=True)),
+}
+
+
 def assert_same_verdict(text: str) -> None:
-    """Both parsers agree on ``text`` as a string, a list of lines and a file object."""
-    for make in (lambda t: t, lambda t: t.splitlines(keepends=True), lambda t: io.StringIO(t, newline="")):
+    """Both parsers agree on ``text`` in each form of source."""
+    for make in SOURCES.values():
         assert outcome(parse_detection_log, make(text)) == outcome(strict, make(text))
 
 
@@ -167,14 +186,12 @@ TOKENS = [
     "+3", "07", ".5", "5.", "1E3", "1e999", "-1e999", "1e-999", "nan", "-nan", "inf", "-inf",
     "-0.0", "0", "1", "2", "3", "-1", "100", "1.5", "x", "1_0", "\u0661", "0x1", "1e", "e1",
     "--1", "+-1", "0.5.5", "", "0.5 0.5", "#", "!geometry", "0.5\x1c0.5", "0.5\u20280.5",
-    "0.5\xa00.5", "0.5\x850.5",
+    "0.5\xa00.5", "0.5\x850.5", "!frame", "!frame 3",
 ]
 
 
-@st.composite
-def mutated_logs(draw) -> str:
-    """A valid log with one token replaced, one line duplicated or moved, or nothing changed."""
-    lines = draw(valid_logs())
+def mutate(draw, lines: list[str]) -> str:
+    """``lines`` with one token replaced, one line duplicated or moved, or nothing changed."""
     kind = draw(st.sampled_from(["none", "token", "duplicate", "move"]))
     if kind != "none" and lines:
         i = draw(st.integers(0, len(lines) - 1))
@@ -190,6 +207,12 @@ def mutated_logs(draw) -> str:
         else:
             lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
     return "".join(lines)
+
+
+@st.composite
+def mutated_logs(draw) -> str:
+    """A valid log with one token replaced, one line duplicated or moved, or nothing changed."""
+    return mutate(draw, draw(valid_logs()))
 
 
 @given(text=mutated_logs())
@@ -259,13 +282,13 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("expr, verdict", list(HOSTILE.values()), ids=list(HOSTILE))
-def test_hostile_log_ends_in_its_typed_error_in_bounded_time(expr, verdict):
+def run_parser(parser: str, expr: str) -> str:
+    """What a fresh interpreter prints for ``parser`` on the text ``expr`` builds: the error class and line."""
     code = (
-        "from dragonwatch.ingest import ParseError, parse_detection_log\n"
+        f"from dragonwatch.ingest import ParseError, {parser}\n"
         f"text = {expr}\n"
         "try:\n"
-        "    parse_detection_log(text)\n"
+        f"    {parser}(text)\n"
         "except ParseError as exc:\n"
         "    print(type(exc).__name__, exc.line_no)\n"
     )
@@ -278,4 +301,154 @@ def test_hostile_log_ends_in_its_typed_error_in_bounded_time(expr, verdict):
         timeout=60,
         check=True,
     )
-    assert done.stdout == verdict + "\n"
+    return done.stdout
+
+
+@pytest.mark.parametrize("expr, verdict", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_hostile_log_ends_in_its_typed_error_in_bounded_time(expr, verdict):
+    assert run_parser("parse_detection_log", expr) == verdict + "\n"
+
+
+# ground truth: ``<class> <cx> <cy> <w> <h>`` rows, ``!frame <n>`` setting the frame of the rows below
+
+GT_ROW = "0 0.5 0.25 0.1 0.2"
+GT_GEOMETRY = FrameGeometry(1, 1, 1.0)  # parse_ground_truth's placeholder when given none
+
+
+def strict_ground_truth(source, start_frame: int = 0) -> object:
+    return _strict_ground_truth(_lines(source), GT_GEOMETRY, start_frame)
+
+
+def assert_same_ground_truth(text: str) -> None:
+    """Both ground-truth parsers agree on ``text`` in each form of source, from frame 0 and 7."""
+    for start_frame in (0, 7):
+        for make in SOURCES.values():
+            fast = outcome(lambda source: parse_ground_truth(source, start_frame=start_frame), make(text))
+            assert fast == outcome(lambda source: strict_ground_truth(source, start_frame), make(text))
+
+
+GT_CASES = {
+    "plain": f"!frame 3\n{GT_ROW}\n",
+    "frames in turn": f"!frame 0\n{GT_ROW}\n1 0.1 0.2 0.3 0.4\n!frame 2\n2 0.9 0.8 0.7 0.6\n",
+    "plus-signed frame": f"!frame +3\n{GT_ROW}\n",
+    "zero-led frame": f"!frame 03\n{GT_ROW}\n",
+    "exponent frame": f"!frame 1e3\n{GT_ROW}\n",
+    "negative frame": f"!frame -1\n{GT_ROW}\n",
+    "frame not a number": f"!frame x\n{GT_ROW}\n",
+    "non-ASCII frame": f"!frame \u0663\n{GT_ROW}\n",
+    "underscore frame": f"!frame 1_0\n{GT_ROW}\n",
+    "frame over the int digit limit": f"!frame {'9' * 5000}\n{GT_ROW}\n",
+    "frame without a field": f"!frame\n{GT_ROW}\n",
+    "frame with two fields": f"!frame 3 4\n{GT_ROW}\n",
+    "frame glued to its number": f"!frame3\n{GT_ROW}\n",
+    "frame with a comment after it": f"!frame 3 # three\n{GT_ROW}\n",
+    "capital directive": f"!FRAME 3\n{GT_ROW}\n",
+    "tabs": f"!frame\t3\t\n0\t0.5 \t0.25\t0.1\t0.2\t\n",
+    "leading blanks": f"  \t!frame 3\n   \t{GT_ROW}\n",
+    "CRLF": f"!frame 3\r\n{GT_ROW}\r\n!frame 4\r\n{GT_ROW}\r\n",
+    "file separator": f"!frame 3\x1c{GT_ROW}\n0 0.5\x1c0.25 0.1 0.2\n",
+    "line separator": f"!frame 3\u2028{GT_ROW}\u2028{GT_ROW}\n",
+    "next line": f"!frame 3\x85{GT_ROW}\n{GT_ROW}\x85{GT_ROW}\n",
+    "vertical tab": f"!frame\x0b3\n{GT_ROW}\x0b{GT_ROW}\n",
+    "no-break space": f"!frame\xa03\n0 0.5\xa00.25 0.1 0.2\n",
+    "comments and blank lines": f"# a\n\n  # !frame 9\n!frame 3\n\n# c\n{GT_ROW}\n   \n#{GT_ROW}\n{GT_ROW}\n",
+    "comment after a row": f"!frame 3\n{GT_ROW} # note\n",
+    "data before the first frame": f"{GT_ROW}\n1 0.1 0.2 0.3 0.4\n!frame 5\n{GT_ROW}\n",
+    "no frame directive": f"{GT_ROW}\n2 0.1 0.2 0.3 0.4\n",
+    "descending frames": f"!frame 9\n{GT_ROW}\n!frame 2\n1 0.1 0.2 0.3 0.4\n!frame 0\n{GT_ROW}\n",
+    "repeated frame": f"!frame 2\n{GT_ROW}\n!frame 2\n{GT_ROW}\n",
+    "frame without rows": f"!frame 2\n{GT_ROW}\n!frame 50\n",
+    "empty": "",
+    "frame only": "!frame 3\n",
+    "blank only": "\n  \n# x\n",
+    "unknown directive": f"!geometry 640 480 30 100\n{GT_ROW}\n",
+    "four fields": "!frame 3\n0 0.5 0.25 0.1\n",
+    "six fields": f"!frame 3\n{GT_ROW} 0.9\n",
+    "nan": "!frame 3\n0 0.5 nan 0.1 0.2\n",
+    "inf": "!frame 3\n0 0.5 0.25 inf 0.2\n",
+    "huge exponent": "!frame 3\n0 0.5 0.25 0.1 1e999\n",
+    "tiny exponent": "!frame 3\n0 1e-999 0.25 0.1 0.2\n",
+    "negative zero": "!frame 3\n0 -0.0 -0.0 0.1 0.2\n",
+    "zero extent": "!frame 3\n0 0.5 0.25 0.0 0.2\n",
+    "underscore": "!frame 3\n0 0.5 0.2_5 0.1 0.2\n",
+    "non-ASCII digit": "!frame 3\n0 0.5 0.25 0.1 0.\u0662\n",
+    "unknown class": "!frame 3\n3 0.5 0.25 0.1 0.2\n",
+    "signed class": "!frame 3\n+1 0.5 0.25 0.1 0.2\n",
+    "fractional class": "!frame 3\n1.0 0.5 0.25 0.1 0.2\n",
+    "ties and disorder": (
+        "!frame 5\n0 0.1 0.1 0.1 0.1\n!frame 2\n0 0.2 0.2 0.2 0.2\n!frame 5\n0 0.3 0.3 0.3 0.3\n"
+        "2 0.5 0.5 0.5 0.5\n!frame 0\n1 0.6 0.6 0.6 0.6\n1 0.7 0.7 0.7 0.7\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(GT_CASES.values()), ids=list(GT_CASES))
+def test_named_ground_truth_matches_strict_parser(text):
+    assert_same_ground_truth(text)
+
+
+@st.composite
+def valid_ground_truth(draw) -> list[str]:
+    """Valid ground truth as its lines, each with its line ending; ``!frame`` lines, comments and blanks anywhere."""
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", "   ", "\t# !frame 1", "  # 0 0.5 0.5 0.1 0.1"])))
+        elif kind <= 2:
+            lead = draw(st.sampled_from(["", " ", "\t"]))
+            sep = draw(st.sampled_from(SEPARATORS))
+            lines.append(f"{lead}!frame{sep}{_int_text(draw(st.integers(0, 40)), draw(st.integers(0, 2)))}")
+        else:
+            values = [
+                str(draw(st.integers(0, 2))),
+                *(_float_text(draw(strategy), draw(st.integers(0, 5))) for strategy in (UNIT, UNIT, EXTENT, EXTENT)),
+            ]
+            sep = draw(st.sampled_from(SEPARATORS))
+            lead = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(lead + sep.join(values) + draw(st.sampled_from(["", " ", "\t"])))
+    ending = draw(st.sampled_from(ENDINGS))
+    return [line + ending for line in lines]
+
+
+@st.composite
+def mutated_ground_truth(draw) -> str:
+    """Valid ground truth with one token replaced, one line duplicated or moved, or nothing changed."""
+    return mutate(draw, draw(valid_ground_truth()))
+
+
+@given(text=mutated_ground_truth())
+@settings(max_examples=400, deadline=None)
+def test_mutated_ground_truth_matches_strict_parser(text):
+    assert_same_ground_truth(text)
+
+
+GT_ROW_TEXT = "'0 0.5 0.5 0.1 0.1\\n'"
+GT_HOSTILE = {
+    # a one-line file of 1 MB: one field
+    "digits": ("'9' * 1_000_000", "MalformedLine 1"),
+    # a 1 MB frame number: over int()'s digit limit, then ending in a letter
+    "long frame": ("'!frame ' + '1' * 1_000_000", "MalformedLine 1"),
+    "long frame ending in a letter": ("'!frame ' + '1' * 1_000_000 + 'x'", "MalformedLine 1"),
+    # a 1 MB row: a run of digits ending in a letter, then 500k tokens
+    "long token": ("'!frame 0\\n0 0.5 0.5 0.1 ' + '1' * 1_000_000 + 'x'", "MalformedLine 2"),
+    "many tokens": ("'!frame 0\\n' + '1 ' * 500_000", "MalformedLine 2"),
+    # 200k lines, the last one bad: by range, by token, then by directive
+    "last line out of range": (
+        f"'!frame 0\\n' + {GT_ROW_TEXT} * 199_998 + '0 0.5 0.5 0.1 2'",
+        "OutOfRange 200000",
+    ),
+    "last line not a number": (
+        f"'!frame 0\\n' + {GT_ROW_TEXT} * 199_998 + '0 0.5 0.5 0.1 x'",
+        "MalformedLine 200000",
+    ),
+    "last line a negative frame": (
+        f"'!frame 0\\n' + {GT_ROW_TEXT} * 199_998 + '!frame -1'",
+        "OutOfRange 200000",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr, verdict", list(GT_HOSTILE.values()), ids=list(GT_HOSTILE))
+def test_hostile_ground_truth_ends_in_its_typed_error_in_bounded_time(expr, verdict):
+    assert run_parser("parse_ground_truth", expr) == verdict + "\n"
