@@ -41,8 +41,11 @@ fault; so the errors are the strict parser's, line number and text.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Iterable, Iterator
+from itertools import compress, count
+from operator import not_
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
     ClassLabel,
@@ -241,16 +244,58 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     return timeline if timeline is not None else _strict_detection_log(lines)
 
 
-# A data line the columnar reader takes: seven tokens separated by blanks or tabs, each made
-# of digits, signs, points and exponent letters. The class leaves out what int() and float()
-# accept but the strict parser rejects: "_" and non-ASCII digits, which _number refuses, and
+# A data line the columnar readers take: tokens separated by blanks or tabs, each made of
+# digits, signs, points and exponent letters. The class leaves out what int() and float()
+# accept but the strict parsers reject: "_" and non-ASCII digits, which _number refuses, and
 # nan and inf, which no range admits. A token that is still no number, such as "1e" or "+-",
 # makes int() or float() raise. Token and separator characters do not overlap, so a match
 # or a miss takes time linear in the line.
 _TOKEN = "[0-9+.eE-]+"
-_ROW = re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * 7) + "[ \t\r\n]*")
-_CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
+# a ground-truth frame line the columnar reader takes: the frame in ASCII digits, never negative
+_FRAME_LINE = "[ \t]*!frame[ \t]+([0-9]+)[ \t\r\n]*"
+_LOG_CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
+_GROUND_TRUTH_CASTS = (int, float, float, float, float)  # class, cx, cy, w, h
 _BLOCK_LINES = 256
+
+
+@functools.cache
+def _row_pattern(fields: int) -> re.Pattern[str]:
+    """A data line of ``fields`` tokens; compiled on first use, so an import compiles none."""
+    return re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * fields) + "[ \t\r\n]*")
+
+
+def _columnar_rows(
+    lines: list[str],
+    scan: Callable[[list[str]], tuple[list[str], Any] | None],
+    casts: Sequence[Callable[[str], Any]],
+) -> tuple[list[list], Any] | None:
+    """The columns of the data rows ``scan`` finds in ``lines``, and what else it found.
+
+    ``scan`` returns the data rows and anything else it reads from the
+    lines, or None when a line is not one it takes. It reads ``lines``
+    whole first and, if that fails, their content lines (:func:`_content`).
+    Column ``i`` holds token ``i`` of each row, through ``casts[i]``, which
+    raises ValueError for a token that is no number.
+    """
+    found = scan(lines)
+    if found is None:
+        found = scan([text for _, text in _content(lines)])
+        if found is None:
+            return None
+    rows, other = found
+    columns: list[list] = [[] for _ in casts]
+    width = len(casts)
+    # a block of lines at a time: only one block's token strings exist at once
+    for start in range(0, len(rows), _BLOCK_LINES):
+        tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
+        for i, (column, cast) in enumerate(zip(columns, casts)):
+            column.extend(map(cast, tokens[i::width]))
+    return columns, other
+
+
+def _log_rows(rows: list[str]) -> tuple[list[str], None] | None:
+    """``rows`` when every one is a 7-token data line; None otherwise."""
+    return (rows, None) if all(map(_row_pattern(7).fullmatch, rows)) else None
 
 
 def _columnar_detection_log(lines: list[str]) -> Timeline | None:
@@ -268,21 +313,12 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
         geometry, frame_count = _geometry_header(parts, head)
     except ParseError:
         return None
-    rows = lines[head:]
-    if None in map(_ROW.fullmatch, rows):
-        rows = [text for _, text in _content(rows)]
-        if None in map(_ROW.fullmatch, rows):
-            return None
-    code: list[int] = []
-    columns = Columns([], [], [], [], [], [])
-    frame, cx, cy, w, h, conf = columns.fields()
     try:
-        # a block of lines at a time: only one block's token strings exist at once
-        for start in range(0, len(rows), _BLOCK_LINES):
-            tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
-            for i, (column, cast) in enumerate(zip((frame, code, cx, cy, w, h, conf), _CASTS)):
-                column.extend(map(cast, tokens[i::7]))
-        return Timeline.build(geometry, frame_count, code, columns)
+        read = _columnar_rows(lines[head:], _log_rows, _LOG_CASTS)
+        if read is None:
+            return None
+        (frame, code, *boxes), _ = read
+        return Timeline.build(geometry, frame_count, code, Columns(frame, *boxes))
     except ValueError:
         return None
 
@@ -352,9 +388,45 @@ def parse_ground_truth(
     1x1 placeholder is used unless ``geometry`` is given. ``!frame <n>``
     switches the current frame, which starts at ``start_frame``.
     """
-    return _strict_ground_truth(
-        _lines(source), geometry if geometry is not None else _ANY_GEOMETRY, start_frame
-    )
+    lines = _lines(source)
+    geometry = geometry if geometry is not None else _ANY_GEOMETRY
+    timeline = _columnar_ground_truth(lines, geometry, start_frame)
+    return timeline if timeline is not None else _strict_ground_truth(lines, geometry, start_frame)
+
+
+def _ground_truth_rows(rows: list[str], start_frame: int) -> tuple[list[str], list[int]] | None:
+    """The 5-token data lines of ``rows`` and the frame of each; None unless every other line is a frame line."""
+    matches = list(map(_row_pattern(5).fullmatch, rows))
+    data = list(compress(rows, matches))
+    if len(data) == len(rows):
+        return rows, [start_frame] * len(rows)
+    marks = list(compress(count(), map(not_, matches)))  # the frame lines' indices
+    directives = list(map(re.compile(_FRAME_LINE).fullmatch, map(rows.__getitem__, marks)))
+    if not all(directives):
+        return None
+    # the data lines before the first frame line, then the run after each frame line
+    frame = [start_frame] * marks[0]
+    for directive, mark, end in zip(directives, marks, [*marks[1:], len(rows)]):
+        frame += [int(directive[1])] * (end - mark - 1)
+    return data, frame
+
+
+def _columnar_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline | None:
+    """Ground truth read in one pass over its tokens; None when a line needs the strict parser.
+
+    The values are the ``int()`` and ``float()`` of the same token text as
+    in :func:`_strict_ground_truth`, and ``Timeline.build`` checks the same
+    ranges.
+    """
+    try:
+        read = _columnar_rows(lines, lambda rows: _ground_truth_rows(rows, start_frame), _GROUND_TRUTH_CASTS)
+        if read is None:
+            return None
+        (code, *boxes), frame = read
+        columns = Columns(frame, *boxes, [1.0] * len(frame))
+        return Timeline.build(geometry, max(frame, default=-1) + 1, code, columns)
+    except ValueError:
+        return None
 
 
 def _strict_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline:

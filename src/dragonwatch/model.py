@@ -293,7 +293,11 @@ class Timeline(Record):
         if not _CLASS_CODES.issuperset(code):
             raise ValueError(f"class code outside {sorted(_CLASS_CODES)}")
         for column, in_range in zip(rows.fields()[1:], _RANGES):
-            if not all(map(in_range, column)):
+            # NaN passes no range test but can hide from min and max. Once they are in range,
+            # every other value is in [0, 1], so the sum is NaN exactly when a value is NaN.
+            if column and not (
+                in_range(min(column)) and in_range(max(column)) and not math.isnan(sum(column))
+            ):
                 raise ValueError("box or confidence outside its range")
         by_class = {}
         for label in ClassLabel:

@@ -35,13 +35,9 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def modules_loaded_by(statement: str) -> set[str]:
-    """The modules a fresh interpreter loads to run ``statement``."""
+def fresh_output(code: str) -> str:
+    """What a fresh interpreter, importing this checkout's package, prints running ``code``."""
     src = Path(dragonwatch.__file__).resolve().parents[1]
-    code = (
-        "import sys; before = set(sys.modules); " + statement + "; "
-        "print('\\n'.join(sorted(set(sys.modules) - before)))"
-    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -49,7 +45,16 @@ def modules_loaded_by(statement: str) -> set[str]:
         text=True,
         check=True,
     )
-    return set(done.stdout.split())
+    return done.stdout
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads to run ``statement``."""
+    code = (
+        "import sys; before = set(sys.modules); " + statement + "; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    return set(fresh_output(code).split())
 
 
 def test_cli_import_loads_only_the_standard_library():
@@ -62,6 +67,16 @@ def test_cli_import_loads_no_module_analyze_does_not_run():
     """No ``dataclasses`` (nor the ``inspect`` it brings), and ``synth`` only for ``simulate``."""
     loaded = modules_loaded_by("import dragonwatch.cli")
     assert loaded & {"dataclasses", "inspect", "dragonwatch.synth"} == set()
+
+
+def test_cli_import_compiles_no_row_pattern():
+    """The parsers' patterns are compiled when a parser first runs, not by the import every command pays."""
+    code = (
+        "import re, dragonwatch.cli; from dragonwatch import ingest; "
+        "print(ingest._row_pattern.cache_info().currsize, "
+        "[name for name, value in vars(ingest).items() if isinstance(value, re.Pattern)])"
+    )
+    assert fresh_output(code) == "0 []\n"
 
 
 def test_package_import_loads_no_module_of_its_own():

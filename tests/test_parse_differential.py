@@ -452,3 +452,41 @@ GT_HOSTILE = {
 @pytest.mark.parametrize("expr, verdict", list(GT_HOSTILE.values()), ids=list(GT_HOSTILE))
 def test_hostile_ground_truth_ends_in_its_typed_error_in_bounded_time(expr, verdict):
     assert run_parser("parse_ground_truth", expr) == verdict + "\n"
+
+
+def generator_style_ground_truth(seed: int, frames: int = 100) -> str:
+    """Ground truth as a labelling tool exports it: fixed decimals, comments, blank lines, ``!frame`` lines."""
+    rng = random.Random(seed)
+    rows = ["# exported labels", ""]
+    for frame in range(frames):
+        rows.append(f"!frame {frame}")
+        for label in range(3):
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                x, y, w, h = (rng.uniform(0.01, 0.99) for _ in range(4))
+                rows.append(f"{label} {x:.6f} {y:.6f} {w:.6f} {h:.6f}")
+        if frame % 10 == 0:
+            rows.append(f"# end of frame {frame}")
+    return "\n".join(rows) + "\n"
+
+
+# (text, start frame)
+FAST_GROUND_TRUTH = {
+    "written synthetic clip": (write_ground_truth(parse_detection_log(FAST_LOGS["synthetic hunting clip"])), 0),
+    "written extreme floats": (write_ground_truth(parse_detection_log(FAST_LOGS["written extreme floats"])), 0),
+    "single frame from its file name": ("0 0.5 0.4 0.3 0.2\n1 0.5 0.2 0.2 0.1\n2 0.1 0.7 0.05 0.05\n", 7),
+    "single frame, CRLF": ("0 0.5 0.4 0.3 0.2\r\n1 0.5 0.2 0.2 0.1\r\n", 12),
+    "exported with comments": (generator_style_ground_truth(1), 0),
+}
+
+
+@pytest.mark.parametrize("text, start_frame", list(FAST_GROUND_TRUTH.values()), ids=list(FAST_GROUND_TRUTH))
+def test_written_and_exported_ground_truth_never_reaches_the_strict_parser(text, start_frame, monkeypatch):
+    expected = outcome(lambda source: strict_ground_truth(source, start_frame), text)
+    assert expected[0] == "ok"
+
+    def refuse(lines, geometry, start_frame):
+        raise AssertionError("the strict parser read ground truth the fast path should read")
+
+    monkeypatch.setattr(ingest, "_strict_ground_truth", refuse)
+    for make in SOURCES.values():
+        assert outcome(lambda source: parse_ground_truth(source, start_frame=start_frame), make(text)) == expected
