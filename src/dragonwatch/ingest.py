@@ -33,10 +33,12 @@ confidence on its line, with the messages written here. Every parser
 appends its rows' values to :class:`Columns` and makes its
 :class:`Timeline` with :meth:`Timeline.build`, which checks every row again.
 
-A detection log is read in one tokenising pass straight into columns. If
-any line fails that pass, or ``Timeline.build`` rejects the columns, the
-whole log is read again by the strict line parser, which reports the first
-fault; so the errors are the strict parser's, line number and text.
+Detection logs and ground truth are read in one tokenising pass straight
+into columns; in ground truth, each line that is not a data line must be
+``!frame`` and ASCII digits. If any line fails that pass, or
+``Timeline.build`` rejects the columns, the whole input is read again by
+the format's strict line parser, which reports the first fault; so the
+errors are the strict parser's, line number and text.
 """
 
 from __future__ import annotations
@@ -266,36 +268,34 @@ def _row_pattern(fields: int) -> re.Pattern[str]:
 
 def _columnar_rows(
     lines: list[str],
-    scan: Callable[[list[str]], tuple[list[str], Any] | None],
+    scan: Callable[[list[str]], tuple[list[str], Any]],
     casts: Sequence[Callable[[str], Any]],
-) -> tuple[list[list], Any] | None:
+) -> tuple[list[list], Any]:
     """The columns of the data rows ``scan`` finds in ``lines``, and what else it found.
 
-    ``scan`` returns the data rows and anything else it reads from the
-    lines, or None when a line is not one it takes. It reads ``lines``
-    whole first and, if that fails, their content lines (:func:`_content`).
-    Column ``i`` holds token ``i`` of each row, through ``casts[i]``, which
-    raises ValueError for a token that is no number.
+    ``scan`` returns the data rows and anything else it reads, and raises
+    ValueError at a line it does not take. It reads ``lines`` whole, then,
+    if that fails, their content lines (:func:`_content`). Column ``i``
+    holds token ``i`` of each row through ``casts[i]``: ValueError when a
+    token is no number.
     """
-    found = scan(lines)
-    if found is None:
-        found = scan([text for _, text in _content(lines)])
-        if found is None:
-            return None
-    rows, other = found
+    try:
+        rows, other = scan(lines)
+    except ValueError:
+        rows, other = scan([text for _, text in _content(lines)])
     columns: list[list] = [[] for _ in casts]
-    width = len(casts)
     # a block of lines at a time: only one block's token strings exist at once
     for start in range(0, len(rows), _BLOCK_LINES):
         tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
         for i, (column, cast) in enumerate(zip(columns, casts)):
-            column.extend(map(cast, tokens[i::width]))
+            column.extend(map(cast, tokens[i::len(casts)]))
     return columns, other
 
 
-def _log_rows(rows: list[str]) -> tuple[list[str], None] | None:
-    """``rows`` when every one is a 7-token data line; None otherwise."""
-    return (rows, None) if all(map(_row_pattern(7).fullmatch, rows)) else None
+def _log_rows(rows: list[str]) -> tuple[list[str], None]:
+    if not all(map(_row_pattern(7).fullmatch, rows)):
+        raise ValueError("a line is no 7-token row")
+    return rows, None
 
 
 def _columnar_detection_log(lines: list[str]) -> Timeline | None:
@@ -311,15 +311,9 @@ def _columnar_detection_log(lines: list[str]) -> Timeline | None:
         return None
     try:
         geometry, frame_count = _geometry_header(parts, head)
-    except ParseError:
-        return None
-    try:
-        read = _columnar_rows(lines[head:], _log_rows, _LOG_CASTS)
-        if read is None:
-            return None
-        (frame, code, *boxes), _ = read
+        (frame, code, *boxes), _ = _columnar_rows(lines[head:], _log_rows, _LOG_CASTS)
         return Timeline.build(geometry, frame_count, code, Columns(frame, *boxes))
-    except ValueError:
+    except ValueError:  # ParseError too
         return None
 
 
@@ -390,43 +384,33 @@ def parse_ground_truth(
     """
     lines = _lines(source)
     geometry = geometry if geometry is not None else _ANY_GEOMETRY
-    timeline = _columnar_ground_truth(lines, geometry, start_frame)
-    return timeline if timeline is not None else _strict_ground_truth(lines, geometry, start_frame)
+    # the columnar read first; the strict parser reads the lines again if that fails
+    try:
+        (code, *boxes), frame = _columnar_rows(
+            lines, lambda rows: _ground_truth_rows(rows, start_frame), _GROUND_TRUTH_CASTS
+        )
+        columns = Columns(frame, *boxes, [1.0] * len(frame))
+        return Timeline.build(geometry, max(frame, default=-1) + 1, code, columns)
+    except ValueError:
+        pass
+    return _strict_ground_truth(lines, geometry, start_frame)
 
 
-def _ground_truth_rows(rows: list[str], start_frame: int) -> tuple[list[str], list[int]] | None:
-    """The 5-token data lines of ``rows`` and the frame of each; None unless every other line is a frame line."""
+def _ground_truth_rows(rows: list[str], start_frame: int) -> tuple[list[str], list[int]]:
+    """The 5-token data lines of ``rows`` and the frame of each; ValueError at a line of another kind."""
     matches = list(map(_row_pattern(5).fullmatch, rows))
     data = list(compress(rows, matches))
     if len(data) == len(rows):
         return rows, [start_frame] * len(rows)
-    marks = list(compress(count(), map(not_, matches)))  # the frame lines' indices
+    marks = list(compress(count(), map(not_, matches)))
     directives = list(map(re.compile(_FRAME_LINE).fullmatch, map(rows.__getitem__, marks)))
     if not all(directives):
-        return None
+        raise ValueError("a line is neither a 5-token row nor a frame line")
     # the data lines before the first frame line, then the run after each frame line
     frame = [start_frame] * marks[0]
     for directive, mark, end in zip(directives, marks, [*marks[1:], len(rows)]):
         frame += [int(directive[1])] * (end - mark - 1)
     return data, frame
-
-
-def _columnar_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline | None:
-    """Ground truth read in one pass over its tokens; None when a line needs the strict parser.
-
-    The values are the ``int()`` and ``float()`` of the same token text as
-    in :func:`_strict_ground_truth`, and ``Timeline.build`` checks the same
-    ranges.
-    """
-    try:
-        read = _columnar_rows(lines, lambda rows: _ground_truth_rows(rows, start_frame), _GROUND_TRUTH_CASTS)
-        if read is None:
-            return None
-        (code, *boxes), frame = read
-        columns = Columns(frame, *boxes, [1.0] * len(frame))
-        return Timeline.build(geometry, max(frame, default=-1) + 1, code, columns)
-    except ValueError:
-        return None
 
 
 def _strict_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline:
