@@ -88,6 +88,23 @@ def timeline_of(geometry: FrameGeometry, frame_count: int, rows: Sequence[Row]) 
     return Timeline.build(geometry, frame_count, [row.label for row in rows], columns_of(rows))
 
 
+def reference_by_class(code: Sequence[int], rows: Columns) -> dict[ClassLabel, Columns]:
+    """Oracle: each class's rows of ``Timeline.build``'s input, sorted by (frame, -conf, input index)."""
+    names = ("frame", "cx", "cy", "w", "h", "conf")
+    by_class = {}
+    for label in ClassLabel:
+        mine = [i for i, c in enumerate(code) if c == label]
+        mine.sort(key=lambda i: (rows.frame[i], -rows.conf[i], i))
+        by_class[label] = Columns(*([getattr(rows, name)[i] for i in mine] for name in names))
+    return by_class
+
+
+def column_bits(columns: Columns) -> tuple[list, ...]:
+    """The columns with each float as its hex text: ``-0.0`` and ``0.0`` differ."""
+    floats = (columns.cx, columns.cy, columns.w, columns.h, columns.conf)
+    return (list(columns.frame), *([value.hex() for value in column] for column in floats))
+
+
 def track_of(label: ClassLabel, rows: Sequence[Row]) -> Track:
     """The track of test rows, taken as they are: in frame order, each of ``label``."""
     return Track(label, columns_of(rows), [row.interpolated for row in rows])

@@ -24,13 +24,17 @@ from dragonwatch.model import (
 from helpers import (
     Box,
     bboxes,
+    column_bits,
     corner_box,
     det,
     geometries,
     pixel_boxes,
+    extent_floats,
+    reference_by_class,
     reference_iou,
     reference_to_pixels,
     timeline_of,
+    unit_floats,
 )
 
 
@@ -260,6 +264,34 @@ class TestTimeline:
         else:
             with pytest.raises(ValueError, match="^box or confidence outside its range$"):
                 build()
+
+    @given(data=st.data())
+    def test_build_orders_each_class_as_the_reference_does(self, data):
+        """Every class's columns, bit for bit, are its rows sorted by (frame, -conf, input index)."""
+        frame_count = data.draw(st.integers(1, 4))
+        confidences = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | unit_floats
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0, 1, 2]),
+                    st.integers(0, frame_count - 1),
+                    st.sampled_from([0.0, -0.0, 0.5]) | unit_floats,
+                    unit_floats,
+                    extent_floats,
+                    extent_floats,
+                    confidences,
+                ),
+                max_size=30,
+            )
+        )
+        rows = data.draw(st.permutations(rows))
+        code = [row[0] for row in rows]
+        columns = Columns(*([row[i] for row in rows] for i in range(1, 7)))
+        tl = Timeline.build(FrameGeometry(640, 480, 30.0), frame_count, code, columns)
+        expected = reference_by_class(code, columns)
+        assert list(tl.by_class) == list(expected) == list(ClassLabel)
+        for label in ClassLabel:
+            assert column_bits(tl.by_class[label]) == column_bits(expected[label]), label
 
     def test_rows_order(self):
         detections = [
