@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Run the golden tests on any Python, with the standard library only.
+"""Run the golden and record tests on any Python, with the standard library only.
 
-The pinned outputs must be the same bytes on every supported Python, but an
+The pinned outputs must be the same bytes on every supported Python, and
+every record class must get the same fields from its annotations, but an
 interpreter without pytest and hypothesis cannot run the suite. This script
 stands in for both: it installs small stand-ins for the parts of pytest the
-golden files use (``fixture``, ``mark.parametrize`` and the ``tmp_path``,
-``tmp_path_factory``, ``capsys`` and ``monkeypatch`` fixtures) and for
-hypothesis's strategies, which ``tests/helpers.py`` builds at import but
-the golden tests never draw from. Then it runs every test function of
+files below use (``fixture``, ``raises``, ``mark.parametrize`` with an
+optional ``ids`` function, and the ``tmp_path``, ``tmp_path_factory``,
+``capsys`` and ``monkeypatch`` fixtures) and for hypothesis's strategies,
+which ``tests/helpers.py`` builds at import but these tests never draw
+from. Then it runs every module-level test function of
 
     tests/test_golden_eval.py
     tests/test_golden_analyze.py
     tests/test_golden_parse_errors.py
+    tests/test_records.py
 
 and prints one line per file and a total. Run it with the interpreter to
 check, from anywhere:
@@ -34,10 +37,10 @@ import tempfile
 import traceback
 import types
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_FILES = ("test_golden_eval", "test_golden_analyze", "test_golden_parse_errors")
+TEST_FILES = ("test_golden_eval", "test_golden_analyze", "test_golden_parse_errors", "test_records")
 
 
 class _Anything:
@@ -52,14 +55,24 @@ class _Anything:
 
 class _Mark:
     @staticmethod
-    def parametrize(names: str, values: list) -> Callable:
+    def parametrize(names: str, values: list, ids: Callable[[Any], str] | None = None) -> Callable:
         def mark(test: Callable) -> Callable:
             test.__dict__.setdefault("parametrize", []).append(
-                ([name.strip() for name in names.split(",")], list(values))
+                ([name.strip() for name in names.split(",")], list(values), ids)
             )
             return test
 
         return mark
+
+
+@contextlib.contextmanager
+def _raises(expected: type[BaseException]) -> Iterator[None]:
+    """``with pytest.raises(expected):``: the block must raise ``expected``."""
+    try:
+        yield
+    except expected:
+        return
+    raise AssertionError(f"DID NOT RAISE {expected.__name__}")
 
 
 def _fixture(function: Callable | None = None, **_: Any) -> Any:
@@ -76,6 +89,7 @@ def install_stand_ins() -> None:
     """Put the pytest and hypothesis stand-ins in ``sys.modules``, over any real ones."""
     pytest = types.ModuleType("pytest")
     pytest.fixture = _fixture  # type: ignore[attr-defined]
+    pytest.raises = _raises  # type: ignore[attr-defined]
     pytest.mark = _Mark()  # type: ignore[attr-defined]
     hypothesis = types.ModuleType("hypothesis")
     strategies = _Anything()
@@ -128,10 +142,10 @@ class TmpPathFactory:
 def _cases(test: Callable) -> list[tuple[str, dict[str, Any]]]:
     """The test's parameter sets, with ids, as pytest's stacked ``parametrize`` would make them."""
     cases: list[tuple[str, dict[str, Any]]] = [("", {})]
-    for names, values in reversed(test.__dict__.get("parametrize", [])):
+    for names, values, ids in reversed(test.__dict__.get("parametrize", [])):
         rows = [value if len(names) > 1 else (value,) for value in values]
         cases = [
-            (f"{case_id}-{'-'.join(map(str, row))}".lstrip("-"), {**kwargs, **dict(zip(names, row))})
+            (f"{case_id}-{'-'.join(map(ids or str, row))}".lstrip("-"), {**kwargs, **dict(zip(names, row))})
             for case_id, kwargs in cases
             for row in rows
         ]
@@ -188,7 +202,7 @@ def main() -> int:
     total_passed = total_failed = 0
     try:
         factory = TmpPathFactory(root)
-        for name in GOLDEN_FILES:
+        for name in TEST_FILES:
             passed, failures = run_module(name, factory)
             for report in failures:
                 print(report, file=sys.stderr)

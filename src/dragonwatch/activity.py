@@ -26,22 +26,14 @@ __all__ = [
 
 
 class ActivityReport(Record):
-    __slots__ = ("coverage", "mean_vertical_diff", "jitter", "drift_slope", "frames_used")
     coverage: float
     mean_vertical_diff: float | None
     jitter: float | None
     drift_slope: float | None
     frames_used: int
 
-    def to_json_dict(self) -> dict:
-        """The metrics only; the behaviour is the key this dict is stored under."""
-        return {
-            "coverage": self.coverage,
-            "mean_vertical_diff": self.mean_vertical_diff,
-            "jitter": self.jitter,
-            "drift_slope": self.drift_slope,
-            "frames_used": self.frames_used,
-        }
+    # the metrics only; the behaviour is the key this dict is stored under
+    to_json_dict = Record._asdict
 
 
 def coverage(runs: Sequence[Run], kind: BehaviourKind, frame_count: int) -> float:

@@ -59,7 +59,6 @@ class FrameStates(Record):
     ``len()`` counts the states.
     """
 
-    __slots__ = ("frame", "kind", "delta_y", "theta", "dragon", "lamp")
     frame: list[int]
     kind: list[BehaviourKind]
     delta_y: list[float | None]
@@ -78,7 +77,6 @@ Run = tuple[int, int, BehaviourKind]
 class Episode(Record):
     """Maximal run of consecutive frames sharing one behaviour."""
 
-    __slots__ = ("kind", "start_frame", "end_frame", "duration_s")
     kind: BehaviourKind
     start_frame: int
     end_frame: int

@@ -56,7 +56,6 @@ class Boxes(Record):
     y_max)`` and ``conf`` its confidence (1.0 for ground truth).
     """
 
-    __slots__ = ("image", "label", "corners", "conf")
     image: list[str]
     label: list[ClassLabel]
     corners: list[Corners]
@@ -205,7 +204,6 @@ class ConfusionMatrix(Record):
     tallies.
     """
 
-    __slots__ = ("order", "counts", "normalized")
     order: tuple[str, ...]
     counts: tuple[tuple[float, ...], ...]
     normalized: tuple[tuple[float, ...], ...]
@@ -251,7 +249,6 @@ def confusion_matrix(
 
 
 class ClassMetrics(Record):
-    __slots__ = ("ground_truths", "predictions", "precision", "recall", "f1", "ap_50", "ap_range")
     ground_truths: int
     predictions: int
     precision: float
@@ -264,10 +261,6 @@ class ClassMetrics(Record):
 class EvalReport(Record):
     """Full evaluation: per-class metrics, aggregates and the confusion matrix."""
 
-    __slots__ = (
-        "iou_threshold", "confusion_confidence", "per_class", "map_50", "map_range",
-        "max_f1", "max_f1_confidence", "full_precision_confidence", "confusion",
-    )
     iou_threshold: float
     confusion_confidence: float
     per_class: dict[ClassLabel, ClassMetrics]  # the class is the key, not a field

@@ -116,7 +116,6 @@ class Threshold(Record):
     A threshold with ``help`` None is set in the config file only.
     """
 
-    __slots__ = ("name", "default", "help")
     name: str
     default: int | float
     help: str | None

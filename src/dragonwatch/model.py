@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from functools import reduce
-from itertools import compress, islice, repeat
-from operator import add, eq, lt
+from itertools import accumulate
+from operator import add
 from typing import Any, Iterable, Mapping, Sequence
 
 
@@ -64,8 +64,24 @@ def in_extent_range(value: float) -> bool:
     return 0.0 < value <= 1.0
 
 
-class Record:
-    """Base of the package's records: the fields a class names in ``__slots__``, read-only.
+class _RecordType(type):
+    """The type of record classes: a body without ``__slots__`` gets its annotations as slots."""
+
+    def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, Any]) -> type:
+        if "__slots__" not in namespace:
+            namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's records: read-only fields, named once, by the class's annotations.
+
+    A record class's fields are its annotations, in order: its metaclass
+    makes them its ``__slots__`` unless the class body sets them, as
+    ``Record`` and :class:`~dragonwatch.ingest.RunConfig` do. The modules
+    keep ``from __future__ import annotations``, which leaves a class body's
+    annotations in ``__annotations__``; from Python 3.14 (PEP 749) a body
+    without it holds an ``__annotate__`` function there instead.
 
     A record is built from its fields in order or by name, each field left
     out taking its class's ``_defaults`` entry; ``_check`` then validates
@@ -129,7 +145,6 @@ class Record:
 class FrameGeometry(Record):
     """Pixel dimensions and frame rate of a clip: ``width`` and ``height`` (int), ``fps`` (float)."""
 
-    __slots__ = ("width", "height", "fps")
     width: int
     height: int
     fps: float
@@ -219,11 +234,11 @@ class Columns(Record):
 
     ``frame`` holds clip frame indices, ``cx, cy, w, h`` the normalised box
     (centre in [0, 1], so never fully outside the frame; extent in (0, 1])
-    and ``conf`` the confidence, in [0, 1]. The lists are shared, never
-    modified, once a :class:`Timeline` holds them.
+    and ``conf`` the confidence, in [0, 1]. ``fields()`` gives the six
+    columns in that order, and ``take`` a copy of some rows. The lists are
+    shared, never modified, once a :class:`Timeline` holds them.
     """
 
-    __slots__ = ("frame", "cx", "cy", "w", "h", "conf")
     frame: list[int]
     cx: list[float]
     cy: list[float]
@@ -234,23 +249,11 @@ class Columns(Record):
     def __len__(self) -> int:
         return len(self.frame)
 
-    def fields(self) -> tuple[list, ...]:
-        """The six columns, in declaration order."""
-        return self.frame, self.cx, self.cy, self.w, self.h, self.conf
+    fields = Record._values
 
     def take(self, rows: Sequence[int]) -> "Columns":
         """The given rows, in the given order."""
         return Columns(*(list(map(column.__getitem__, rows)) for column in self.fields()))
-
-    def in_timeline_order(self) -> "Columns":
-        """The rows sorted by frame, then by descending confidence, input order kept on ties."""
-        frame = self.frame
-        if all(map(lt, frame, islice(frame, 1, None))):
-            return self
-        # two stable sorts, the last by the first key: no key tuple per row
-        rows = sorted(range(len(frame)), key=self.conf.__getitem__, reverse=True)
-        rows.sort(key=frame.__getitem__)
-        return self.take(rows)
 
 
 _CLASS_CODES = frozenset(label.value for label in ClassLabel)
@@ -259,14 +262,13 @@ _RANGES = (in_unit_range, in_unit_range, in_extent_range, in_extent_range, in_un
 
 
 class Timeline(Record):
-    """All boxes of one clip, as one :class:`Columns` per class.
+    """All boxes of one clip, as one :class:`Columns` per class, in :class:`ClassLabel` order.
 
     Each class's rows are sorted by frame, then by descending confidence,
     preserving input order on ties. Frame indices are clip-local and lie in
     ``[0, frame_count)``.
     """
 
-    __slots__ = ("geometry", "frame_count", "by_class")
     geometry: FrameGeometry
     frame_count: int
     by_class: Mapping[ClassLabel, Columns]
@@ -281,12 +283,15 @@ class Timeline(Record):
     ) -> "Timeline":
         """The timeline of ``rows``, in any order; row ``i`` is a box of class ``code[i]``.
 
-        ValueError unless every frame lies in ``[0, frame_count)``, every
-        code is a :class:`ClassLabel` and every box and confidence is in
-        its range (see :class:`Columns`).
+        ValueError unless ``code`` and every column have the same length,
+        every frame lies in ``[0, frame_count)``, every code is a
+        :class:`ClassLabel` and every box and confidence is in its range
+        (see :class:`Columns`).
         """
         if frame_count < 0:
             raise ValueError(f"frame_count must be >= 0, got {frame_count}")
+        if any(len(column) != len(code) for column in rows.fields()):
+            raise ValueError("class codes and columns differ in length")
         frame = rows.frame
         if frame and not (0 <= min(frame) and max(frame) < frame_count):
             raise ValueError(f"frame outside [0, {frame_count})")
@@ -299,13 +304,13 @@ class Timeline(Record):
                 in_range(min(column)) and in_range(max(column)) and not math.isnan(sum(column))
             ):
                 raise ValueError("box or confidence outside its range")
-        by_class = {}
-        for label in ClassLabel:
-            mine = list(map(eq, code, repeat(label.value)))
-            by_class[label] = Columns(
-                *(list(compress(column, mine)) for column in rows.fields())
-            ).in_timeline_order()
-        return cls(geometry, frame_count, by_class)
+        # by class, frame and descending confidence: stable sorts, the last by the first key
+        order = sorted(range(len(frame)), key=rows.conf.__getitem__, reverse=True)
+        order.sort(key=frame.__getitem__)
+        order.sort(key=code.__getitem__)
+        ends = list(accumulate(code.count(label.value) for label in ClassLabel))
+        slices = zip(ClassLabel, [0, *ends], ends)
+        return cls(geometry, frame_count, {label: rows.take(order[a:b]) for label, a, b in slices})
 
     def detections_for(self, label: ClassLabel) -> Columns:
         return self.by_class[label]

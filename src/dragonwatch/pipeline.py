@@ -14,7 +14,7 @@ from .behaviour import (
     resolve_frame_states,
     run_length_episodes,
 )
-from .ingest import THRESHOLDS, RunConfig
+from .ingest import RunConfig
 from .model import Record, Timeline, check_clip_length, check_frame_count
 from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
 
@@ -29,7 +29,6 @@ CONTINUITY_NOTE = (
 class TrackContinuity(Record):
     """Continuity of one track before and after gap filling."""
 
-    __slots__ = ("observed", "interpolated")
     observed: float | None
     interpolated: float | None
 
@@ -41,10 +40,6 @@ class AnalysisResult(Record):
     frame order; every other frame is idle, with nothing measured.
     """
 
-    __slots__ = (
-        "config", "frame_count", "states", "episodes", "hunting_event_frames", "activity",
-        "dragon_continuity", "lamp_continuity", "cricket_continuity",
-    )
     config: RunConfig  # effective config, geometry resolved
     frame_count: int
     states: FrameStates
@@ -58,15 +53,8 @@ class AnalysisResult(Record):
     def to_json_dict(self) -> dict:
         geom = self.config.geometry
         assert geom is not None
-
-        def continuity_dict(tc: TrackContinuity) -> dict:
-            return {"observed": tc.observed, "interpolated": tc.interpolated}
-
         return {
-            "config": {
-                **{t.name: getattr(self.config, t.name) for t in THRESHOLDS},
-                "geometry": geom._asdict(),
-            },
+            "config": {**self.config._asdict(), "geometry": geom._asdict()},
             "frame_count": self.frame_count,
             "hunting_event_frames": list(self.hunting_event_frames),
             "episodes": [ep.to_json_dict() for ep in self.episodes],
@@ -75,9 +63,9 @@ class AnalysisResult(Record):
             },
             "continuity": {
                 "note": CONTINUITY_NOTE,
-                "dragon": continuity_dict(self.dragon_continuity),
-                "lamp": continuity_dict(self.lamp_continuity),
-                "crickets": [continuity_dict(tc) for tc in self.cricket_continuity],
+                "dragon": self.dragon_continuity._asdict(),
+                "lamp": self.lamp_continuity._asdict(),
+                "crickets": [tc._asdict() for tc in self.cricket_continuity],
             },
         }
 

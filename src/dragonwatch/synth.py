@@ -105,10 +105,6 @@ _HUNT_CRICKET_START = (0.08, 0.70)
 class Scenario(Record):
     """Fully determines one synthetic clip; generation is a pure function of it."""
 
-    __slots__ = (
-        "kind", "frames", "geometry", "dropout_rate", "position_noise", "seed", "vanish_frame",
-        "vanish_distance_fraction",
-    )
     _defaults = {
         "geometry": _DEFAULT_GEOMETRY,
         "dropout_rate": 0.0,
@@ -158,7 +154,6 @@ class Scenario(Record):
 
 
 class _Body(Record):
-    __slots__ = ("label", "size", "confidence", "position", "last_frame")
     _defaults = {"last_frame": None}  # None means present for the whole clip
     label: ClassLabel
     size: tuple[float, float]
@@ -203,10 +198,6 @@ def _clamp01(value: float) -> float:
 class GeneratedScenario(Record):
     """Detection log text plus the outcomes the pipeline should reproduce."""
 
-    __slots__ = (
-        "scenario", "config", "log_text", "expected_episodes", "expected_hunting_frames",
-        "expected_activity",
-    )
     scenario: Scenario
     config: RunConfig
     log_text: str
@@ -218,16 +209,12 @@ class GeneratedScenario(Record):
         scenario = self.scenario
         payload = {
             "scenario": {
+                **scenario._asdict(),
                 "kind": scenario.kind.value,
-                "frames": scenario.frames,
                 "geometry": scenario.geometry._asdict(),
-                "dropout_rate": scenario.dropout_rate,
-                "position_noise": scenario.position_noise,
-                "seed": scenario.seed,
                 "vanish_frame": scenario.effective_vanish_frame
                 if scenario.kind is BehaviourKind.HUNTING
                 else None,
-                "vanish_distance_fraction": scenario.vanish_distance_fraction,
             },
             # the sidecar has never echoed cricket_gate, and the golden sidecars pin these six keys
             "thresholds": {

@@ -37,7 +37,6 @@ class Track(Record):
     :func:`fill_gaps` rather than observed.
     """
 
-    __slots__ = ("label", "columns", "interpolated")
     label: ClassLabel
     columns: Columns
     interpolated: list[bool]

@@ -265,6 +265,19 @@ class TestTimeline:
             with pytest.raises(ValueError, match="^box or confidence outside its range$"):
                 build()
 
+    @pytest.mark.parametrize(
+        "code, columns",
+        [
+            ([0], Columns([0, 1], [0.5, 0.5], [0.5, 0.5], [0.1, 0.1], [0.1, 0.1], [0.9, 0.9])),
+            ([0, 1, 2], Columns([0, 1], [0.5, 0.5], [0.5, 0.5], [0.1, 0.1], [0.1, 0.1], [0.9, 0.9])),
+            ([0, 0], Columns([0, 1], [0.5], [0.5, 0.5], [0.1, 0.1], [0.1, 0.1], [0.9, 0.9])),
+        ],
+        ids=["code too short", "code too long", "one short column"],
+    )
+    def test_build_rejects_codes_and_columns_of_different_lengths(self, code, columns):
+        with pytest.raises(ValueError, match="^class codes and columns differ in length$"):
+            Timeline.build(FrameGeometry(640, 480, 30.0), 5, code, columns)
+
     @given(data=st.data())
     def test_build_orders_each_class_as_the_reference_does(self, data):
         """Every class's columns, bit for bit, are its rows sorted by (frame, -conf, input index)."""

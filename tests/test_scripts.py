@@ -29,8 +29,10 @@ def test_run_scenarios_writes_every_output(tmp_path, monkeypatch, capsys):
 def assert_goldens_pass(python: str) -> None:
     done = subprocess.run([python, str(GOLDENS)], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    counts = dict(re.findall(r"^(test_golden_\w+): (\d+ passed, \d+ failed)$", done.stdout, re.M))
-    assert set(counts) == {"test_golden_eval", "test_golden_analyze", "test_golden_parse_errors"}
+    counts = dict(re.findall(r"^(test_\w+): (\d+ passed, \d+ failed)$", done.stdout, re.M))
+    assert set(counts) == {
+        "test_golden_eval", "test_golden_analyze", "test_golden_parse_errors", "test_records"
+    }
     for name, count in counts.items():
         assert re.fullmatch(r"[1-9]\d* passed, 0 failed", count), (name, count)
 
