@@ -102,6 +102,8 @@ CASES = {
     "CRLF": f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n",
     "file separator": f"{HEADER}\n3 0 0.5\x1c0.25 0.1 0.2 0.9\n",
     "file separator ends a row": f"{HEADER}\n{ROW}\x1c{ROW}\n",
+    # a blank to str.split() that ends no line
+    "unit separator": f"{HEADER}\n3 0 0.5\x1f0.25 0.1 0.2 0.9\n{ROW}\x1f\n",
     "line separator": f"{HEADER}\n{ROW}\u2028{ROW}\n",
     "next line": f"{HEADER}\n{ROW}\x85{ROW}\n",
     "vertical tab": f"{HEADER}\n{ROW}\x0b{ROW}\n",
@@ -242,12 +244,28 @@ def extreme_floats_log() -> str:
     return write_detection_log(timeline_of(FrameGeometry(7, 3, 0.5), 3, rows))
 
 
+# a comment that the number rule would refuse as data: "_" and non-ASCII text
+NOTE = "# exported_by caf\xe9 \u2462"
+
+
+def with_notes(text: str, line_numbers: list[int]) -> str:
+    """``text`` with NOTE as each of the given 1-based lines."""
+    lines = text.splitlines(keepends=True)
+    for line_no in sorted(line_numbers):
+        lines.insert(line_no - 1, NOTE + "\n")
+    return "".join(lines)
+
+
 FAST_LOGS = {
     "synthetic hunting clip": generate(
         Scenario(kind=BehaviourKind.HUNTING, frames=200, dropout_rate=0.2, position_noise=0.02, seed=3)
     ).log_text,
     "written extreme floats": extreme_floats_log(),
     "exported with comments": generator_style_log(1),
+    "notes with _ and non-ASCII text": with_notes(generator_style_log(2), [1, 5, 40]),
+    # comments at the end of one block of 256 lines and the start of the next: the blocks
+    # start after the header, on line 2, so lines 258 and 259 end one and start the next
+    "notes across a block edge": with_notes(generator_style_log(3), [256, 257, 258, 259]),
 }
 
 
@@ -347,6 +365,7 @@ GT_CASES = {
     "leading blanks": f"  \t!frame 3\n   \t{GT_ROW}\n",
     "CRLF": f"!frame 3\r\n{GT_ROW}\r\n!frame 4\r\n{GT_ROW}\r\n",
     "file separator": f"!frame 3\x1c{GT_ROW}\n0 0.5\x1c0.25 0.1 0.2\n",
+    "unit separator": f"!frame\x1f3\n0 0.5\x1f0.25 0.1 0.2\n\x1f{GT_ROW}\n",
     "line separator": f"!frame 3\u2028{GT_ROW}\u2028{GT_ROW}\n",
     "next line": f"!frame 3\x85{GT_ROW}\n{GT_ROW}\x85{GT_ROW}\n",
     "vertical tab": f"!frame\x0b3\n{GT_ROW}\x0b{GT_ROW}\n",
@@ -476,6 +495,9 @@ FAST_GROUND_TRUTH = {
     "single frame from its file name": ("0 0.5 0.4 0.3 0.2\n1 0.5 0.2 0.2 0.1\n2 0.1 0.7 0.05 0.05\n", 7),
     "single frame, CRLF": ("0 0.5 0.4 0.3 0.2\r\n1 0.5 0.2 0.2 0.1\r\n", 12),
     "exported with comments": (generator_style_ground_truth(1), 0),
+    "notes with _ and non-ASCII text": (with_notes(generator_style_ground_truth(2), [1, 4, 40]), 0),
+    "notes across a block edge": (with_notes(generator_style_ground_truth(3), [256, 257]), 0),
+    "single frame with a note": (f"{NOTE}\n0 0.5 0.4 0.3 0.2\n", 3),
 }
 
 
