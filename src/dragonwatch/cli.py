@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import signal
 import sys
 import time
@@ -199,8 +198,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-# ASCII digits only, as every number in the files: \d would also take "٣" or "５"
-_FRAME_SUFFIX = re.compile(r"^(?P<stem>.+)_(?P<frame>[0-9]+)$")
+def _frame_suffix(name: str) -> tuple[str, int] | None:
+    """``(stem, n)`` of a name ``<stem>_<n>``, ``n`` in ASCII digits; None for any other name."""
+    stem, _, frame = name.rpartition("_")
+    return (stem, int(frame)) if stem and frame.isascii() and frame.isdigit() else None
 
 
 def _ground_truth_sources(
@@ -219,11 +220,11 @@ def _ground_truth_sources(
     unclaimed: list[str] = []
     txt_files = [p for p in gts_path.iterdir() if p.suffix == ".txt"]
     for path in sorted(txt_files, key=attrgetter("name")):  # the paths' order, compared faster
-        m = _FRAME_SUFFIX.match(path.stem)
+        suffix = _frame_suffix(path.stem)
         if path.stem in named:
             sources[path.stem] = [(0, path)]
-        elif m and m.group("stem") in named:
-            frames.setdefault(m.group("stem"), []).append((int(m.group("frame")), path))
+        elif suffix and suffix[0] in named:
+            frames.setdefault(suffix[0], []).append((suffix[1], path))
         else:
             unclaimed.append(path.name)
     for stem, members in frames.items():
@@ -237,8 +238,8 @@ def _ground_truth_sources(
 def _collect_eval_inputs(preds_path: Path, gts_path: Path) -> tuple[Boxes, Boxes]:
     """Build the prediction and ground-truth boxes; inputs that do not pair up exit 3."""
     if preds_path.is_file() and gts_path.is_file():
-        m = _FRAME_SUFFIX.match(gts_path.stem)
-        start = int(m.group("frame")) if m and m.group("stem") == preds_path.stem else 0
+        suffix = _frame_suffix(gts_path.stem)
+        start = suffix[1] if suffix and suffix[0] == preds_path.stem else 0
         pairs = {preds_path.stem: (preds_path, [(start, gts_path)])}
     elif preds_path.is_dir() and gts_path.is_dir():
         pred_files = sorted(p for p in preds_path.iterdir() if p.suffix == ".txt")

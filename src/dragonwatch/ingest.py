@@ -33,20 +33,19 @@ confidence on its line, with the messages written here. Every parser
 appends its rows' values to :class:`Columns` and makes its
 :class:`Timeline` with :meth:`Timeline.build`, which checks every row again.
 
-Detection logs and ground truth are read in one tokenising pass straight
-into columns; in ground truth, each line that is not a data line must be
-``!frame`` and ASCII digits. If any line fails that pass, or
-``Timeline.build`` rejects the columns, the whole input is read again by
-the format's strict line parser, which reports the first fault; so the
+Detection logs and ground truth are first read into columns, a block of
+lines at a time: each content line is split as the strict parsers split
+it, and each column of tokens goes through ``int()`` or ``float()``. Any
+content line that is not ASCII or holds ``_``, a row of the wrong width, a
+2-token ground-truth row that is not ``!frame`` and a frame ``>= 0``, or
+columns that ``Timeline.build`` rejects, sends the whole input to the
+format's strict line parser, which reports the first fault; so the
 errors are the strict parser's, line number and text.
 """
 
 from __future__ import annotations
 
-import functools
-import re
 from itertools import compress, count
-from operator import not_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -241,79 +240,55 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
     the offending line number.
     """
     lines = _lines(source)
-    timeline = _columnar_detection_log(lines)
-    return timeline if timeline is not None else _strict_detection_log(lines)
+    head, line = next(_content(lines), (0, "!"))  # the first content line; "!" if none
+    parts = line.split()
+    # the columnar read first, after a header; the strict parser reads the lines again if that fails
+    if parts[0] == "!geometry":
+        try:
+            geometry, frame_count = _geometry_header(parts, head)
+            frame, code, *boxes = _columns(_blocks(lines[head:]), _LOG_CASTS)
+            return Timeline.build(geometry, frame_count, code, Columns(frame, *boxes))
+        except ValueError:  # ParseError too
+            pass
+    return _strict_detection_log(lines)
 
 
-# A data line the columnar readers take: tokens separated by blanks or tabs, each made of
-# digits, signs, points and exponent letters. The class leaves out what int() and float()
-# accept but the strict parsers reject: "_" and non-ASCII digits, which _number refuses, and
-# nan and inf, which no range admits. A token that is still no number, such as "1e" or "+-",
-# makes int() or float() raise. Token and separator characters do not overlap, so a match
-# or a miss takes time linear in the line.
-_TOKEN = "[0-9+.eE-]+"
-# a ground-truth frame line the columnar reader takes: the frame in ASCII digits, never negative
-_FRAME_LINE = "[ \t]*!frame[ \t]+([0-9]+)[ \t\r\n]*"
 _LOG_CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
 _GROUND_TRUTH_CASTS = (int, float, float, float, float)  # class, cx, cy, w, h
 _BLOCK_LINES = 256
 
 
-@functools.cache
-def _row_pattern(fields: int) -> re.Pattern[str]:
-    """A data line of ``fields`` tokens; compiled on first use, so an import compiles none."""
-    return re.compile("[ \t]*" + "[ \t]+".join([_TOKEN] * fields) + "[ \t\r\n]*")
+def _blocks(lines: list[str]) -> Iterator[list[list[str]]]:
+    """The tokens of each content line of ``lines`` (:func:`_content`), a block of lines at a time.
 
-
-def _columnar_rows(
-    lines: list[str],
-    scan: Callable[[list[str]], tuple[list[str], Any]],
-    casts: Sequence[Callable[[str], Any]],
-) -> tuple[list[list], Any]:
-    """The columns of the data rows ``scan`` finds in ``lines``, and what else it found.
-
-    ``scan`` returns the data rows and anything else it reads, and raises
-    ValueError at a line it does not take. It reads ``lines`` whole, then,
-    if that fails, their content lines (:func:`_content`). Column ``i``
-    holds token ``i`` of each row through ``casts[i]``: ValueError when a
-    token is no number.
+    Only one block's token strings exist at once. ValueError when a
+    block's content lines are not ASCII or hold ``_``: the text ``int()``
+    and ``float()`` read but :func:`_number` refuses.
     """
-    try:
-        rows, other = scan(lines)
-    except ValueError:
-        rows, other = scan([text for _, text in _content(lines)])
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        text = "".join(block)
+        if "#" in text:  # comments may hold any text
+            block = [line for _, line in _content(block)]
+            text = "".join(block)
+        if not text.isascii() or "_" in text:
+            raise ValueError("a line is not plain ASCII without '_'")
+        yield list(filter(None, map(str.split, block)))
+
+
+def _columns(blocks: Iterable[list[list[str]]], casts: Sequence[Callable[[str], Any]]) -> list[list]:
+    """Column ``i`` holds token ``i`` of each row of ``blocks`` through ``casts[i]``.
+
+    ValueError unless every row has one token per cast, or when a token
+    is no number.
+    """
     columns: list[list] = [[] for _ in casts]
-    # a block of lines at a time: only one block's token strings exist at once
-    for start in range(0, len(rows), _BLOCK_LINES):
-        tokens = " ".join(rows[start : start + _BLOCK_LINES]).split()
-        for i, (column, cast) in enumerate(zip(columns, casts)):
-            column.extend(map(cast, tokens[i::len(casts)]))
-    return columns, other
-
-
-def _log_rows(rows: list[str]) -> tuple[list[str], None]:
-    if not all(map(_row_pattern(7).fullmatch, rows)):
-        raise ValueError("a line is no 7-token row")
-    return rows, None
-
-
-def _columnar_detection_log(lines: list[str]) -> Timeline | None:
-    """The log read in one pass over its tokens; None when a line needs the strict parser.
-
-    Each value comes from the ``int()`` or ``float()`` of the same token
-    text as in :func:`_strict_detection_log`, and ``Timeline.build`` checks
-    the same ranges.
-    """
-    head, line = next(_content(lines), (0, "!"))  # the first content line; "!" if none
-    parts = line.split()
-    if parts[0] != "!geometry":
-        return None
-    try:
-        geometry, frame_count = _geometry_header(parts, head)
-        (frame, code, *boxes), _ = _columnar_rows(lines[head:], _log_rows, _LOG_CASTS)
-        return Timeline.build(geometry, frame_count, code, Columns(frame, *boxes))
-    except ValueError:  # ParseError too
-        return None
+    for rows in blocks:
+        if any(map(len(casts).__ne__, map(len, rows))):
+            raise ValueError(f"a row has not {len(casts)} tokens")
+        for column, cast, tokens in zip(columns, casts, zip(*rows)):
+            column.extend(map(cast, tokens))
+    return columns
 
 
 def _geometry_header(parts: list[str], line_no: int) -> tuple[FrameGeometry, int]:
@@ -384,10 +359,9 @@ def parse_ground_truth(
     lines = _lines(source)
     geometry = geometry if geometry is not None else _ANY_GEOMETRY
     # the columnar read first; the strict parser reads the lines again if that fails
+    frame: list[int] = []
     try:
-        (code, *boxes), frame = _columnar_rows(
-            lines, lambda rows: _ground_truth_rows(rows, start_frame), _GROUND_TRUTH_CASTS
-        )
+        code, *boxes = _columns(_ground_truth_blocks(lines, start_frame, frame), _GROUND_TRUTH_CASTS)
         columns = Columns(frame, *boxes, [1.0] * len(frame))
         return Timeline.build(geometry, max(frame, default=-1) + 1, code, columns)
     except ValueError:
@@ -395,21 +369,26 @@ def parse_ground_truth(
     return _strict_ground_truth(lines, geometry, start_frame)
 
 
-def _ground_truth_rows(rows: list[str], start_frame: int) -> tuple[list[str], list[int]]:
-    """The 5-token data lines of ``rows`` and the frame of each; ValueError at a line of another kind."""
-    matches = list(map(_row_pattern(5).fullmatch, rows))
-    data = list(compress(rows, matches))
-    if len(data) == len(rows):
-        return rows, [start_frame] * len(rows)
-    marks = list(compress(count(), map(not_, matches)))
-    directives = list(map(re.compile(_FRAME_LINE).fullmatch, map(rows.__getitem__, marks)))
-    if not all(directives):
-        raise ValueError("a line is neither a 5-token row nor a frame line")
-    # the data lines before the first frame line, then the run after each frame line
-    frame = [start_frame] * marks[0]
-    for directive, mark, end in zip(directives, marks, [*marks[1:], len(rows)]):
-        frame += [int(directive[1])] * (end - mark - 1)
-    return data, frame
+def _ground_truth_blocks(lines: list[str], start_frame: int, frame: list[int]) -> Iterator[list[list[str]]]:
+    """The data rows of each of :func:`_blocks`, each row's frame appended to ``frame``.
+
+    A 2-token row ``!frame <n>`` sets the frame of the rows below it, in
+    later blocks too; the rows above the first take ``start_frame``.
+    ValueError at any other 2-token row or a negative frame.
+    """
+    current = start_frame
+    for rows in _blocks(lines):
+        lengths = list(map(len, rows))
+        marks = list(compress(count(), map((2).__eq__, lengths)))
+        ends = [*marks, len(rows)]
+        frame.extend([current] * ends[0])
+        for mark, end in zip(marks, ends[1:]):
+            directive, value = rows[mark]
+            current = int(value)
+            if directive != "!frame" or current < 0:
+                raise ValueError(f"not a frame line: {directive} {value}")
+            frame.extend([current] * (end - mark - 1))
+        yield list(compress(rows, map((2).__ne__, lengths)))
 
 
 def _strict_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline:

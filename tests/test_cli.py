@@ -348,6 +348,11 @@ PAIRINGS = [
         "ground-truth files without predictions: clip_５.txt",
         id="fullwidth-digit-is-no-frame-number",
     ),
+    pytest.param(
+        ["a"], ["a_4.txt", "a_5\n.txt"],
+        "ground-truth files without predictions: a_5\n.txt",
+        id="digits-then-newline-is-no-frame-number",
+    ),
 ]
 
 
@@ -384,14 +389,13 @@ class TestGroundTruthPairing:
 
     def test_each_ground_truth_name_is_matched_once(self, tmp_path, monkeypatch):
         matched = []
-        pattern = cli._FRAME_SUFFIX
+        frame_suffix = cli._frame_suffix
 
-        class Counting:
-            def match(self, name):
-                matched.append(name)
-                return pattern.match(name)
+        def counting(name):
+            matched.append(name)
+            return frame_suffix(name)
 
-        monkeypatch.setattr(cli, "_FRAME_SUFFIX", Counting())
+        monkeypatch.setattr(cli, "_frame_suffix", counting)
         gt_names = ["a.txt", "a_1_2.txt", "a_1_3.txt", "clip_01.txt", "clip_1.txt", "clip_2.txt"]
         self.write_inputs(tmp_path / "preds", tmp_path / "gts", ["a", "a_1", "clip"], gt_names)
         _, gts = cli._collect_eval_inputs(tmp_path / "preds", tmp_path / "gts")
