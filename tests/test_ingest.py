@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,3 +347,32 @@ class TestFuzz:
             parse_config(lines)
         except ParseError:
             pass
+
+
+def fixed_log(rows: int) -> str:
+    """A header and ``rows`` data lines: a dragon, a lamp and a cricket a frame, the cricket moving."""
+    frames = (rows + 2) // 3
+    lines = [f"!geometry 640 480 30 {frames}"]
+    for i in range(rows):
+        t, label = divmod(i, 3)
+        lines.append(f"{t} {label} 0.{1000 + t % 9000:04d} 0.5 0.18 0.12 0.9")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseMemory:
+    ROWS = 50_000
+    # The traced peak of this parse was 391.0 B a row (the finished Timeline
+    # holds 196.8 B a row) on Python 3.11.7; the bound is 1.1 times that.
+    PEAK_BYTES_PER_ROW = 430.0
+
+    def test_peak_per_row_is_bounded(self):
+        text = fixed_log(self.ROWS)
+        parse_detection_log(fixed_log(30))  # first-call allocations are not per row
+        tracemalloc.start()
+        try:
+            timeline = parse_detection_log(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert timeline.detection_count == self.ROWS
+        assert peak / self.ROWS <= self.PEAK_BYTES_PER_ROW, f"{peak / self.ROWS:.1f} B a row"
