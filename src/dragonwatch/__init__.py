@@ -21,7 +21,6 @@ _EXPORTS = {
         "BehaviourKind",
         "Episode",
         "FrameStates",
-        "classify_basking",
         "detect_hunting",
         "resolve_frame_states",
     ),

@@ -24,7 +24,7 @@ from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import Columns, FrameGeometry, Record, center_distance_px
+from .model import FrameGeometry, Record, center_distance_px
 from .tracks import Track
 
 __all__ = [
@@ -32,11 +32,9 @@ __all__ = [
     "FrameStates",
     "Run",
     "Episode",
-    "classify_basking",
     "detect_hunting",
     "resolve_frame_states",
     "kind_runs",
-    "relabel",
     "demote_short_basking",
     "run_length_episodes",
 ]
@@ -89,42 +87,6 @@ class Episode(Record):
             "end_frame": self.end_frame,
             "duration_s": self.duration_s,
         }
-
-
-def classify_basking(
-    states: FrameStates,
-    matched: Iterable[tuple[int, int, int]],
-    dragon: Columns,
-    lamp: Columns,
-    geom: FrameGeometry,
-    cfg: RunConfig,
-) -> None:
-    """Apply the basking rule to the states where the dragon and the lamp both have a box.
-
-    ``matched`` holds ``(i, d, l)``: state ``i`` has row ``d`` of ``dragon``
-    and row ``l`` of ``lamp``. Each such state gets its ``delta_y`` and
-    ``theta``, and the kind BASKING when the rule holds; the other states
-    are left as they are. A lamp level with the dragon (zero row distance)
-    counts as 90 degrees off vertical, so it never passes a theta_max below
-    90.
-    """
-    width, height = geom.width, geom.height
-    limit, theta_max = cfg.beta * height, cfg.theta_max
-    kind, delta_col, theta_col = states.kind, states.delta_y, states.theta
-    d_cx, d_cy, l_cx, l_cy = dragon.cx, dragon.cy, lamp.cx, lamp.cy
-    for i, d, l in matched:
-        # scale each centre, then subtract: the pinned outputs depend on this order
-        dragon_y = d_cy[d] * height
-        lamp_y = l_cy[l] * height
-        delta_y = abs(dragon_y - lamp_y)
-        if delta_y == 0:
-            theta = 90.0
-        else:
-            theta = math.degrees(math.atan(abs(d_cx[d] * width - l_cx[l] * width) / delta_y))
-        delta_col[i] = delta_y
-        theta_col[i] = theta
-        if lamp_y < dragon_y and delta_y <= limit and theta < theta_max:
-            kind[i] = BehaviourKind.BASKING
 
 
 def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> int | None:
@@ -190,8 +152,11 @@ def resolve_frame_states(
     """The states of the frames with a dragon or lamp box or a hunt, in frame order.
 
     Every other frame of ``[0, frame_count)`` is idle with no separation.
-    Hunting frames take precedence over basking so each frame keeps a
-    single state.
+    Where the dragon and the lamp both have a box, the state gets their
+    ``delta_y`` and ``theta``, and the kind BASKING when the basking rule
+    holds. A lamp level with the dragon (zero row distance) counts as 90
+    degrees off vertical, so it never passes a theta_max below 90. Hunting
+    frames take precedence over basking so each frame keeps a single state.
     """
     hunting = set(hunting_frames)
     present = sorted(hunting.union(dragon.columns.frame, lamp.columns.frame))
@@ -206,12 +171,28 @@ def resolve_frame_states(
         [None if d is None else dragon.interpolated[d] for d in d_rows],
         [None if l is None else lamp.interpolated[l] for l in l_rows],
     )
-    # the states where both have a box, with the dragon's and the lamp's row
-    matched = [(i, d, l) for i, d, l in zip(count(), d_rows, l_rows) if not (d is None or l is None)]
-    classify_basking(states, matched, dragon.columns, lamp.columns, geom, cfg)
+    kind, delta_col, theta_col = states.kind, states.delta_y, states.theta
+    width, height = geom.width, geom.height
+    limit, theta_max = cfg.beta * height, cfg.theta_max
+    d_cx, d_cy, l_cx, l_cy = dragon.columns.cx, dragon.columns.cy, lamp.columns.cx, lamp.columns.cy
+    for i, d, l in zip(count(), d_rows, l_rows):
+        if d is None or l is None:
+            continue
+        # scale each centre, then subtract: the pinned outputs depend on this order
+        dragon_y = d_cy[d] * height
+        lamp_y = l_cy[l] * height
+        delta_y = abs(dragon_y - lamp_y)
+        if delta_y == 0:
+            theta = 90.0
+        else:
+            theta = math.degrees(math.atan(abs(d_cx[d] * width - l_cx[l] * width) / delta_y))
+        delta_col[i] = delta_y
+        theta_col[i] = theta
+        if lamp_y < dragon_y and delta_y <= limit and theta < theta_max:
+            kind[i] = BehaviourKind.BASKING
     for t in hunting:
         if 0 <= t < frame_count:
-            states.kind[bisect_left(frames, t)] = BehaviourKind.HUNTING
+            kind[bisect_left(frames, t)] = BehaviourKind.HUNTING
     return states
 
 
@@ -241,34 +222,25 @@ def kind_runs(states: FrameStates, frame_count: int) -> list[Run]:
     return _merged(pieces())
 
 
-def relabel(states: FrameStates, runs: Sequence[Run]) -> FrameStates:
-    """The states with the kind column rewritten: each state takes the kind of the run holding its frame.
+def demote_short_basking(states: FrameStates, runs: Sequence[Run], min_episode: int) -> list[Run]:
+    """Turn basking runs shorter than ``min_episode`` frames into idle, and their states with them.
 
-    ``runs`` tile the clip, as :func:`kind_runs` returns them.
-    """
-    frame = states.frame
-    kind: list[BehaviourKind] = []
-    lo = 0
-    for _, end, run_kind in runs:
-        hi = bisect_right(frame, end, lo)
-        kind += [run_kind] * (hi - lo)
-        lo = hi
-    return states._replace(kind=kind)
-
-
-def demote_short_basking(runs: Sequence[Run], min_episode: int) -> list[Run]:
-    """Turn basking runs shorter than ``min_episode`` frames into idle.
-
-    ``runs`` are maximal (neighbours differ in kind); so is the result, as
-    a demoted run merges with the idle runs beside it. Hunting frames are
+    ``runs`` tile the clip and are maximal (neighbours differ in kind), as
+    :func:`kind_runs` returns them for ``states``; so is the result, as a
+    demoted run merges with the idle runs beside it. The states of a
+    demoted run are set to idle in ``states.kind``. Hunting frames are
     never demoted; the rule exists to drop flickery basking classifications.
     """
-    return _merged(
-        (start, end, BehaviourKind.IDLE)
-        if kind is BehaviourKind.BASKING and end - start + 1 < min_episode
-        else (start, end, kind)
-        for start, end, kind in runs
-    )
+    frame, kind = states.frame, states.kind
+    out: list[Run] = []
+    for start, end, run_kind in runs:
+        if run_kind is BehaviourKind.BASKING and end - start + 1 < min_episode:
+            lo = bisect_left(frame, start)
+            hi = bisect_right(frame, end, lo)
+            kind[lo:hi] = [BehaviourKind.IDLE] * (hi - lo)
+            run_kind = BehaviourKind.IDLE
+        out.append((start, end, run_kind))
+    return _merged(out)
 
 
 def run_length_episodes(runs: Sequence[Run], fps: float) -> list[Episode]:

@@ -24,6 +24,7 @@ by ``simulate`` alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import signal
@@ -101,8 +102,9 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
 
     A file's content is a string or an iterable of string chunks, streamed
     in order. Each file goes to a uniquely named temp file in ``out_dir``;
-    the renames start only after every write has succeeded. On failure the
-    temp files are removed and the previous outputs stay as they were.
+    the renames start only after every write has succeeded and no target
+    is a directory. On failure the temp files are removed and the previous
+    outputs stay as they were.
     """
     staged: list[tuple[Path, Path]] = []
     try:
@@ -112,6 +114,9 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
             staged.append((tmp, out_dir / name))
             with tmp.open("w", encoding="utf-8") as fh:
                 fh.writelines((content,) if isinstance(content, str) else content)
+        for _, path in staged:  # a rename onto a directory would fail after the ones before it
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in staged:
             tmp.replace(path)
     except OSError as exc:

@@ -45,7 +45,6 @@ errors are the strict parser's, line number and text.
 
 from __future__ import annotations
 
-from itertools import compress, count
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -254,7 +253,7 @@ def parse_detection_log(source: str | Iterable[str]) -> Timeline:
 
 
 _LOG_CASTS = (int, int, float, float, float, float, float)  # frame, class, cx, cy, w, h, confidence
-_GROUND_TRUTH_CASTS = (int, float, float, float, float)  # class, cx, cy, w, h
+_GROUND_TRUTH_CASTS = (int, int, float, float, float, float)  # frame, class, cx, cy, w, h
 _BLOCK_LINES = 256
 
 
@@ -356,12 +355,13 @@ def parse_ground_truth(
     1x1 placeholder is used unless ``geometry`` is given. ``!frame <n>``
     switches the current frame, which starts at ``start_frame``.
     """
+    if start_frame < 0:
+        raise ValueError(f"start_frame must be >= 0, got {start_frame}")
     lines = _lines(source)
     geometry = geometry if geometry is not None else _ANY_GEOMETRY
     # the columnar read first; the strict parser reads the lines again if that fails
-    frame: list[int] = []
     try:
-        code, *boxes = _columns(_ground_truth_blocks(lines, start_frame, frame), _GROUND_TRUTH_CASTS)
+        frame, code, *boxes = _columns(_framed_blocks(lines, start_frame), _GROUND_TRUTH_CASTS)
         columns = Columns(frame, *boxes, [1.0] * len(frame))
         return Timeline.build(geometry, max(frame, default=-1) + 1, code, columns)
     except ValueError:
@@ -369,8 +369,8 @@ def parse_ground_truth(
     return _strict_ground_truth(lines, geometry, start_frame)
 
 
-def _ground_truth_blocks(lines: list[str], start_frame: int, frame: list[int]) -> Iterator[list[list[str]]]:
-    """The data rows of each of :func:`_blocks`, each row's frame appended to ``frame``.
+def _framed_blocks(lines: list[str], start_frame: int) -> Iterator[list[list]]:
+    """The data rows of each of :func:`_blocks`, each with its frame put in front.
 
     A 2-token row ``!frame <n>`` sets the frame of the rows below it, in
     later blocks too; the rows above the first take ``start_frame``.
@@ -378,17 +378,17 @@ def _ground_truth_blocks(lines: list[str], start_frame: int, frame: list[int]) -
     """
     current = start_frame
     for rows in _blocks(lines):
-        lengths = list(map(len, rows))
-        marks = list(compress(count(), map((2).__eq__, lengths)))
-        ends = [*marks, len(rows)]
-        frame.extend([current] * ends[0])
-        for mark, end in zip(marks, ends[1:]):
-            directive, value = rows[mark]
-            current = int(value)
-            if directive != "!frame" or current < 0:
-                raise ValueError(f"not a frame line: {directive} {value}")
-            frame.extend([current] * (end - mark - 1))
-        yield list(compress(rows, map((2).__ne__, lengths)))
+        data = []
+        for row in rows:
+            if len(row) == 2:
+                directive, value = row
+                current = int(value)
+                if directive != "!frame" or current < 0:
+                    raise ValueError(f"not a frame line: {directive} {value}")
+            else:
+                row.insert(0, current)
+                data.append(row)
+        yield data
 
 
 def _strict_ground_truth(lines: list[str], geometry: FrameGeometry, start_frame: int) -> Timeline:

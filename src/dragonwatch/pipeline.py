@@ -10,7 +10,6 @@ from .behaviour import (
     demote_short_basking,
     detect_hunting,
     kind_runs,
-    relabel,
     resolve_frame_states,
     run_length_episodes,
 )
@@ -100,13 +99,8 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
     crickets = [pair[0] for pair in cricket_pairs]
 
     hunts = detect_hunting(crickets, dragon, geom, timeline.frame_count, effective)
-    raw_states = resolve_frame_states(
-        dragon, lamp, hunts, geom, timeline.frame_count, effective
-    )
-    runs = demote_short_basking(
-        kind_runs(raw_states, timeline.frame_count), effective.min_episode
-    )
-    states = relabel(raw_states, runs)
+    states = resolve_frame_states(dragon, lamp, hunts, geom, timeline.frame_count, effective)
+    runs = demote_short_basking(states, kind_runs(states, timeline.frame_count), effective.min_episode)
     episodes = run_length_episodes(runs, geom.fps)
     if timeline.frame_count > 0:
         activity = activity_reports(states, runs, timeline.frame_count, geom.fps)

@@ -253,7 +253,7 @@ def _expected_outputs(
     width, height, fps = scenario.geometry.width, scenario.geometry.height, scenario.geometry.fps
     basking, idle = BehaviourKind.BASKING, BehaviourKind.IDLE
     # every frame but a hunt's takes the basking rule on the scripted pose, restated here in
-    # classify_basking's order (scale each centre, then subtract) to keep this an independent check
+    # resolve_frame_states' order (scale each centre, then subtract) to keep this an independent check
     (dragon_x, dragon_y), (lamp_x, lamp_y) = _POSES[scenario.kind]
     delta_px = (dragon_y - lamp_y) * height  # the pinned sidecars subtract, then scale
     dragon_y, lamp_y = dragon_y * height, lamp_y * height

@@ -11,7 +11,6 @@ from dragonwatch.behaviour import (
     demote_short_basking,
     detect_hunting,
     kind_runs,
-    relabel,
     resolve_frame_states,
     run_length_episodes,
 )
@@ -305,12 +304,37 @@ def kinds_of(runs):
     return [kind for start, end, kind in runs for _ in range(start, end + 1)]
 
 
+def sparse_states(frame_kinds):
+    frames = sorted(frame_kinds)
+    nothing = [None] * len(frames)
+    return FrameStates(frames, [frame_kinds[f] for f in frames], nothing, nothing, nothing, nothing)
+
+
+def demoted_states(states, runs, min_episode):
+    """``demote_short_basking`` on ``states``; asserts that it rewrites only their kind column."""
+    others = (states.frame, states.delta_y, states.theta, states.dragon, states.lamp)
+    before = [list(column) for column in others]
+    final = demote_short_basking(states, runs, min_episode)
+    after = (states.frame, states.delta_y, states.theta, states.dragon, states.lamp)
+    assert all(column is kept for column, kept in zip(after, others))
+    assert [list(column) for column in after] == before
+    return final
+
+
+def demote(kinds, min_episode):
+    """The demoted runs of one state per frame of ``kinds``; the states must end as the reference's kinds."""
+    states = sparse_states(dict(enumerate(kinds)))
+    final = demoted_states(states, runs_of(kinds), min_episode)
+    assert states.kind == reference_demote_short_basking(kinds, min_episode)
+    return final
+
+
 kind_lists = st.lists(st.sampled_from([IDLE, BASKING, HUNTING]), min_size=0, max_size=60)
 
 
 class TestEpisodes:
     def test_single_full_episode(self):
-        episodes = run_length_episodes(demote_short_basking(runs_of([BASKING] * 100), min_episode=3), 30.0)
+        episodes = run_length_episodes(demote([BASKING] * 100, min_episode=3), 30.0)
         assert len(episodes) == 1
         ep = episodes[0]
         assert (ep.start_frame, ep.end_frame) == (0, 99)
@@ -318,32 +342,32 @@ class TestEpisodes:
 
     def test_short_basking_demoted(self):
         kinds = [IDLE, BASKING, BASKING, IDLE]
-        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
+        episodes = run_length_episodes(demote(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE]
         assert episodes[0].end_frame == 3
 
     def test_two_runs_split_by_hole(self):
         kinds = [BASKING] * 50 + [IDLE] * 2 + [BASKING] * 48
-        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
+        episodes = run_length_episodes(demote(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [BASKING, IDLE, BASKING]
         assert (episodes[0].start_frame, episodes[0].end_frame) == (0, 49)
         assert (episodes[2].start_frame, episodes[2].end_frame) == (52, 99)
 
     def test_hunting_single_frame_survives(self):
         kinds = [IDLE] * 5 + [HUNTING] + [IDLE] * 5
-        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=3), 30.0)
+        episodes = run_length_episodes(demote(kinds, min_episode=3), 30.0)
         assert [ep.kind for ep in episodes] == [IDLE, HUNTING, IDLE]
 
     def test_demotion_merges_neighbouring_idle(self):
         kinds = [IDLE] * 3 + [BASKING] * 2 + [IDLE] * 3
-        final = demote_short_basking(runs_of(kinds), min_episode=3)
+        final = demote(kinds, min_episode=3)
         assert final == [(0, 7, IDLE)]
         assert len(run_length_episodes(final, 30.0)) == 1
 
     @given(kinds=kind_lists, min_episode=st.integers(1, 6))
     @settings(max_examples=150)
     def test_episodes_partition_the_clip(self, kinds, min_episode):
-        episodes = run_length_episodes(demote_short_basking(runs_of(kinds), min_episode=min_episode), 30.0)
+        episodes = run_length_episodes(demote(kinds, min_episode=min_episode), 30.0)
         covered = []
         for ep in episodes:
             assert ep.start_frame <= ep.end_frame
@@ -356,7 +380,7 @@ class TestEpisodes:
     @given(kinds=kind_lists, min_episode=st.integers(1, 6))
     @settings(max_examples=100)
     def test_demotion_never_touches_hunting(self, kinds, min_episode):
-        final = kinds_of(demote_short_basking(runs_of(kinds), min_episode))
+        final = kinds_of(demote(kinds, min_episode))
         for before, after in zip(kinds, final):
             if before is HUNTING:
                 assert after is HUNTING
@@ -367,14 +391,8 @@ class TestEpisodes:
     @settings(max_examples=150)
     def test_demotion_on_runs_equals_per_frame_reference(self, kinds, min_episode):
         dense = reference_demote_short_basking(kinds, min_episode)
-        assert demote_short_basking(runs_of(kinds), min_episode) == runs_of(dense)
+        assert demote(kinds, min_episode) == runs_of(dense)
         assert run_length_episodes(runs_of(dense), 30.0) == reference_run_length_episodes(dense, 30.0)
-
-
-def sparse_states(frame_kinds):
-    frames = sorted(frame_kinds)
-    nothing = [None] * len(frames)
-    return FrameStates(frames, [frame_kinds[f] for f in frames], nothing, nothing, nothing, nothing)
 
 
 class TestKindRuns:
@@ -402,13 +420,9 @@ class TestKindRuns:
         runs = kind_runs(sparse_states(frame_kinds), frame_count)
         assert runs == runs_of(dense)
         states = sparse_states(frame_kinds)
-        relabelled = relabel(states, demote_short_basking(runs, 3))
         demoted = reference_demote_short_basking(dense, 3)
-        assert list(zip(relabelled.frame, relabelled.kind)) == [(f, demoted[f]) for f in sorted(frames)]
-        # only the kind column is rewritten
-        assert relabelled.frame is states.frame
-        assert (relabelled.delta_y, relabelled.theta) == (states.delta_y, states.theta)
-        assert (relabelled.dragon, relabelled.lamp) == (states.dragon, states.lamp)
+        assert demoted_states(states, runs, 3) == runs_of(demoted)
+        assert list(zip(states.frame, states.kind)) == [(f, demoted[f]) for f in sorted(frames)]
 
 
 class TestResolveFrameStates:

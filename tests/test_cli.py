@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -507,6 +508,27 @@ class TestOutputSets:
         assert main(second) == 0
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after.keys() == before.keys() and after != before
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("analyze", "frames.jsonl"), ("evaluate", "eval_report.txt"), ("simulate", "hunting.expected.json")],
+    )
+    def test_directory_at_a_later_target_keeps_previous_outputs(self, tmp_path, capsys, command, target):
+        # the target is renamed after the first one, so a rename-by-rename writer would already have
+        # replaced an earlier file when it meets the directory
+        first, second = self.runs(tmp_path, command)
+        out = tmp_path / "out"
+        assert main(first) == 0
+        (out / target).unlink()
+        (out / target).mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main(second) == 2
+        message = str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / target)))
+        assert capsys.readouterr().err == message + "\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, target])  # no temp file left
+        assert not any((out / target).iterdir())
 
     def test_fault_after_part_of_frames_jsonl_is_written(self, tmp_path, monkeypatch):
         log = tmp_path / "clip.log"

@@ -193,6 +193,16 @@ class TestParseGroundTruth:
         tl = parse_ground_truth("2 0.5 0.5 0.1 0.1\n", start_frame=12)
         assert tl.detections_for(ClassLabel.CRICKET).frame == [12]
 
+    def test_negative_start_frame_is_rejected_before_reading(self):
+        def source():
+            raise AssertionError("the source was read")
+            yield
+
+        for given_source in ("0 0.5 0.5 0.1 0.1\n", source()):
+            with pytest.raises(ValueError, match=r"^start_frame must be >= 0, got -1$") as caught:
+                parse_ground_truth(given_source, start_frame=-1)
+            assert not isinstance(caught.value, ParseError)
+
     def test_round_trip_via_writer(self):
         text = "!frame 1\n0 0.5 0.5 0.2 0.2\n!frame 3\n2 0.25 0.75 0.1 0.1\n"
         tl = parse_ground_truth(text)
