@@ -353,7 +353,7 @@ def parse_ground_truth(
     The frame count is one past the last labelled frame. Ground-truth files
     carry no geometry of their own; evaluation overlap is scale free, so a
     1x1 placeholder is used unless ``geometry`` is given. ``!frame <n>``
-    switches the current frame, which starts at ``start_frame``.
+    switches the current frame, which starts at ``start_frame`` (>= 0).
     """
     if start_frame < 0:
         raise ValueError(f"start_frame must be >= 0, got {start_frame}")
