@@ -331,6 +331,27 @@ def reference_associate_crickets(
     ]
 
 
+def reference_filled_continuity(frames: Sequence[int], max_gap: int) -> float | None:
+    """Reference: the continuity of a track with observed ``frames`` once its gaps are filled.
+
+    Walks every frame from the first to the last observed one and counts it
+    as covered when it is observed or lies in a gap of at most ``max_gap``
+    missing frames. None without a frame.
+    """
+    if not frames:
+        return None
+    observed = set(frames)
+    covered = 0
+    for t in range(frames[0], frames[-1] + 1):
+        if t in observed:
+            covered += 1
+        else:
+            before = max(f for f in frames if f < t)
+            after = min(f for f in frames if f > t)
+            covered += after - before - 1 <= max_gap
+    return covered / (frames[-1] - frames[0] + 1)
+
+
 @st.composite
 def crowded_cricket_clips(draw) -> tuple[Timeline, float, int]:
     """A cricket-only clip with up to 40 boxes a frame, and the gate and ``max_gap`` to link it with.

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dragonwatch.tracks as tracks_module
@@ -22,6 +22,7 @@ from helpers import (
     crowded_cricket_clips,
     det,
     reference_associate_crickets,
+    reference_filled_continuity,
     timeline_of,
     timelines,
     track_of,
@@ -340,3 +341,14 @@ class TestContinuity:
     def test_fraction(self):
         track = track_of(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
         assert continuity(track) == pytest.approx(0.5)
+
+    @given(
+        frames=st.lists(st.integers(0, 80), unique=True, max_size=20).map(sorted),
+        max_gap=st.integers(0, 20),
+    )
+    @example(frames=[], max_gap=0)
+    @example(frames=[7], max_gap=20)
+    @settings(max_examples=150)
+    def test_filled_continuity_equals_reference(self, frames, max_gap):
+        track = track_of(ClassLabel.CRICKET, tuple(det(t, ClassLabel.CRICKET) for t in frames))
+        assert continuity(fill_gaps(track, max_gap)) == reference_filled_continuity(frames, max_gap)
