@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/, run as scripts."""
 
+import os
 import re
 import runpy
 import shutil
@@ -26,8 +27,8 @@ def test_run_scenarios_writes_every_output(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("hunting events:") == 3
 
 
-def assert_goldens_pass(python: str) -> None:
-    done = subprocess.run([python, str(GOLDENS)], capture_output=True, text=True, timeout=600)
+def assert_goldens_pass(python: str, env: dict[str, str] | None = None) -> None:
+    done = subprocess.run([python, str(GOLDENS)], capture_output=True, text=True, timeout=600, env=env)
     assert done.returncode == 0, done.stderr
     counts = dict(re.findall(r"^(test_\w+): (\d+ passed, \d+ failed)$", done.stdout, re.M))
     assert set(counts) == {
@@ -42,19 +43,52 @@ def test_run_goldens_passes_under_this_interpreter():
     assert_goldens_pass(sys.executable)
 
 
-@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
-def test_run_goldens_passes_under_other_pythons(version):
-    """The pinned outputs are the same bytes under each ``python3.X`` on PATH that starts."""
-    python = shutil.which(f"python{version}")
-    if python is None:
-        pytest.skip(f"python{version} is not on PATH")
+def probe_version(python: str, env: dict[str, str] | None = None) -> str | None:
+    """The ``X.Y`` version ``python`` reports, or None when it does not start."""
     try:
         probe = subprocess.run(
             [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        pytest.skip(f"python{version} does not start: {exc}")
-    if probe.returncode != 0 or probe.stdout.strip() != version:
-        pytest.skip(f"python{version} does not start or is another version: {probe.stdout.strip()!r}")
-    assert_goldens_pass(python)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return probe.stdout.strip() if probe.returncode == 0 else None
+
+
+def pyenv_environment(version: str) -> dict[str, str] | None:
+    """The environment that selects an installed pyenv ``version``.* for the shims, or None."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    try:
+        listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    installed = [v for v in listed.stdout.split() if re.fullmatch(re.escape(version) + r"\.\d+", v)]
+    if listed.returncode != 0 or not installed:
+        return None
+    newest = max(installed, key=lambda v: int(v.rsplit(".", 1)[1]))
+    return dict(os.environ, PYENV_VERSION=newest)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_run_goldens_passes_under_other_pythons(version):
+    """The pinned outputs are the same bytes under each ``python3.X`` on PATH that starts.
+
+    A pyenv shim starts no interpreter until a version is selected, so when
+    ``python3.X`` does not start, the newest installed pyenv ``3.X.*`` is
+    selected through ``PYENV_VERSION``.
+    """
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"python{version} is not on PATH")
+    env = None
+    found = probe_version(python)
+    if found is None:
+        env = pyenv_environment(version)
+        if env is None:
+            pytest.skip(f"python{version} does not start, and pyenv has no {version}.* installed")
+        found = probe_version(python, env)
+    if found != version:
+        pytest.skip(f"python{version} does not start or is another version: {found!r}")
+    assert_goldens_pass(python, env)
