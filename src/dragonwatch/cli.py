@@ -13,7 +13,9 @@ repeated runs stay byte-identical.
 
 A command writes its output set through temp files in the output directory,
 renamed into place once all are written. A run stopped by SIGTERM or SIGHUP
-removes them and keeps the previous outputs. SIGKILL cannot be caught: a
+while writing removes them and keeps the previous outputs. One stopped while
+renaming stops after the last rename, where ``pthread_sigmask`` can hold the
+signal: it exits 4 with the set wholly new. SIGKILL cannot be caught: a
 killed run leaves its ``.<name>.<hex>.tmp`` files beside the previous
 outputs, for the user to delete.
 
@@ -117,8 +119,14 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
         for _, path in staged:  # a rename onto a directory would fail after the ones before it
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for tmp, path in staged:
-            tmp.replace(path)
+        mask = getattr(signal, "pthread_sigmask", None)  # absent on Windows
+        held = mask and mask(signal.SIG_BLOCK, _STOP_SIGNALS)  # a stop now fires after the renames
+        try:
+            for tmp, path in staged:
+                tmp.replace(path)
+        finally:
+            if mask:
+                mask(signal.SIG_SETMASK, held)
     except OSError as exc:
         raise _Exit(_EXIT_IO, str(exc)) from None
     finally:

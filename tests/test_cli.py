@@ -603,6 +603,35 @@ class TestStopSignals:
         assert stderr == f"stopped by {signal.Signals(signum).name}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("signum", cli._STOP_SIGNALS, ids=lambda s: signal.Signals(s).name)
+    @pytest.mark.parametrize(
+        "command, after", [("analyze", 1), ("analyze", 2), ("analyze", 3), ("evaluate", 1), ("evaluate", 2)]
+    )
+    def test_stop_between_renames_never_splits_the_set(self, tmp_path, monkeypatch, capsys, signum, command, after):
+        first, second = TestOutputSets().runs(tmp_path, command)
+        out = tmp_path / "out"
+        assert main(first) == 0
+        old = {p.name: p.stat().st_ino for p in out.iterdir()}
+        path_replace = Path.replace
+        renamed = []
+
+        def replace_then_stop(path, target):
+            done = path_replace(path, target)
+            renamed.append(target)
+            if len(renamed) == after:
+                os.kill(os.getpid(), signum)
+            return done
+
+        monkeypatch.setattr(Path, "replace", replace_then_stop)
+        capsys.readouterr()
+        assert main(second) == 4
+        assert capsys.readouterr().err == f"stopped by {signal.Signals(signum).name}\n"
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == sorted(old)  # no temp file left
+        # a renamed target is a new file, with the temp file's inode
+        replaced = {name for name, ino in old.items() if (out / name).stat().st_ino != ino}
+        assert replaced in (set(), set(old)), f"split set: only {sorted(replaced)} replaced"
+
     def test_handlers_are_restored(self, tmp_path):
         before = [signal.getsignal(signum) for signum in cli._STOP_SIGNALS]
         log = tmp_path / "clip.log"
