@@ -24,7 +24,7 @@ from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import RunConfig
-from .model import FrameGeometry, Record, center_distance_px
+from .model import Columns, FrameGeometry, Record, center_distance_px
 from .tracks import Track
 
 __all__ = [
@@ -104,7 +104,8 @@ def _nearest_dragon(dragon: Track, frame: int, max_gap: int) -> int | None:
 
 
 def detect_hunting(
-    cricket_tracks: Sequence[Track],
+    cricket_tracks: Sequence[Sequence[int]],
+    crickets: Columns,
     dragon: Track,
     geom: FrameGeometry,
     frame_count: int,
@@ -112,24 +113,26 @@ def detect_hunting(
 ) -> list[int]:
     """Find hunting events; each cricket track yields at most one.
 
-    The event is pinned to the track's last observed frame. It fires only
-    when at least ``disappearance_window`` frames remain in the clip after
-    that frame (so the disappearance is confirmed, not cut off by the clip
-    end) and the dragon sits strictly closer than ``gamma * width`` pixels.
+    A track is a list of rows of ``crickets``, frames increasing; an empty
+    one is skipped. The event is pinned to the track's last observed frame.
+    It fires only when at least ``disappearance_window`` frames remain in
+    the clip after that frame (so the disappearance is confirmed, not cut
+    off by the clip end) and the dragon sits strictly closer than
+    ``gamma * width`` pixels.
     """
     events: list[int] = []
     near = dragon.columns
-    for track in cricket_tracks:
-        if not track.columns.frame:
+    for rows in cricket_tracks:
+        if not rows:
             continue
-        t_last = track.columns.frame[-1]
+        last = rows[-1]
+        t_last = crickets.frame[last]
         if frame_count - 1 - t_last < cfg.disappearance_window:
             continue
         row = _nearest_dragon(dragon, t_last, cfg.max_gap)
         if row is None:
             continue
-        cricket = track.columns
-        distance = center_distance_px(near.cx[row], near.cy[row], cricket.cx[-1], cricket.cy[-1], geom)
+        distance = center_distance_px(near.cx[row], near.cy[row], crickets.cx[last], crickets.cy[last], geom)
         if distance < cfg.gamma * geom.width:
             events.append(t_last)
     events.sort()

@@ -1,4 +1,9 @@
-"""End-to-end per-clip analysis: tracks, states, episodes, activity metrics."""
+"""End-to-end per-clip analysis: tracks, states, episodes, activity metrics.
+
+Only the dragon and lamp tracks are gap-filled, for the frame states. Cricket
+tracks stay rows of the timeline's cricket columns; every track's continuity
+is counted from its observed frames.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from .behaviour import (
     run_length_episodes,
 )
 from .ingest import RunConfig
-from .model import Record, Timeline, check_clip_length, check_frame_count
-from .tracks import Track, associate_crickets, continuity, fill_gaps, reduce_per_frame
+from .model import ClassLabel, Record, Timeline, check_clip_length, check_frame_count
+from .tracks import associate_crickets, continuity, fill_gaps, reduce_per_frame
 
 __all__ = ["TrackContinuity", "AnalysisResult", "analyze_timeline"]
 
@@ -69,9 +74,8 @@ class AnalysisResult(Record):
         }
 
 
-def _filled_with_continuity(track: Track, max_gap: int) -> tuple[Track, TrackContinuity]:
-    filled = fill_gaps(track, max_gap)
-    return filled, TrackContinuity(continuity(track), continuity(filled))
+def _continuity(frames: list[int], max_gap: int) -> TrackContinuity:
+    return TrackContinuity(continuity(frames, 0), continuity(frames, max_gap))
 
 
 def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> AnalysisResult:
@@ -87,18 +91,13 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
     check_clip_length(timeline.frame_count, geom.fps)
     effective = cfg._replace(geometry=geom)
 
+    max_gap = effective.max_gap
     dragon_raw, lamp_raw = reduce_per_frame(timeline)
-    dragon, dragon_cont = _filled_with_continuity(dragon_raw, effective.max_gap)
-    lamp, lamp_cont = _filled_with_continuity(lamp_raw, effective.max_gap)
-    cricket_pairs = [
-        _filled_with_continuity(track, effective.max_gap)
-        for track in associate_crickets(
-            timeline, gate_fraction=effective.cricket_gate, max_gap=effective.max_gap
-        )
-    ]
-    crickets = [pair[0] for pair in cricket_pairs]
+    dragon, lamp = fill_gaps(dragon_raw, max_gap), fill_gaps(lamp_raw, max_gap)
+    crickets = timeline.detections_for(ClassLabel.CRICKET)
+    cricket_tracks = associate_crickets(timeline, gate_fraction=effective.cricket_gate, max_gap=max_gap)
 
-    hunts = detect_hunting(crickets, dragon, geom, timeline.frame_count, effective)
+    hunts = detect_hunting(cricket_tracks, crickets, dragon, geom, timeline.frame_count, effective)
     states = resolve_frame_states(dragon, lamp, hunts, geom, timeline.frame_count, effective)
     runs = demote_short_basking(states, kind_runs(states, timeline.frame_count), effective.min_episode)
     episodes = run_length_episodes(runs, geom.fps)
@@ -113,7 +112,9 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
         episodes=episodes,
         hunting_event_frames=hunts,
         activity=activity,
-        dragon_continuity=dragon_cont,
-        lamp_continuity=lamp_cont,
-        cricket_continuity=[pair[1] for pair in cricket_pairs],
+        dragon_continuity=_continuity(dragon_raw.columns.frame, max_gap),
+        lamp_continuity=_continuity(lamp_raw.columns.frame, max_gap),
+        cricket_continuity=[
+            _continuity(list(map(crickets.frame.__getitem__, rows)), max_gap) for rows in cricket_tracks
+        ],
     )

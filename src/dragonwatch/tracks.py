@@ -1,10 +1,11 @@
 """Per-object tracks: canonical reduction, cricket association, gap filling.
 
 The dragon and the lamp each get exactly one canonical track (one animal,
-one lamp per clip); crickets get multi-instance tracks built by greedy
-nearest-neighbour association. Gaps up to ``max_gap`` missing frames are
-filled by blending the nearest observed detection on each side linearly.
-A track holds its boxes as :class:`Columns`, as the timeline does.
+one lamp per clip), held as :class:`Columns` as the timeline does; its gaps
+up to ``max_gap`` missing frames are filled by blending the nearest observed
+detection on each side linearly. Crickets get multi-instance tracks built by
+greedy nearest-neighbour association, each a list of rows of the timeline's
+cricket columns, never copied and never filled.
 
 Association prunes by sort and sweep, as in I-COLLIDE (Cohen, Lin, Manocha
 and Ponamgi, 1995): a frame's rows are sorted by ``cx`` once, and each open
@@ -16,10 +17,12 @@ tracks are those of measuring every pair.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
-from operator import lt
+from itertools import compress, islice
+from math import hypot
+from operator import lt, not_, sub
+from typing import Sequence
 
-from .model import ClassLabel, Columns, Record, Timeline, center_distance_px
+from .model import ClassLabel, Columns, Record, Timeline
 
 __all__ = [
     "Track",
@@ -43,10 +46,6 @@ class Track(Record):
 
     def __len__(self) -> int:
         return len(self.columns)
-
-
-def _observed(label: ClassLabel, columns: Columns) -> Track:
-    return Track(label, columns, [False] * len(columns))
 
 
 def _best_rows(columns: Columns) -> list[int]:
@@ -75,13 +74,15 @@ def reduce_per_frame(timeline: Timeline) -> tuple[Track, Track]:
         frame = columns.frame
         if not all(map(lt, frame, islice(frame, 1, None))):  # some frame has two boxes
             columns = columns.take(_best_rows(columns))
-        tracks.append(_observed(label, columns))
+        tracks.append(Track(label, columns, [False] * len(columns)))
     return tracks[0], tracks[1]
 
 
-def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -> list[Track]:
+def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -> list[list[int]]:
     """Group cricket detections into tracks by greedy nearest-neighbour linking.
 
+    A track is a list of rows of ``timeline.detections_for(CRICKET)``, frames
+    increasing; tracks are ordered by their first row's frame, ``cx``, ``cy``.
     A detection may join a track when the pixel distance to the track's last
     position is at most ``gate_fraction * width`` per elapsed frame and the
     frame gap does not exceed ``max_gap``. Candidate pairs are assigned in
@@ -98,27 +99,26 @@ def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -
     ``limit / width``; the absolute one covers that of ``last_x +- reach``,
     as ``cx`` lies in [0, 1]. So the candidate pairs, their order and every
     tie are those of measuring every row. A frame with one row measures it
-    against every track, with no sort.
+    against every track, with no sort. The distance is
+    :func:`~dragonwatch.model.center_distance_px`'s expression, written out.
     """
     geom = timeline.geometry
-    width = geom.width
+    width, height = geom.width, geom.height
     gate_px = gate_fraction * width
     columns = timeline.detections_for(ClassLabel.CRICKET)
     frame, cx, cy = columns.frame, columns.cx, columns.cy
-    # a track is the list of its rows
     open_tracks: list[list[int]] = []
+    last: list[tuple[int, float, float]] = []  # each open track's last frame, cx and cy
     done_tracks: list[list[int]] = []
     start = 0
     while start < len(frame):
         t = frame[start]
         end = bisect_right(frame, t, start)
-        still_open = []
-        for track in open_tracks:
-            if t - frame[track[-1]] - 1 > max_gap:
-                done_tracks.append(track)
-            else:
-                still_open.append(track)
-        open_tracks = still_open
+        oldest = t - max_gap - 1
+        if last and min(last)[0] < oldest:  # some track has been gone too long
+            keep = [last_t >= oldest for last_t, _, _ in last]
+            done_tracks.extend(compress(open_tracks, map(not_, keep)))
+            open_tracks, last = list(compress(open_tracks, keep)), list(compress(last, keep))
 
         near = range(start, end)
         sweep = end - start > 1  # one row needs no sort and no bisect
@@ -126,34 +126,34 @@ def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -
             rows = sorted(near, key=cx.__getitem__)
             xs = list(map(cx.__getitem__, rows))
         candidates = []
-        for ti, track in enumerate(open_tracks):
-            last = track[-1]
-            last_x, last_y = cx[last], cy[last]
-            limit = gate_px * (t - frame[last])
+        for ti, (last_t, ax, ay) in enumerate(last):
+            limit = gate_px * (t - last_t)
             if sweep:
                 reach = limit / width * (1 + 1e-9) + 1e-12
-                lo = bisect_left(xs, last_x - reach)
-                near = rows[lo : bisect_right(xs, last_x + reach, lo)]
+                lo = bisect_left(xs, ax - reach)
+                near = rows[lo : bisect_right(xs, ax + reach, lo)]
             for row in near:
-                dist = center_distance_px(cx[row], cy[row], last_x, last_y, geom)
+                dist = hypot((cx[row] - ax) * width, (cy[row] - ay) * height)
                 if dist <= limit:
                     candidates.append((dist, ti, row))
         candidates.sort()
         taken_tracks: set[int] = set()
         taken_rows: set[int] = set()
-        for dist, ti, row in candidates:
+        for _, ti, row in candidates:
             if ti in taken_tracks or row in taken_rows:
                 continue
             open_tracks[ti].append(row)
+            last[ti] = (t, cx[row], cy[row])
             taken_tracks.add(ti)
             taken_rows.add(row)
         for row in range(start, end):
             if row not in taken_rows:
                 open_tracks.append([row])
+                last.append((t, cx[row], cy[row]))
         start = end
     done_tracks.extend(open_tracks)
     done_tracks.sort(key=lambda rows: (frame[rows[0]], cx[rows[0]], cy[rows[0]]))
-    return [_observed(ClassLabel.CRICKET, columns.take(rows)) for rows in done_tracks]
+    return done_tracks
 
 
 def fill_gaps(track: Track, max_gap: int) -> Track:
@@ -201,13 +201,18 @@ def fill_gaps(track: Track, max_gap: int) -> Track:
     return Track(track.label, Columns(*out), interpolated)
 
 
-def continuity(track: Track) -> float | None:
-    """Fraction of frames between first and last detection that are covered.
+def continuity(frames: Sequence[int], max_gap: int) -> float | None:
+    """Fraction of frames between a track's first and last observed ``frames`` that are covered.
 
-    None for an empty track; 1.0 for a gapless one. This is the toolkit's
-    own operational definition of tracking continuity.
+    A frame is covered when observed or in a gap of at most ``max_gap``
+    missing frames, as :func:`fill_gaps` fills them; ``max_gap=0`` gives the
+    observed fraction. None for an empty track; 1.0 for a gapless one. This
+    is the toolkit's own operational definition of tracking continuity.
     """
-    frame = track.columns.frame
-    if not frame:
+    if not frames:
         return None
-    return len(frame) / (frame[-1] - frame[0] + 1)
+    span = frames[-1] - frames[0] + 1
+    if not max_gap or len(frames) == span:  # nothing to fill, or nothing missing
+        return len(frames) / span
+    steps = map(sub, islice(frames, 1, None), frames)
+    return (span - sum(step - 1 for step in steps if step > max_gap + 1)) / span

@@ -278,11 +278,13 @@ def write_ground_truth(timeline: Timeline) -> str:
 
 def reference_associate_crickets(
     timeline: Timeline, gate_fraction: float, max_gap: int
-) -> list[Track]:
+) -> list[list[int]]:
     """Reference: cricket association measuring every open track against every row of a frame.
 
     The all-pairs loop that the gate window of ``associate_crickets``
-    replaced, kept to check its tracks bit for bit.
+    replaced, kept to check its tracks bit for bit. Each track is the list
+    of its rows in the timeline's cricket columns; every distance comes from
+    :func:`center_distance_px`.
     """
     geom = timeline.geometry
     gate_px = gate_fraction * geom.width
@@ -326,9 +328,7 @@ def reference_associate_crickets(
         start = end
     done_tracks.extend(open_tracks)
     done_tracks.sort(key=lambda rows: (frame[rows[0]], cx[rows[0]], cy[rows[0]]))
-    return [
-        Track(ClassLabel.CRICKET, columns.take(rows), [False] * len(rows)) for rows in done_tracks
-    ]
+    return done_tracks
 
 
 def reference_filled_continuity(frames: Sequence[int], max_gap: int) -> float | None:

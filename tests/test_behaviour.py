@@ -24,6 +24,7 @@ from helpers import (
     by_frame,
     centre,
     classify_one,
+    columns_of,
     det,
     geometries,
     reference_classify_basking,
@@ -172,11 +173,13 @@ class TestClassifyBasking:
             assert (sep.delta_y.hex(), sep.theta.hex()) == (ref_sep[0].hex(), ref_sep[1].hex())
 
 
-def cricket_track(frames, cx=0.6, cy=0.5):
-    return track_of(
-        ClassLabel.CRICKET,
-        tuple(det(t, ClassLabel.CRICKET, cx=cx, cy=cy, w=0.03, h=0.02) for t in frames),
-    )
+def cricket_tracks(*tracks):
+    """Cricket tracks given as ``(frames, cx)`` at ``cy`` 0.5: each track's rows, and the columns holding them."""
+    rows, track_rows = [], []
+    for frames, cx in tracks:
+        track_rows.append(list(range(len(rows), len(rows) + len(frames))))
+        rows += [det(t, ClassLabel.CRICKET, cx=cx, cy=0.5, w=0.03, h=0.02) for t in frames]
+    return track_rows, columns_of(rows)
 
 
 def dragon_track(frames, cx=0.7, cy=0.5):
@@ -210,41 +213,41 @@ class TestNearestDragon:
 class TestDetectHunting:
     def test_event_fires_at_last_frame(self, config, geom):
         # cricket ends at frame 40, 0.1 * W from the dragon, clip is 200 frames
-        crickets = [cricket_track(range(41), cx=0.6)]
+        tracks, crickets = cricket_tracks((range(41), 0.6))
         dragon = dragon_track(range(200), cx=0.7)
-        events = detect_hunting(crickets, dragon, geom, 200, config)
+        events = detect_hunting(tracks, crickets, dragon, geom, 200, config)
         assert events == [40]
 
     def test_distance_gate_blocks(self, config, geom):
-        crickets = [cricket_track(range(41), cx=0.2)]  # 0.5 * W away
+        tracks, crickets = cricket_tracks((range(41), 0.2))  # 0.5 * W away
         dragon = dragon_track(range(200), cx=0.7)
-        assert detect_hunting(crickets, dragon, geom, 200, config) == []
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == []
 
     def test_window_unsatisfiable_near_clip_end(self, config, geom):
-        crickets = [cricket_track(range(196), cx=0.6)]  # last seen at 195 of 200
+        tracks, crickets = cricket_tracks((range(196), 0.6))  # last seen at 195 of 200
         dragon = dragon_track(range(200), cx=0.7)
-        assert detect_hunting(crickets, dragon, geom, 200, config) == []
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == []
 
     def test_window_boundary_fires(self, config, geom):
         # last frame 184: exactly 15 frames remain after it in a 200-frame clip
-        crickets = [cricket_track(range(185), cx=0.6)]
+        tracks, crickets = cricket_tracks((range(185), 0.6))
         dragon = dragon_track(range(200), cx=0.7)
-        assert detect_hunting(crickets, dragon, geom, 200, config) == [184]
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == [184]
 
     def test_empty_cricket_track_is_skipped(self, config, geom):
-        crickets = [cricket_track([]), cricket_track(range(41), cx=0.6)]
+        tracks, crickets = cricket_tracks(([], 0.6), (range(41), 0.6))
         dragon = dragon_track(range(200), cx=0.7)
-        assert detect_hunting(crickets, dragon, geom, 200, config) == [40]
-        assert detect_hunting(crickets[:1], dragon, geom, 200, config) == []
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == [40]
+        assert detect_hunting(tracks[:1], crickets, dragon, geom, 200, config) == []
 
     def test_empty_dragon_track_yields_nothing(self, config, geom):
-        crickets = [cricket_track(range(41), cx=0.6)]
-        assert detect_hunting(crickets, dragon_track([]), geom, 200, config) == []
+        tracks, crickets = cricket_tracks((range(41), 0.6))
+        assert detect_hunting(tracks, crickets, dragon_track([]), geom, 200, config) == []
 
     def test_dragon_found_within_max_gap(self, config, geom):
-        crickets = [cricket_track(range(41), cx=0.6)]
+        tracks, crickets = cricket_tracks((range(41), 0.6))
         dragon = dragon_track([30])  # 10 frames before the vanish, within max_gap 15
-        assert detect_hunting(crickets, dragon, geom, 200, config) == [40]
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == [40]
 
     @pytest.mark.parametrize("dragon_frames, expected", [([], []), ([99], [40])])
     def test_huge_max_gap_does_not_scan_frame_by_frame(self, geom, dragon_frames, expected):
@@ -269,31 +272,31 @@ class TestDetectHunting:
                 self.read()
                 return super().index(*args)
 
-        crickets = [cricket_track(range(41), cx=0.6)]
+        tracks, crickets = cricket_tracks((range(41), 0.6))
         dragon = dragon_track(dragon_frames)
         columns = dragon.columns._replace(frame=CountedFrames(dragon.columns.frame))
         dragon = dragon._replace(columns=columns)
         cfg = RunConfig(max_gap=10**9)
-        assert detect_hunting(crickets, dragon, geom, 100, cfg) == expected
+        assert detect_hunting(tracks, crickets, dragon, geom, 100, cfg) == expected
 
     def test_no_dragon_anywhere_near(self, config, geom):
-        crickets = [cricket_track(range(41), cx=0.6)]
+        tracks, crickets = cricket_tracks((range(41), 0.6))
         dragon = dragon_track([100])  # 60 frames away
-        assert detect_hunting(crickets, dragon, geom, 200, config) == []
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, config) == []
 
     def test_at_most_one_event_per_track(self, config, geom):
-        crickets = [cricket_track(range(41), cx=0.6), cricket_track(range(61), cx=0.65)]
+        tracks, crickets = cricket_tracks((range(41), 0.6), (range(61), 0.65))
         dragon = dragon_track(range(200), cx=0.7)
-        events = detect_hunting(crickets, dragon, geom, 200, config)
+        events = detect_hunting(tracks, crickets, dragon, geom, 200, config)
         assert events == [40, 60]
-        assert len(events) <= len(crickets)
+        assert len(events) <= len(tracks)
 
     def test_exact_gamma_distance_does_not_fire(self, geom):
         # binary-exact coordinates so the distance is exactly gamma * W
         cfg = RunConfig(gamma=0.25)
-        crickets = [cricket_track(range(41), cx=0.5)]
+        tracks, crickets = cricket_tracks((range(41), 0.5))
         dragon = dragon_track(range(200), cx=0.75)
-        assert detect_hunting(crickets, dragon, geom, 200, cfg) == []
+        assert detect_hunting(tracks, crickets, dragon, geom, 200, cfg) == []
 
 
 def runs_of(kinds):

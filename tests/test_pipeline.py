@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
-from dragonwatch.model import Columns, FrameGeometry, Timeline
-from dragonwatch.pipeline import analyze_timeline
+from dragonwatch import pipeline
+from dragonwatch.model import ClassLabel, Columns, FrameGeometry, Timeline
+from dragonwatch.pipeline import TrackContinuity, analyze_timeline
 from dragonwatch.synth import Scenario, generate
+from dragonwatch.tracks import fill_gaps
 
 from helpers import FrameRecord, dense_frames, reference_dense_states, reference_outputs, state_records
 
@@ -100,6 +102,26 @@ class TestAnalyzeTimeline:
         result = analyze_timeline(parse_detection_log(text))
         assert result.dragon_continuity.observed == pytest.approx(3 / 9)
         assert result.dragon_continuity.interpolated == 1.0
+
+    @pytest.mark.parametrize("cricket_count", [0, 1, 30])
+    def test_gap_filling_runs_on_the_dragon_and_lamp_only(self, monkeypatch, cricket_count):
+        # every cricket misses each third frame; its continuity is counted, never filled
+        lines = ["!geometry 640 480 30 40"]
+        for t in range(40):
+            lines += [f"{t} 0 0.5 0.6 0.2 0.2 0.9", f"{t} 1 0.5 0.2 0.1 0.1 0.9"]
+            if t % 3 != 1:
+                lines += [f"{t} 2 {(i + 0.5) / 30} 0.9 0.01 0.01 0.8" for i in range(cricket_count)]
+        filled = []
+
+        def counting(track, max_gap):
+            filled.append(track.label)
+            return fill_gaps(track, max_gap)
+
+        monkeypatch.setattr(pipeline, "fill_gaps", counting)
+        result = analyze_timeline(parse_detection_log("\n".join(lines) + "\n"))
+        assert filled == [ClassLabel.BEARDED_DRAGON, ClassLabel.HEATING_LAMP]
+        cricket = TrackContinuity(27 / 40, 1.0)  # frames 0..39, 13 of them missed
+        assert result.cricket_continuity == [cricket] * cricket_count
 
     def test_report_dict_round_trips_through_json(self):
         result = analyze_timeline(basking_timeline())

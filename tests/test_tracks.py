@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dragonwatch.tracks as tracks_module
 from dragonwatch.ingest import RunConfig
-from dragonwatch.model import ClassLabel, FrameGeometry, center_distance_px
+from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.tracks import (
     Track,
     associate_crickets,
@@ -50,11 +50,15 @@ class TestTrack:
     @settings(max_examples=100)
     def test_producers_return_well_formed_tracks(self, tl, max_gap):
         dragon, lamp = reduce_per_frame(tl)
-        labelled = [(dragon, ClassLabel.BEARDED_DRAGON), (lamp, ClassLabel.HEATING_LAMP)]
-        labelled += [(t, ClassLabel.CRICKET) for t in associate_crickets(tl, GATE, max_gap)]
-        for track, label in labelled:
+        for track, label in ((dragon, ClassLabel.BEARDED_DRAGON), (lamp, ClassLabel.HEATING_LAMP)):
             assert_well_formed(track, label)
             assert_well_formed(fill_gaps(track, max_gap), label)
+        # cricket tracks: rows of the cricket columns, each row in one track, frames increasing
+        tracks = associate_crickets(tl, GATE, max_gap)
+        frame = tl.detections_for(ClassLabel.CRICKET).frame
+        assert sorted(row for rows in tracks for row in rows) == list(range(len(frame)))
+        for rows in tracks:
+            assert rows and all(frame[a] < frame[b] for a, b in zip(rows, rows[1:]))
 
     def test_lookup(self):
         track = track_of(ClassLabel.BEARDED_DRAGON, (det(1), det(4)))
@@ -155,7 +159,7 @@ class TestAssociateCrickets:
     def test_matches_all_pairs_reference(self, clip):
         tl, gate, max_gap = clip
         tracks = associate_crickets(tl, gate_fraction=gate, max_gap=max_gap)
-        # Track equality: the label, every column and the interpolated flags, in track order
+        # the same rows in the same tracks, in track order: every box bit for bit
         assert tracks == reference_associate_crickets(tl, gate, max_gap)
 
 
@@ -168,9 +172,9 @@ class TestGateWindow:
 
         def counting(*args):
             calls.append(None)
-            return center_distance_px(*args)
+            return math.hypot(*args)
 
-        monkeypatch.setattr(tracks_module, "center_distance_px", counting)
+        monkeypatch.setattr(tracks_module, "hypot", counting)
         return calls
 
     def test_crowded_grid_measures_under_a_quarter_of_the_pairs(self, monkeypatch):
@@ -304,9 +308,8 @@ class TestFillGapsProperties:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
     def test_continuity_never_decreases(self, seed):
-        track = random_track(random.Random(seed))
-        filled = fill_gaps(track, max_gap=10)
-        assert continuity(filled) >= continuity(track)
+        frames = random_track(random.Random(seed)).columns.frame
+        assert continuity(frames, 10) >= continuity(frames, 0)
 
     def test_monotone_coordinates_stay_monotone(self):
         track = track_of(
@@ -326,21 +329,22 @@ class TestFillGapsProperties:
         ]
         kept = [full[0]] + [d for d in full[1:-1] if rng.random() > 0.3] + [full[-1]]
         track = track_of(ClassLabel.BEARDED_DRAGON, tuple(kept))
-        assert continuity(track) < 1.0
-        filled = fill_gaps(track, max_gap=15)
-        assert continuity(filled) == 1.0
+        assert continuity(track.columns.frame, 0) < 1.0
+        assert continuity(track.columns.frame, 15) == 1.0
+        assert len(fill_gaps(track, max_gap=15)) == 100
 
 
 class TestContinuity:
     def test_empty_track(self):
-        assert continuity(track_of(ClassLabel.CRICKET, ())) is None
+        assert continuity([], 15) is None
 
     def test_single_detection(self):
-        assert continuity(track_of(ClassLabel.CRICKET, (det(3, ClassLabel.CRICKET),))) == 1.0
+        assert continuity([3], 15) == 1.0
 
     def test_fraction(self):
-        track = track_of(ClassLabel.CRICKET, (det(0, ClassLabel.CRICKET), det(3, ClassLabel.CRICKET)))
-        assert continuity(track) == pytest.approx(0.5)
+        assert continuity([0, 3], 0) == pytest.approx(0.5)
+        assert continuity([0, 3], 1) == pytest.approx(0.5)
+        assert continuity([0, 3], 2) == 1.0
 
     @given(
         frames=st.lists(st.integers(0, 80), unique=True, max_size=20).map(sorted),
@@ -350,5 +354,8 @@ class TestContinuity:
     @example(frames=[7], max_gap=20)
     @settings(max_examples=150)
     def test_filled_continuity_equals_reference(self, frames, max_gap):
+        expected = reference_filled_continuity(frames, max_gap)
+        assert continuity(frames, max_gap) == expected
+        # what counting stands in for: filling the track, then measuring it as observed
         track = track_of(ClassLabel.CRICKET, tuple(det(t, ClassLabel.CRICKET) for t in frames))
-        assert continuity(fill_gaps(track, max_gap)) == reference_filled_continuity(frames, max_gap)
+        assert continuity(fill_gaps(track, max_gap).columns.frame, 0) == expected
