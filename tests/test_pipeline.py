@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dragonwatch import pipeline
 from dragonwatch.behaviour import BehaviourKind
 from dragonwatch.cli import main
 from dragonwatch.ingest import RunConfig, parse_detection_log
-from dragonwatch import pipeline
 from dragonwatch.model import ClassLabel, Columns, FrameGeometry, Timeline
 from dragonwatch.pipeline import TrackContinuity, analyze_timeline
 from dragonwatch.synth import Scenario, generate
