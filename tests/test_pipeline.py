@@ -13,9 +13,17 @@ from dragonwatch.ingest import RunConfig, parse_detection_log
 from dragonwatch.model import ClassLabel, Columns, FrameGeometry, Timeline
 from dragonwatch.pipeline import TrackContinuity, analyze_timeline
 from dragonwatch.synth import Scenario, generate
-from dragonwatch.tracks import fill_gaps
+from dragonwatch.tracks import associate_crickets, fill_gaps, reduce_per_frame
 
-from helpers import FrameRecord, dense_frames, reference_dense_states, reference_outputs, state_records
+from helpers import (
+    FrameRecord,
+    dense_frames,
+    reference_dense_states,
+    reference_filled_continuity,
+    reference_outputs,
+    state_records,
+    timelines,
+)
 
 IDLE = BehaviourKind.IDLE
 BASKING = BehaviourKind.BASKING
@@ -258,4 +266,35 @@ class TestDenseReference:
             s.frame
             for s in expected
             if s.dragon_provenance or s.lamp_provenance or s.frame in result.hunting_event_frames
+        ]
+
+
+def reference_continuity(frames, max_gap: int) -> TrackContinuity:
+    """Reference: a track's continuity as observed and once its gaps are filled."""
+    return TrackContinuity(
+        reference_filled_continuity(frames, 0), reference_filled_continuity(frames, max_gap)
+    )
+
+
+class TestContinuity:
+    """Each track's continuity figures, against the frame-by-frame reference."""
+
+    @given(
+        timeline=st.one_of(
+            timelines(), st.one_of(block_logs(), synth_logs).map(parse_detection_log)
+        ),
+        max_gap=st.integers(0, 20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_track_equals_reference(self, timeline, max_gap):
+        cfg = RunConfig(max_gap=max_gap)
+        result = analyze_timeline(timeline, cfg)
+        dragon, lamp = reduce_per_frame(timeline)
+        # every figure is None or a positive ratio, so equal floats are equal bits
+        assert result.dragon_continuity == reference_continuity(dragon.columns.frame, max_gap)
+        assert result.lamp_continuity == reference_continuity(lamp.columns.frame, max_gap)
+        frame = timeline.detections_for(ClassLabel.CRICKET).frame
+        tracks = associate_crickets(timeline, cfg.cricket_gate, max_gap)
+        assert result.cricket_continuity == [
+            reference_continuity([frame[row] for row in rows], max_gap) for rows in tracks
         ]

@@ -154,6 +154,21 @@ class TestAssociateCrickets:
         tracks = associate_crickets(timeline(*dets), GATE, MAX_GAP)
         assert len(tracks) == 2
 
+    @given(
+        clip=st.one_of(
+            crowded_cricket_clips().map(lambda clip: clip[:2]),
+            st.tuples(timelines(), st.sampled_from([0.05, 1.0])),
+        ),
+        max_gap=st.integers(0, 20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_gap_inside_a_track_exceeds_max_gap(self, clip, max_gap):
+        # a track closes once gone over max_gap frames, so filling it would cover its whole span
+        tl, gate = clip
+        frame = tl.detections_for(ClassLabel.CRICKET).frame
+        for rows in associate_crickets(tl, gate_fraction=gate, max_gap=max_gap):
+            assert all(1 <= frame[b] - frame[a] <= max_gap + 1 for a, b in zip(rows, rows[1:]))
+
     @given(clip=crowded_cricket_clips())
     @settings(max_examples=150, deadline=None)
     def test_matches_all_pairs_reference(self, clip):
