@@ -52,7 +52,7 @@ _EXPORTS = {
     "model": ("ClassLabel", "Columns", "FrameGeometry", "Timeline", "iou", "to_pixels"),
     "pipeline": ("AnalysisResult", "analyze_timeline"),
     "synth": ("GeneratedScenario", "InvalidScenario", "Scenario", "SplitMix64", "generate"),
-    "tracks": ("Track", "associate_crickets", "continuity", "fill_gaps", "reduce_per_frame"),
+    "tracks": ("Track", "associate_crickets", "fill_gaps", "reduce_per_frame"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,8 +1,9 @@
 """End-to-end per-clip analysis: tracks, states, episodes, activity metrics.
 
 Only the dragon and lamp tracks are gap-filled, for the frame states. Cricket
-tracks stay rows of the timeline's cricket columns; every track's continuity
-is counted from its observed frames.
+tracks stay rows of the timeline's cricket columns. A track's continuity is
+read off its length and its filled length, over its span: a filled cricket
+track would cover the whole span, as association leaves no gap over max_gap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .behaviour import (
 )
 from .ingest import RunConfig
 from .model import ClassLabel, Record, Timeline, check_clip_length, check_frame_count
-from .tracks import associate_crickets, continuity, fill_gaps, reduce_per_frame
+from .tracks import associate_crickets, fill_gaps, reduce_per_frame
 
 __all__ = ["TrackContinuity", "AnalysisResult", "analyze_timeline"]
 
@@ -74,8 +75,9 @@ class AnalysisResult(Record):
         }
 
 
-def _continuity(frames: list[int], max_gap: int) -> TrackContinuity:
-    return TrackContinuity(continuity(frames, 0), continuity(frames, max_gap))
+def _continuity(observed: int, covered: int, span: int) -> TrackContinuity:
+    """Observed and covered frames as shares of a track's span, first to last frame; None if empty."""
+    return TrackContinuity(observed / span, covered / span) if span else TrackContinuity(None, None)
 
 
 def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> AnalysisResult:
@@ -96,6 +98,13 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
     dragon, lamp = fill_gaps(dragon_raw, max_gap), fill_gaps(lamp_raw, max_gap)
     crickets = timeline.detections_for(ClassLabel.CRICKET)
     cricket_tracks = associate_crickets(timeline, gate_fraction=effective.cricket_gate, max_gap=max_gap)
+    continuity = []  # the dragon's, the lamp's, then each cricket track's
+    for raw, filled in ((dragon_raw, dragon), (lamp_raw, lamp)):
+        frame = raw.columns.frame
+        continuity.append(_continuity(len(frame), len(filled), frame[-1] - frame[0] + 1 if frame else 0))
+    for rows in cricket_tracks:
+        span = crickets.frame[rows[-1]] - crickets.frame[rows[0]] + 1
+        continuity.append(_continuity(len(rows), span, span))
 
     hunts = detect_hunting(cricket_tracks, crickets, dragon, geom, timeline.frame_count, effective)
     states = resolve_frame_states(dragon, lamp, hunts, geom, timeline.frame_count, effective)
@@ -112,9 +121,7 @@ def analyze_timeline(timeline: Timeline, cfg: RunConfig | None = None) -> Analys
         episodes=episodes,
         hunting_event_frames=hunts,
         activity=activity,
-        dragon_continuity=_continuity(dragon_raw.columns.frame, max_gap),
-        lamp_continuity=_continuity(lamp_raw.columns.frame, max_gap),
-        cricket_continuity=[
-            _continuity(list(map(crickets.frame.__getitem__, rows)), max_gap) for rows in cricket_tracks
-        ],
+        dragon_continuity=continuity[0],
+        lamp_continuity=continuity[1],
+        cricket_continuity=continuity[2:],
     )

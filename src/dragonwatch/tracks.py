@@ -5,7 +5,8 @@ one lamp per clip), held as :class:`Columns` as the timeline does; its gaps
 up to ``max_gap`` missing frames are filled by blending the nearest observed
 detection on each side linearly. Crickets get multi-instance tracks built by
 greedy nearest-neighbour association, each a list of rows of the timeline's
-cricket columns, never copied and never filled.
+cricket columns, never copied and never filled: association closes a track
+before any gap over ``max_gap``, so filling would cover its whole span.
 
 Association prunes by sort and sweep, as in I-COLLIDE (Cohen, Lin, Manocha
 and Ponamgi, 1995): a frame's rows are sorted by ``cx`` once, and each open
@@ -19,18 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from math import hypot
-from operator import lt, not_, sub
-from typing import Sequence
+from operator import lt, not_
 
 from .model import ClassLabel, Columns, Record, Timeline
 
-__all__ = [
-    "Track",
-    "reduce_per_frame",
-    "associate_crickets",
-    "fill_gaps",
-    "continuity",
-]
+__all__ = ["Track", "reduce_per_frame", "associate_crickets", "fill_gaps"]
 
 
 class Track(Record):
@@ -88,6 +82,9 @@ def associate_crickets(timeline: Timeline, gate_fraction: float, max_gap: int) -
     frame gap does not exceed ``max_gap``. Candidate pairs are assigned in
     ascending distance order; a tie goes to the track opened first, then
     to the row first in timeline order. Leftovers start new tracks.
+
+    A track closes once gone over ``max_gap`` frames, so its consecutive
+    frames differ by at most ``max_gap + 1``: :func:`fill_gaps` would fill it.
 
     In a frame with more than one row, a track with gate ``limit`` pixels
     measures only the rows whose ``cx`` lies within
@@ -163,7 +160,8 @@ def fill_gaps(track: Track, max_gap: int) -> Track:
     box(t0) * (t1 - t) / (t1 - t0) + box(t1) * (t - t0) / (t1 - t0) and the
     confidence is the smaller endpoint confidence, so interpolation never
     inflates certainty. Longer gaps stay empty; no extrapolation happens
-    before the first or after the last detection. Idempotent.
+    before the first or after the last detection. Idempotent. It adds just
+    the missing frames of each gap it fills, so its length counts them too.
     """
     frame = track.columns.frame
     gaps = [row for row in range(1, len(frame)) if 1 <= frame[row] - frame[row - 1] - 1 <= max_gap]
@@ -200,19 +198,3 @@ def fill_gaps(track: Track, max_gap: int) -> Track:
     interpolated.extend(track.interpolated[copied:])
     return Track(track.label, Columns(*out), interpolated)
 
-
-def continuity(frames: Sequence[int], max_gap: int) -> float | None:
-    """Fraction of frames between a track's first and last observed ``frames`` that are covered.
-
-    A frame is covered when observed or in a gap of at most ``max_gap``
-    missing frames, as :func:`fill_gaps` fills them; ``max_gap=0`` gives the
-    observed fraction. None for an empty track; 1.0 for a gapless one. This
-    is the toolkit's own operational definition of tracking continuity.
-    """
-    if not frames:
-        return None
-    span = frames[-1] - frames[0] + 1
-    if not max_gap or len(frames) == span:  # nothing to fill, or nothing missing
-        return len(frames) / span
-    steps = map(sub, islice(frames, 1, None), frames)
-    return (span - sum(step - 1 for step in steps if step > max_gap + 1)) / span

@@ -1,4 +1,5 @@
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,11 +19,13 @@ from dragonwatch.tracks import associate_crickets, fill_gaps, reduce_per_frame
 from helpers import (
     FrameRecord,
     dense_frames,
+    det,
     reference_dense_states,
     reference_filled_continuity,
     reference_outputs,
     state_records,
     timelines,
+    track_of,
 )
 
 IDLE = BehaviourKind.IDLE
@@ -276,8 +279,65 @@ def reference_continuity(frames, max_gap: int) -> TrackContinuity:
     )
 
 
+def dragon_log(frames, frame_count: int = 100) -> str:
+    """A log with one dragon box at each of ``frames``."""
+    return "".join([f"!geometry 640 480 30 {frame_count}\n", *(f"{t} 0 0.5 0.5 0.2 0.2 0.9\n" for t in frames)])
+
+
 class TestContinuity:
     """Each track's continuity figures, against the frame-by-frame reference."""
+
+    def test_empty_track(self):
+        result = analyze_timeline(parse_detection_log(dragon_log([])))
+        assert result.dragon_continuity == result.lamp_continuity == TrackContinuity(None, None)
+        assert result.cricket_continuity == []
+
+    def test_single_detection(self):
+        result = analyze_timeline(parse_detection_log(dragon_log([3])))
+        assert result.dragon_continuity == TrackContinuity(1.0, 1.0)
+
+    def test_fraction(self):
+        timeline = parse_detection_log(dragon_log([0, 3]))
+        figures = [analyze_timeline(timeline, RunConfig(max_gap=g)).dragon_continuity for g in range(3)]
+        assert figures == [TrackContinuity(0.5, 0.5), TrackContinuity(0.5, 0.5), TrackContinuity(0.5, 1.0)]
+
+    @given(
+        frames=st.lists(st.integers(0, 80), unique=True, max_size=20).map(sorted),
+        max_gap=st.integers(0, 20),
+    )
+    @example(frames=[], max_gap=0)
+    @example(frames=[7], max_gap=20)
+    @settings(max_examples=150)
+    def test_filled_continuity_equals_reference(self, frames, max_gap):
+        expected = reference_continuity(frames, max_gap)
+        result = analyze_timeline(parse_detection_log(dragon_log(frames)), RunConfig(max_gap=max_gap))
+        assert result.dragon_continuity == expected
+        # what the pipeline reads: the filled track's length, over the observed span
+        if frames:
+            track = track_of(ClassLabel.CRICKET, [det(t, ClassLabel.CRICKET) for t in frames])
+            span = frames[-1] - frames[0] + 1
+            assert len(fill_gaps(track, max_gap)) / span == expected.interpolated
+
+    def test_dropout_within_gap_recovers_full_continuity(self):
+        rng = random.Random(7)
+        kept = [0, *(t for t in range(1, 99) if rng.random() > 0.3), 99]
+        result = analyze_timeline(parse_detection_log(dragon_log(kept)), RunConfig(max_gap=15))
+        assert result.dragon_continuity.observed < 1.0
+        assert result.dragon_continuity.interpolated == 1.0
+        assert result.states.frame == list(range(100))  # every frame filled
+
+    @given(
+        timeline=st.one_of(
+            timelines(), st.one_of(block_logs(), synth_logs).map(parse_detection_log)
+        ),
+        max_gap=st.integers(0, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_continuity_never_decreases(self, timeline, max_gap):
+        result = analyze_timeline(timeline, RunConfig(max_gap=max_gap))
+        figures = [result.dragon_continuity, result.lamp_continuity, *result.cricket_continuity]
+        for figure in figures:
+            assert figure == TrackContinuity(None, None) or figure.interpolated >= figure.observed
 
     @given(
         timeline=st.one_of(

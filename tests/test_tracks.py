@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dragonwatch.tracks as tracks_module
@@ -11,7 +11,6 @@ from dragonwatch.model import ClassLabel, FrameGeometry
 from dragonwatch.tracks import (
     Track,
     associate_crickets,
-    continuity,
     fill_gaps,
     reduce_per_frame,
 )
@@ -22,7 +21,6 @@ from helpers import (
     crowded_cricket_clips,
     det,
     reference_associate_crickets,
-    reference_filled_continuity,
     timeline_of,
     timelines,
     track_of,
@@ -320,12 +318,6 @@ class TestFillGapsProperties:
                 assert d.conf <= observed[left].conf
                 assert d.conf <= observed[right].conf
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=50)
-    def test_continuity_never_decreases(self, seed):
-        frames = random_track(random.Random(seed)).columns.frame
-        assert continuity(frames, 10) >= continuity(frames, 0)
-
     def test_monotone_coordinates_stay_monotone(self):
         track = track_of(
             ClassLabel.BEARDED_DRAGON,
@@ -336,41 +328,3 @@ class TestFillGapsProperties:
         ys = filled.columns.cy
         assert xs == sorted(xs)
         assert ys == sorted(ys, reverse=True)
-
-    def test_dropout_within_gap_recovers_full_continuity(self):
-        rng = random.Random(7)
-        full = [
-            det(t, cx=0.2 + 0.5 * t / 99, cy=0.5, w=0.1, h=0.1, conf=0.9) for t in range(100)
-        ]
-        kept = [full[0]] + [d for d in full[1:-1] if rng.random() > 0.3] + [full[-1]]
-        track = track_of(ClassLabel.BEARDED_DRAGON, tuple(kept))
-        assert continuity(track.columns.frame, 0) < 1.0
-        assert continuity(track.columns.frame, 15) == 1.0
-        assert len(fill_gaps(track, max_gap=15)) == 100
-
-
-class TestContinuity:
-    def test_empty_track(self):
-        assert continuity([], 15) is None
-
-    def test_single_detection(self):
-        assert continuity([3], 15) == 1.0
-
-    def test_fraction(self):
-        assert continuity([0, 3], 0) == pytest.approx(0.5)
-        assert continuity([0, 3], 1) == pytest.approx(0.5)
-        assert continuity([0, 3], 2) == 1.0
-
-    @given(
-        frames=st.lists(st.integers(0, 80), unique=True, max_size=20).map(sorted),
-        max_gap=st.integers(0, 20),
-    )
-    @example(frames=[], max_gap=0)
-    @example(frames=[7], max_gap=20)
-    @settings(max_examples=150)
-    def test_filled_continuity_equals_reference(self, frames, max_gap):
-        expected = reference_filled_continuity(frames, max_gap)
-        assert continuity(frames, max_gap) == expected
-        # what counting stands in for: filling the track, then measuring it as observed
-        track = track_of(ClassLabel.CRICKET, tuple(det(t, ClassLabel.CRICKET) for t in frames))
-        assert continuity(fill_gaps(track, max_gap).columns.frame, 0) == expected
