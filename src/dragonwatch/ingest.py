@@ -177,7 +177,13 @@ _ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
 def _lines(source: str | Iterable[str]) -> list[str]:
-    return source.splitlines() if isinstance(source, str) else list(source)
+    """The lines of ``source``; a string's end only at ``\\n``, ``\\r\\n`` or ``\\r``, as a text file's do."""
+    if not isinstance(source, str):
+        return list(source)
+    lines = (source.replace("\r\n", "\n").replace("\r", "\n") if "\r" in source else source).split("\n")
+    if not lines[-1]:  # nothing after the last line break
+        lines.pop()
+    return lines
 
 
 def _content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -406,6 +406,17 @@ def test_named_ground_truth_matches_strict_parser(text):
     assert_same_ground_truth(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_detection_log, text) for text in CASES.values()]
+    + [(parse_ground_truth, text) for text in GT_CASES.values()],
+    ids=[f"log {name}" for name in CASES] + [f"ground truth {name}" for name in GT_CASES],
+)
+def test_string_ends_lines_where_a_text_file_does(parse, text):
+    # only \n, \r\n and \r end a line; \f, \x1c, \x85 or U+2028 stay inside it
+    assert outcome(parse, text) == outcome(parse, io.StringIO(text, newline=None))
+
+
 @st.composite
 def valid_ground_truth(draw) -> list[str]:
     """Valid ground truth as its lines, each with its line ending; ``!frame`` lines, comments and blanks anywhere."""
