@@ -23,6 +23,7 @@ from dragonwatch.model import (
     FrameGeometry,
     Timeline,
     center_distance_px,
+    iou,
 )
 from dragonwatch.pipeline import AnalysisResult, analyze_timeline
 from dragonwatch.tracks import Track, fill_gaps, reduce_per_frame
@@ -213,6 +214,194 @@ def reference_separation(dragon: Box, lamp: Box, geom: FrameGeometry) -> tuple[f
     if delta_y == 0:
         return delta_y, 90.0
     return delta_y, math.degrees(math.atan(abs(dragon_px.cx - lamp_px.cx) / delta_y))
+
+
+# Reference: evaluation from the definitions, matching from scratch for every
+# image, class and threshold. It shares no code with ``dragonwatch.evaluation``:
+# only ``iou`` comes from the package, itself checked against ``reference_iou``.
+
+REFERENCE_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+# COCO's recall grid, numpy.linspace(0, 1, 101): i * step + start, the last point set to the stop
+REFERENCE_RECALL_POINTS = (*(i * (1.0 / 100) + 0.0 for i in range(100)), 1.0)
+
+
+def numpy_pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of 8 to 128 floats in the order of numpy's pairwise summation of a float64 array.
+
+    Eight accumulators take every eighth value of the largest multiple of 8
+    values, starting from the first eight; they are folded in pairs,
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the values
+    left over are added one by one.
+    """
+    n = len(values)
+    assert 8 <= n <= 128, n
+    whole = n - n % 8
+    r = list(values[:8])
+    for i in range(8, whole, 8):
+        for lane in range(8):
+            r[lane] += values[i + lane]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[whole:]:
+        total += value
+    return total
+
+
+def reference_mean(values: Iterable[float | None]) -> float | None:
+    """The mean of the values that are not None, summed left to right from 0; None without one."""
+    defined = [value for value in values if value is not None]
+    if not defined:
+        return None
+    total = 0
+    for value in defined:
+        total += value
+    return total / len(defined)
+
+
+def reference_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 = 2PR / (P + R), each 0/0 read as 0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def reference_true_positives(preds: Boxes, gts: Boxes, threshold: float) -> list[bool]:
+    """Per prediction row, whether it matches a ground truth at IoU ``threshold``.
+
+    Each image and class is matched on its own. Its predictions, in stable
+    descending confidence, each take the untaken ground truth of the same
+    image and class with the highest IoU >= ``threshold``, the lowest row
+    winning ties.
+    """
+    tp = [False] * len(preds)
+    for image in set(preds.image):
+        for label in ClassLabel:
+            mine = [p for p in range(len(preds)) if (preds.image[p], preds.label[p]) == (image, label)]
+            mine.sort(key=lambda p: (-preds.conf[p], p))
+            free = [g for g in range(len(gts)) if (gts.image[g], gts.label[g]) == (image, label)]
+            for p in mine:
+                overlaps = [(iou(preds.corners[p], gts.corners[g]), -g) for g in free]
+                passing = [pair for pair in overlaps if pair[0] >= threshold]
+                if passing:
+                    free.remove(-max(passing)[1])
+                    tp[p] = True
+    return tp
+
+
+def reference_average_precision(tags: Sequence[bool], ground_truths: int) -> float | None:
+    """COCO's 101-point AP of one class's TP ``tags``, ranked; None without ground truth.
+
+    At each recall point, the precision envelope (the best precision at that
+    rank or any later one) at the first rank whose recall reaches the point,
+    or 0 when none does; the mean of the 101 values as numpy takes it.
+    """
+    if not ground_truths:
+        return None
+    precision, recall, hits = [], [], 0
+    for rank, tag in enumerate(tags, 1):
+        hits += tag
+        precision.append(hits / rank)
+        recall.append(hits / ground_truths)
+    envelope = [max(precision[k:]) for k in range(len(precision))]
+    samples = []
+    for point in REFERENCE_RECALL_POINTS:
+        reached = [k for k, value in enumerate(recall) if value >= point]
+        samples.append(envelope[reached[0]] if reached else 0.0)
+    return numpy_pairwise_sum(samples) / len(samples)
+
+
+def reference_confusion(
+    preds: Boxes, gts: Boxes, iou_threshold: float, confidence: float
+) -> tuple[list[list[float]], list[list[float]]]:
+    """The confusion counts and their column-normalised fractions, background last.
+
+    Predictions below ``confidence`` are dropped. Per image, every pair of a
+    prediction and a ground truth, of any classes, at IoU >= the threshold
+    is taken in order of (-IoU, prediction row, ground-truth row) when both
+    are still free. A free prediction counts in the background column, a
+    free ground truth in the background row.
+    """
+    background = len(ClassLabel)
+    counts = [[0.0] * (background + 1) for _ in range(background + 1)]
+    kept = [p for p in range(len(preds)) if preds.conf[p] >= confidence]
+    for image in set(preds.image) | set(gts.image):
+        mine = [p for p in kept if preds.image[p] == image]
+        truths = [g for g in range(len(gts)) if gts.image[g] == image]
+        pairs = [(-iou(preds.corners[p], gts.corners[g]), p, g) for p in mine for g in truths]
+        free_preds, free_truths = set(mine), set(truths)
+        for negative_iou, p, g in sorted(pairs):
+            if -negative_iou >= iou_threshold and p in free_preds and g in free_truths:
+                free_preds.remove(p)
+                free_truths.remove(g)
+                counts[preds.label[p]][gts.label[g]] += 1
+        for p in free_preds:
+            counts[preds.label[p]][background] += 1
+        for g in free_truths:
+            counts[background][gts.label[g]] += 1
+    totals = [sum(row[column] for row in counts) for column in range(background + 1)]
+    normalized = [[c / t if t else 0.0 for c, t in zip(row, totals)] for row in counts]
+    return counts, normalized
+
+
+def reference_evaluate(
+    preds: Boxes, gts: Boxes, iou_threshold: float, confusion_confidence: float
+) -> dict:
+    """Reference: ``evaluate(preds, gts, iou_threshold, confusion_confidence).to_json_dict()``.
+
+    Per class, precision, recall and F1 count every prediction at
+    ``iou_threshold``; AP ranks the class's predictions in stable descending
+    confidence. mAP averages the classes with ground truth, and mAP@0.5:0.95
+    averages it over the ten thresholds. The F1 sweep cuts at every distinct
+    confidence, pooling all classes: the best F1 at its lowest cut, and the
+    lowest cut with precision 1.
+    """
+    thresholds = dict.fromkeys((*REFERENCE_MAP_THRESHOLDS, iou_threshold))
+    tp = {t: reference_true_positives(preds, gts, t) for t in thresholds}
+    ranked = sorted(range(len(preds)), key=lambda p: (-preds.conf[p], p))
+    aps: dict[float, list[float | None]] = {t: [] for t in thresholds}
+    classes = {}
+    for label in ClassLabel:
+        mine = [p for p in ranked if preds.label[p] == label]
+        ground_truths = sum(1 for g in gts.label if g == label)
+        for t in thresholds:
+            aps[t].append(reference_average_precision([tp[t][p] for p in mine], ground_truths))
+        hits = sum(tp[iou_threshold][p] for p in mine)
+        precision, recall, f1 = reference_prf(hits, len(mine) - hits, ground_truths - hits)
+        classes[label.display_name] = {
+            "ground_truths": ground_truths,
+            "predictions": len(mine),
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
+            "ap_50": aps[0.5][-1],
+            "ap_50_95": reference_mean(aps[t][-1] for t in REFERENCE_MAP_THRESHOLDS),
+        }
+    cuts = {}
+    for cut in sorted(set(preds.conf)):
+        kept = [tp[iou_threshold][p] for p in range(len(preds)) if preds.conf[p] >= cut]
+        hits = sum(kept)
+        cuts[cut] = reference_prf(hits, len(kept) - hits, len(gts) - hits)
+    max_f1 = max((f1 for _, _, f1 in cuts.values()), default=0.0)
+    counts, normalized = reference_confusion(preds, gts, iou_threshold, confusion_confidence)
+    return {
+        "settings": {
+            "iou_threshold": iou_threshold,
+            "confusion_confidence_threshold": confusion_confidence,
+            "map_iou_thresholds": list(REFERENCE_MAP_THRESHOLDS),
+        },
+        "classes": classes,
+        "map_50": reference_mean(aps[0.5]),
+        "map_50_95": reference_mean(reference_mean(aps[t]) for t in REFERENCE_MAP_THRESHOLDS),
+        "max_f1": max_f1,
+        "max_f1_confidence": min((c for c, (_, _, f1) in cuts.items() if f1 == max_f1), default=None),
+        "precision_at_full_confidence": min((c for c, (p, _, _) in cuts.items() if p == 1.0), default=None),
+        "confusion_matrix": {
+            "order": [label.display_name for label in ClassLabel] + ["background"],
+            "columns_are_ground_truth": True,
+            "normalized": normalized,
+            "counts": counts,
+        },
+    }
 
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

@@ -1,7 +1,8 @@
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dragonwatch import evaluation
@@ -18,7 +19,7 @@ from dragonwatch.evaluation import (
 from dragonwatch.ingest import parse_detection_log
 from dragonwatch.model import ClassLabel, Corners, iou
 
-from helpers import BoxRow, boxes_of, corner_box
+from helpers import BoxRow, boxes_of, corner_box, reference_evaluate
 
 DRAGON = ClassLabel.BEARDED_DRAGON
 LAMP = ClassLabel.HEATING_LAMP
@@ -531,3 +532,89 @@ class TestRecordsFromTimeline:
 
     def test_map_iou_thresholds_are_exact(self):
         assert MAP_IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+
+IMAGES = ["a:0", "b:0", "a:1", "a:12", "b:1", "c:5"]  # three stems; ground truth in the first three
+grid = st.integers(0, 2).map(lambda k: 10.0 * k)
+labels = st.sampled_from(list(ClassLabel))
+
+
+@st.composite
+def eval_batches(draw) -> tuple[list[BoxRow], list[BoxRow], float, float]:
+    """Predictions, ground truth, an IoU threshold and a confusion cut.
+
+    Ground truths are 20 px squares on a 10 px grid, often beside a
+    neighbour of the same image and class, so overlaps tie: a box halfway
+    between two neighbours meets each at IoU 0.6. Most
+    predictions copy one, shifted by 5 px steps or cut short by 0 to 15
+    rows: IoUs such as 0.6 or (20 - k) / 20 land exactly on a threshold, and
+    several predictions fall on one ground truth. Confidences tie. Images,
+    classes and stems go without boxes.
+    """
+    gts: list[BoxRow] = []
+    for x, y in draw(st.lists(st.tuples(grid, grid), max_size=8)):
+        if gts and draw(st.booleans()):  # the last one's neighbour, 10 px to the right
+            image, label, (x, y, _, _) = gts[-1].image, gts[-1].label, gts[-1].corners
+            x += 10
+        else:
+            image, label = draw(st.sampled_from(IMAGES[:3])), draw(labels)
+        gts.append(BoxRow(image, label, corner_box(x, y, x + 20, y + 20)))
+    preds = []
+    for _ in range(draw(st.integers(0, 12))):
+        if gts and draw(st.integers(0, 3)):
+            base = draw(st.sampled_from(gts))
+            x1, y1, x2, y2 = base.corners
+            dx, dy = draw(st.sampled_from([0.0, 5.0, -5.0, 10.0])), draw(st.sampled_from([0.0, 0.0, 5.0, -10.0]))
+            cut = draw(st.sampled_from([0, 0, 5]) | st.integers(1, 15))
+            corners = corner_box(x1 + dx, y1 + dy, x2 + dx, y2 + dy - cut)
+            image = base.image if draw(st.integers(0, 5)) else draw(st.sampled_from(IMAGES))
+            label = base.label if draw(st.integers(0, 3)) else draw(labels)
+        else:
+            x, y, size = draw(grid), draw(grid), draw(st.sampled_from([10.0, 20.0, 25.0]))
+            corners, image, label = corner_box(x, y, x + size, y + size), draw(st.sampled_from(IMAGES)), draw(labels)
+        conf = draw(st.sampled_from([0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+        preds.append(BoxRow(image, label, corners, conf))
+    iou_threshold = draw(
+        st.sampled_from([*MAP_IOU_THRESHOLDS, 0.3, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+    )
+    confusion_confidence = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return preds, gts, iou_threshold, confusion_confidence
+
+
+SQUARE = box_at(0, 0, size=20.0)
+
+
+class TestReferenceEvaluate:
+    """``evaluate`` against the reference written from the definitions, every float bit for bit."""
+
+    @given(batch=eval_batches())
+    # one prediction between two ground truths at IoU 0.6 each: the lower row wins
+    @example(
+        batch=(
+            [pred("a:0", DRAGON, box_at(5, 0, size=20.0), 0.9), pred("a:0", DRAGON, SQUARE, 0.9)],
+            [gt("a:0", DRAGON, box_at(10, 0, size=20.0)), gt("a:0", DRAGON, SQUARE)],
+            0.6,
+            0.25,
+        )
+    )
+    # IoUs exactly 0.5, 0.75 and 0.95 of one ground truth, one FP ranked first
+    @example(
+        batch=(
+            [
+                pred("a:0", LAMP, box_with_iou(SQUARE, 0.5), 0.9),
+                pred("a:0", LAMP, box_with_iou(SQUARE, 0.75), 0.5),
+                pred("a:1", LAMP, box_with_iou(SQUARE, 0.95), 0.5),
+                pred("b:0", LAMP, SQUARE, 1.0),
+            ],
+            [gt("a:0", LAMP, SQUARE), gt("a:1", LAMP, SQUARE), gt("b:1", CRICKET, SQUARE)],
+            0.75,
+            0.5,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_equals_reference(self, batch):
+        preds, gts, iou_threshold, confusion_confidence = batch
+        report = evaluate(boxes_of(preds), boxes_of(gts), iou_threshold, confusion_confidence)
+        expected = reference_evaluate(boxes_of(preds), boxes_of(gts), iou_threshold, confusion_confidence)
+        # JSON text tells apart any two floats that differ in a bit, and 1 from 1.0
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected)
