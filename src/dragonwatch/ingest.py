@@ -177,13 +177,12 @@ _ANY_GEOMETRY = FrameGeometry(1, 1, 1.0)
 
 
 def _lines(source: str | Iterable[str]) -> list[str]:
-    """The lines of ``source``; a string's end only at ``\\n``, ``\\r\\n`` or ``\\r``, as a text file's do."""
+    """The lines of ``source``: a string splits only at ``\\n``, ``\\r\\n`` and ``\\r``, as a text file does."""
     if not isinstance(source, str):
         return list(source)
-    lines = (source.replace("\r\n", "\n").replace("\r", "\n") if "\r" in source else source).split("\n")
-    if not lines[-1]:  # nothing after the last line break
-        lines.pop()
-    return lines
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    return source.split("\n")  # after a final line break, a last line "": blank to every reader
 
 
 def _content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

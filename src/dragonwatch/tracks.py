@@ -5,8 +5,7 @@ one lamp per clip), held as :class:`Columns` as the timeline does; its gaps
 up to ``max_gap`` missing frames are filled by blending the nearest observed
 detection on each side linearly. Crickets get multi-instance tracks built by
 greedy nearest-neighbour association, each a list of rows of the timeline's
-cricket columns, never copied and never filled: association closes a track
-before any gap over ``max_gap``, so filling would cover its whole span.
+cricket columns, never copied and never filled.
 
 Association prunes by sort and sweep, as in I-COLLIDE (Cohen, Lin, Manocha
 and Ponamgi, 1995): a frame's rows are sorted by ``cx`` once, and each open
@@ -24,7 +23,12 @@ from operator import lt, not_
 
 from .model import ClassLabel, Columns, Record, Timeline
 
-__all__ = ["Track", "reduce_per_frame", "associate_crickets", "fill_gaps"]
+__all__ = [
+    "Track",
+    "reduce_per_frame",
+    "associate_crickets",
+    "fill_gaps",
+]
 
 
 class Track(Record):
