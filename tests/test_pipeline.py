@@ -279,6 +279,9 @@ def reference_continuity(frames, max_gap: int) -> TrackContinuity:
     )
 
 
+any_timelines = st.one_of(timelines(), st.one_of(block_logs(), synth_logs).map(parse_detection_log))
+
+
 def dragon_log(frames, frame_count: int = 100) -> str:
     """A log with one dragon box at each of ``frames``."""
     return "".join([f"!geometry 640 480 30 {frame_count}\n", *(f"{t} 0 0.5 0.5 0.2 0.2 0.9\n" for t in frames)])
@@ -326,12 +329,7 @@ class TestContinuity:
         assert result.dragon_continuity.interpolated == 1.0
         assert result.states.frame == list(range(100))  # every frame filled
 
-    @given(
-        timeline=st.one_of(
-            timelines(), st.one_of(block_logs(), synth_logs).map(parse_detection_log)
-        ),
-        max_gap=st.integers(0, 20),
-    )
+    @given(timeline=any_timelines, max_gap=st.integers(0, 20))
     @settings(max_examples=80, deadline=None)
     def test_continuity_never_decreases(self, timeline, max_gap):
         result = analyze_timeline(timeline, RunConfig(max_gap=max_gap))
@@ -339,12 +337,7 @@ class TestContinuity:
         for figure in figures:
             assert figure == TrackContinuity(None, None) or figure.interpolated >= figure.observed
 
-    @given(
-        timeline=st.one_of(
-            timelines(), st.one_of(block_logs(), synth_logs).map(parse_detection_log)
-        ),
-        max_gap=st.integers(0, 20),
-    )
+    @given(timeline=any_timelines, max_gap=st.integers(0, 20))
     @settings(max_examples=150, deadline=None)
     def test_every_track_equals_reference(self, timeline, max_gap):
         cfg = RunConfig(max_gap=max_gap)
